@@ -1,10 +1,13 @@
 """Command-line pipeline: synth, train, embed, analyze, verify, eval, report.
 
-Each command reads one flat key=value config file (flags win over config
-values), verifies the hashes of upstream artifacts through their
-manifests, writes its outputs atomically, and records a manifest of its
-own.  Exit codes: 0 success, 2 config error, 3 missing/stale input,
-4 check failure, 5 numeric failure.
+Each command is one entry of the stage table ``STAGES``: the config keys
+it reads, the upstream runs it consumes, and a body that writes its
+outputs.  One runner does the rest for every stage: it reads the flat
+key=value config file (flags win over config values), rejects keys the
+stage does not declare, verifies the hashes of upstream artifacts
+through their manifests, and records a manifest of the stage's own.
+Exit codes: 0 success, 2 config error, 3 missing/stale input, 4 check
+failure, 5 numeric failure.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ from __future__ import annotations
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import click
 import numpy as np
@@ -21,18 +25,10 @@ import numpy as np
 from . import __version__
 from .dumps import EmbeddingDump
 from .errors import (
-    CheckFailureError,
-    ConfigError,
-    IsoprobeError,
-    MergeRefusedError,
-    MissingInputError,
+    CheckFailureError, ConfigError, IsoprobeError, MergeRefusedError, MissingInputError
 )
 from .evalharness import (
-    SweepConfig,
-    context_length_sweep,
-    noise_sweep,
-    sweep_rows_to_csv,
-    sweep_verdicts,
+    SweepConfig, context_length_sweep, noise_sweep, sweep_rows_to_csv, sweep_verdicts
 )
 from .isotropy import layer_report, pca_plot_rows
 from .kernels import (
@@ -45,6 +41,7 @@ from .kernels import (
     table_dataset_specs,
 )
 from .manifest import (
+    SCHEMA_VERSION,
     RunManifest,
     atomic_write_text,
     canonical_json,
@@ -52,14 +49,8 @@ from .manifest import (
     take_config,
     verify_outputs,
 )
-from .model import (
-    TrainConfig,
-    dump_embeddings,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-)
-from .numerics import RngStream, spectral_norm
+from .model import TrainConfig, dump_embeddings, load_checkpoint, save_checkpoint, softmax, train
+from .numerics import RngStream, ordered_map, spectral_norm
 from .theory import (
     collect_window_logits,
     attention_jacobian_bound,
@@ -69,62 +60,146 @@ from .theory import (
     shift_attack,
     optimal_score_matrix_solution,
 )
-from .tokenizer import TokenizerConfig, fit_scale, tokenize
+from .tokenizer import TokenizerConfig, tokenize_windows
 
-SCHEMA_VERSION = 1
+# A stage declares each config key it reads as (type, default); a key
+# whose default is REQUIRED must be set.
+REQUIRED = object()
+# the config keys each kind of upstream run adds to a stage that reads it
+UPSTREAM_KEYS = {
+    "model": {"model": (str, REQUIRED)},
+    "data": {"data": (str, REQUIRED), "datasets": (list, None)},
+    "embeddings": {"embeddings": (str, REQUIRED)},
+}
+
+
+@dataclass
+class Run:
+    """What the runner hands a stage body: typed options, the output
+    directory and the upstream artifacts the stage declared."""
+
+    opts: dict
+    out_dir: Path
+    workers: int
+    inputs: list = field(default_factory=list)  # upstream files, for the manifest
+    series: dict = None
+    params: object = None
+    tok_cfg: TokenizerConfig = None
+    meta: dict = None
+    dump: EmbeddingDump = None
+    failure: IsoprobeError = None  # raised once the manifest is written
+
+    @property
+    def seed(self):
+        return self.opts["seed"]
+
+    def model_default(self, key):
+        """A config value that defaults to the trained model's own setting."""
+        value = self.opts[key]
+        return self.meta[key] if value is None else value
+
+    def windows(self, tok_cfg, context_length, horizon=0, stride=1, limit=None):
+        """Tokenized windows of every loaded dataset, in name order."""
+        return [
+            window
+            for name in sorted(self.series)
+            for window in tokenize_windows(
+                self.series[name].values, tok_cfg, context_length, horizon, stride, limit
+            )
+        ]
+
+    def write_doc(self, filename, kind, **fields):
+        """Write a versioned JSON document into the output directory."""
+        path = self.out_dir / filename
+        doc = {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
+        atomic_write_text(path, canonical_json(doc))
+        return path
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One subcommand: its config keys, upstream runs and body.
+
+    The body takes a ``Run`` and returns the paths it wrote; its
+    docstring is the command's help."""
+
+    name: str
+    body: Callable
+    keys: dict
+    inputs: tuple = ()
+    manifest: bool = True
 
 
 def _worker_count(workers):
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("ISOPROBE_WORKERS")
-    return max(1, int(env)) if env else 1
+    if workers is None:
+        env = os.environ.get("ISOPROBE_WORKERS")
+        if not env:
+            return 1
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ConfigError(f"ISOPROBE_WORKERS must be an integer, got {env!r}") from None
+    return max(1, workers)
 
 
-def _run_pool(fn, tasks, workers):
-    """Map fn over tasks, preserving order; fork a pool when workers > 1."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+def _load_upstream(run, kind):
+    """Verify an upstream run's hashes, then load what the stage reads from it."""
+    run_dir = Path(run.opts[kind])
+    verify_outputs(RunManifest.read(run_dir), run_dir)
+    if kind == "model":
+        path = run_dir / "model.isop"
+        run.params, run.meta = load_checkpoint(path)
+        run.tok_cfg = TokenizerConfig.from_dict(run.meta["tokenizer"])
+        run.inputs.append(path)
+    elif kind == "embeddings":
+        path = run_dir / "embeddings.isoemb"
+        run.dump = EmbeddingDump.read(path)
+        run.inputs.append(path)
+    else:
+        ds_dir = run_dir / "datasets"
+        if not ds_dir.is_dir():
+            raise MissingInputError(f"no datasets directory under {run_dir}")
+        names = run.opts["datasets"] or sorted(p.stem for p in ds_dir.glob("*.csv"))
+        run.series = {}
+        for name in names:
+            path = ds_dir / f"{name}.csv"
+            if not path.is_file():
+                raise MissingInputError(f"dataset {name} not found at {path}")
+            run.series[name] = load_series(path)
+        run.inputs.extend(ds_dir / f"{name}.csv" for name in sorted(run.series))
 
 
-def _load_config(config_path, overrides):
+def run_stage(stage, config_path, overrides, workers):
+    """Parse and check the config, load upstream runs, run the body and
+    record the manifest."""
     cfg = parse_config(config_path) if config_path else {}
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
-    return cfg
-
-
-def _out_dir(cfg, command):
-    out = take_config(cfg, "out", default=f"out_{command}", kind=str)
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _dataset_dir_series(data_dir, names=None):
-    """Load named datasets (default: every CSV) from a synth run dir."""
-    data_dir = Path(data_dir)
-    ds_dir = data_dir / "datasets"
-    if not ds_dir.is_dir():
-        raise MissingInputError(f"no datasets directory under {data_dir}")
-    available = sorted(p.stem for p in ds_dir.glob("*.csv"))
-    chosen = names if names else available
-    series = {}
-    for name in chosen:
-        path = ds_dir / f"{name}.csv"
-        if not path.is_file():
-            raise MissingInputError(f"dataset {name} not found at {path}")
-        series[name] = load_series(path)
-    return series, ds_dir
-
-
-def _verify_upstream(run_dir):
-    manifest = RunManifest.read(run_dir)
-    verify_outputs(manifest, run_dir)
-    return manifest
+    cfg.update((key, value) for key, value in overrides.items() if value is not None)
+    keys = {"seed": (int, 0), "out": (str, f"out_{stage.name}")}
+    for kind in stage.inputs:
+        keys.update(UPSTREAM_KEYS[kind])
+    keys.update(stage.keys)
+    unknown = [key for key in cfg if key not in keys]
+    if unknown:
+        raise ConfigError(f"{stage.name}: unknown config key {', '.join(unknown)}")
+    opts = {
+        key: take_config(cfg, key, default, required=default is REQUIRED, kind=kind)
+        for key, (kind, default) in keys.items()
+    }
+    out_dir = Path(opts["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    run = Run(opts, out_dir, _worker_count(workers))
+    for kind in stage.inputs:
+        _load_upstream(run, kind)
+    outputs = stage.body(run)
+    if stage.manifest:
+        manifest = RunManifest(command=stage.name, config=cfg, seed=run.seed)
+        for path in run.inputs:
+            manifest.record_input(out_dir, path)
+        for path in outputs:
+            manifest.record_output(out_dir, path)
+        manifest.write(out_dir)
+    if run.failure is not None:
+        raise run.failure
 
 
 def _synth_task(task):
@@ -140,311 +215,161 @@ def _synth_task(task):
     bank = tuple(CompositeKernel.from_dict(d).spec for d in bank_dicts)
     name = f"synth_{index:03d}"
     series = kernelsynth_sample(
-        bank,
-        max_kernels=max_kernels,
-        length=length,
-        stream=stream,
-        standardize_output=standardize,
+        bank, max_kernels=max_kernels, length=length, stream=stream, standardize_output=standardize
     )
     series.origin["name"] = name
     return name, series
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="isoprobe")
-def cli():
-    """Reproducible isotropy diagnostics for time-series forecasters."""
-
-
-@cli.command("synth")
-@click.option("--config", "config_path", type=click.Path(), default=None, help="Run config file")
-@click.option("--seed", type=int, default=None, help="Override the config seed")
-@click.option("--out", type=click.Path(), default=None, help="Output directory")
-@click.option("--workers", type=int, default=None, help="Worker pool size")
-def cmd_synth(config_path, seed, out, workers):
+def _synth(run):
     """Generate synthetic GP datasets (CSV + JSON sidecar + manifest)."""
-    cfg = _load_config(config_path, {"seed": seed, "out": out})
-    seed = take_config(cfg, "seed", default=0, kind=int)
-    mode = take_config(cfg, "mode", default="table", kind=str)
-    length = take_config(cfg, "length", default=1024, kind=int)
-    standardize = take_config(cfg, "standardize", default=True, kind=bool)
-    out_dir = _out_dir(cfg, "synth")
-    (out_dir / "datasets").mkdir(exist_ok=True)
-
-    if mode == "table":
+    opt = run.opts
+    length, seed, standardize = opt["length"], run.seed, opt["standardize"]
+    (run.out_dir / "datasets").mkdir(exist_ok=True)
+    if opt["mode"] == "table":
         tasks = [
             ("table", (name, CompositeKernel.leaf(spec).to_dict()), length, seed, i, standardize)
             for i, (name, spec) in enumerate(table_dataset_specs())
         ]
-    elif mode == "kernelsynth":
-        count = take_config(cfg, "count", default=10, kind=int)
-        max_kernels = take_config(cfg, "max_kernels", default=5, kind=int)
+    elif opt["mode"] == "kernelsynth":
         bank_dicts = [CompositeKernel.leaf(s).to_dict() for s in default_bank()]
         tasks = [
-            ("kernelsynth", (bank_dicts, max_kernels), length, seed, i, standardize)
-            for i in range(count)
+            ("kernelsynth", (bank_dicts, opt["max_kernels"]), length, seed, i, standardize)
+            for i in range(opt["count"])
         ]
     else:
-        raise ConfigError(f"config field mode: expected 'table' or 'kernelsynth', got {mode!r}")
-
-    results = _run_pool(_synth_task, tasks, _worker_count(workers))
-    manifest = RunManifest(command="synth", config=cfg, seed=seed)
-    for name, series in results:
-        csv_path, sidecar = save_series(series, out_dir / "datasets" / f"{name}.csv")
-        manifest.record_output(out_dir, csv_path)
-        manifest.record_output(out_dir, sidecar)
-    manifest.write(out_dir)
-    click.echo(f"synth: wrote {len(results)} datasets to {out_dir}")
-
-
-def _window_tokens(values, tok_cfg, context_length, horizon, stride):
-    span = context_length + horizon
-    wins = []
-    for start in range(0, len(values) - span + 1, stride):
-        scale = fit_scale(values[start : start + context_length])
-        wins.append(tokenize(values[start : start + span], tok_cfg, scale).tokens)
-    return wins
-
-
-@cli.command("train")
-@click.option("--config", "config_path", type=click.Path(), required=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--workers", type=int, default=None)
-def cmd_train(config_path, seed, out, workers):
-    """Train the forecaster on tokenized windows from synth datasets."""
-    cfg = _load_config(config_path, {"seed": seed, "out": out})
-    seed = take_config(cfg, "seed", default=0, kind=int)
-    data_dir = Path(take_config(cfg, "data", required=True, kind=str))
-    names = take_config(cfg, "datasets", default=None, kind=list)
-    out_dir = _out_dir(cfg, "train")
-    _verify_upstream(data_dir)
-    series, ds_dir = _dataset_dir_series(data_dir, names)
-
-    tok_cfg = TokenizerConfig(
-        vocab_size=take_config(cfg, "vocab_size", default=512, kind=int),
-        low=take_config(cfg, "clip_low", default=-15.0, kind=float),
-        high=take_config(cfg, "clip_high", default=15.0, kind=float),
-    )
-    train_cfg = TrainConfig(
-        learning_rate=take_config(cfg, "learning_rate", default=0.05, kind=float),
-        steps=take_config(cfg, "steps", default=5000, kind=int),
-        batch_size=take_config(cfg, "batch_size", default=32, kind=int),
-        context_length=take_config(cfg, "context_length", default=16, kind=int),
-        horizon=take_config(cfg, "horizon", default=4, kind=int),
-        seed=seed,
-        log_every=take_config(cfg, "log_every", default=50, kind=int),
-    )
-    stride = take_config(cfg, "stride", default=1, kind=int)
-    windows = []
-    for name in sorted(series):
-        windows.extend(
-            _window_tokens(
-                series[name].values,
-                tok_cfg,
-                train_cfg.context_length,
-                train_cfg.horizon,
-                stride,
-            )
+        raise ConfigError(
+            f"config field mode: expected 'table' or 'kernelsynth', got {opt['mode']!r}"
         )
+
+    outputs = []
+    results = ordered_map(_synth_task, tasks, run.workers)
+    for name, series in results:
+        outputs.extend(save_series(series, run.out_dir / "datasets" / f"{name}.csv"))
+    click.echo(f"synth: wrote {len(results)} datasets to {run.out_dir}")
+    return outputs
+
+
+def _train(run):
+    """Train the forecaster on tokenized windows from synth datasets."""
+    opt = run.opts
+    tok_cfg = TokenizerConfig(
+        vocab_size=opt["vocab_size"], low=opt["clip_low"], high=opt["clip_high"]
+    )
+    # the TrainConfig fields that the checkpoint sidecar also records
+    recorded = {
+        key: opt[key]
+        for key in ("learning_rate", "steps", "batch_size", "context_length", "horizon")
+    }
+    train_cfg = TrainConfig(seed=run.seed, log_every=opt["log_every"], **recorded)
+    windows = run.windows(tok_cfg, train_cfg.context_length, train_cfg.horizon, opt["stride"])
     result = train(
         np.array(windows),
         train_cfg,
-        dim=take_config(cfg, "dim", default=64, kind=int),
-        rank=take_config(cfg, "rank", default=16, kind=int),
-        layer_count=take_config(cfg, "layers", default=2, kind=int),
+        dim=opt["dim"],
+        rank=opt["rank"],
+        layer_count=opt["layers"],
         vocab_size=tok_cfg.vocab_size,
     )
-    meta = {
-        "tokenizer": tok_cfg.to_dict(),
-        "context_length": train_cfg.context_length,
-        "horizon": train_cfg.horizon,
-        "learning_rate": train_cfg.learning_rate,
-        "steps": train_cfg.steps,
-        "batch_size": train_cfg.batch_size,
-        "seed": seed,
-        "datasets": sorted(series),
-    }
-    ckpt_path, sidecar = save_checkpoint(result.params, out_dir / "model.isop", meta)
+    meta = dict(
+        recorded, tokenizer=tok_cfg.to_dict(), seed=run.seed, datasets=sorted(run.series)
+    )
+    ckpt_path, sidecar = save_checkpoint(result.params, run.out_dir / "model.isop", meta)
     curve_lines = ["step,loss"]
     curve_lines.extend(
         f"{step},{result.loss_curve[step]!r}"
         for step in range(0, train_cfg.steps, train_cfg.log_every)
     )
-    curve_path = out_dir / "loss_curve.csv"
+    curve_path = run.out_dir / "loss_curve.csv"
     atomic_write_text(curve_path, "\n".join(curve_lines) + "\n")
-
-    manifest = RunManifest(command="train", config=cfg, seed=seed)
-    for name in sorted(series):
-        manifest.record_input(out_dir, ds_dir / f"{name}.csv")
-    for path in (ckpt_path, sidecar, curve_path):
-        manifest.record_output(out_dir, path)
-    manifest.write(out_dir)
     click.echo(
         f"train: {len(windows)} windows, final loss {result.loss_curve[-1]:.4f}, "
         f"checkpoint at {ckpt_path}"
     )
+    return [ckpt_path, sidecar, curve_path]
 
 
-def _load_model_run(run_dir):
-    run_dir = Path(run_dir)
-    _verify_upstream(run_dir)
-    params, meta = load_checkpoint(run_dir / "model.isop")
-    tok_cfg = TokenizerConfig.from_dict(meta["tokenizer"])
-    return params, tok_cfg, meta
-
-
-@cli.command("embed")
-@click.option("--config", "config_path", type=click.Path(), required=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--workers", type=int, default=None)
-def cmd_embed(config_path, seed, out, workers):
+def _embed(run):
     """Dump per-position contextual embeddings over evaluation windows."""
-    cfg = _load_config(config_path, {"seed": seed, "out": out})
-    seed = take_config(cfg, "seed", default=0, kind=int)
-    model_dir = Path(take_config(cfg, "model", required=True, kind=str))
-    data_dir = Path(take_config(cfg, "data", required=True, kind=str))
-    names = take_config(cfg, "datasets", default=None, kind=list)
-    out_dir = _out_dir(cfg, "embed")
-    params, tok_cfg, meta = _load_model_run(model_dir)
-    _verify_upstream(data_dir)
-    series, ds_dir = _dataset_dir_series(data_dir, names)
-
-    context_length = take_config(
-        cfg, "context_length", default=meta["context_length"], kind=int
+    opt = run.opts
+    windows = run.windows(
+        run.tok_cfg,
+        run.model_default("context_length"),
+        stride=opt["stride"],
+        limit=opt["max_windows"],
     )
-    stride = take_config(cfg, "stride", default=4, kind=int)
-    max_windows = take_config(cfg, "max_windows", default=64, kind=int)
-    layer_ids = take_config(cfg, "layers", default=None, kind=list)
-
-    windows = []
-    for name in sorted(series):
-        values = series[name].values
-        starts = range(0, len(values) - context_length + 1, stride)
-        for start in list(starts)[:max_windows]:
-            chunk = values[start : start + context_length]
-            windows.append(tokenize(chunk, tok_cfg, fit_scale(chunk)).tokens)
-    dump = dump_embeddings(params, windows, layer_ids=layer_ids)
-    dump_path = out_dir / "embeddings.isoemb"
-    dump.write(dump_path)
-
-    manifest = RunManifest(command="embed", config=cfg, seed=seed)
-    manifest.record_input(out_dir, model_dir / "model.isop")
-    for name in sorted(series):
-        manifest.record_input(out_dir, ds_dir / f"{name}.csv")
-    manifest.record_output(out_dir, dump_path)
-    manifest.write(out_dir)
+    dump = dump_embeddings(run.params, windows, layer_ids=opt["layers"])
+    dump_path = dump.write(run.out_dir / "embeddings.isoemb")
     click.echo(f"embed: {dump.record_count} records -> {dump_path}")
+    return [dump_path]
 
 
-@cli.command("analyze")
-@click.option("--config", "config_path", type=click.Path(), required=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--workers", type=int, default=None)
-def cmd_analyze(config_path, seed, out, workers):
+def _analyze(run):
     """Isotropy report plus top-3 PCA plot data per layer."""
-    cfg = _load_config(config_path, {"seed": seed, "out": out})
-    seed = take_config(cfg, "seed", default=0, kind=int)
-    embed_dir = Path(take_config(cfg, "embeddings", required=True, kind=str))
-    out_dir = _out_dir(cfg, "analyze")
-    _verify_upstream(embed_dir)
-    dump = EmbeddingDump.read(embed_dir / "embeddings.isoemb")
-
-    pair_budget = take_config(cfg, "pair_budget", default=10000, kind=int)
-    k_min = take_config(cfg, "k_min", default=2, kind=int)
-    k_max = take_config(cfg, "k_max", default=10, kind=int)
-    eps_values = take_config(cfg, "eps", default=[0.8, 0.9], kind=list)
-
+    opt = run.opts
     layers = []
     plot_lines = ["layer,pc1,pc2,pc3,cluster_id,token_id"]
-    for index, layer in enumerate(dump.layer_ids()):
-        stream = RngStream(seed, layer)
+    for layer in run.dump.layer_ids():
         report = layer_report(
-            dump,
+            run.dump,
             layer,
-            stream,
-            pair_budget=pair_budget,
-            k_range=range(k_min, k_max + 1),
-            eps_values=tuple(eps_values),
+            RngStream(run.seed, layer),
+            pair_budget=opt["pair_budget"],
+            k_range=range(opt["k_min"], opt["k_max"] + 1),
+            eps_values=tuple(opt["eps"]),
         )
         layers.append(report.to_dict())
-        for row in pca_plot_rows(dump, layer, report.clustering):
+        for row in pca_plot_rows(run.dump, layer, report.clustering):
             plot_lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
 
-    report_doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "isotropy_report",
-        "layers": layers,
-    }
-    report_path = out_dir / "isotropy_report.json"
-    atomic_write_text(report_path, canonical_json(report_doc))
-    plot_path = out_dir / "pca_plot.csv"
+    report_path = run.write_doc("isotropy_report.json", "isotropy_report", layers=layers)
+    plot_path = run.out_dir / "pca_plot.csv"
     atomic_write_text(plot_path, "\n".join(plot_lines) + "\n")
-
-    manifest = RunManifest(command="analyze", config=cfg, seed=seed)
-    manifest.record_input(out_dir, embed_dir / "embeddings.isoemb")
-    manifest.record_output(out_dir, report_path)
-    manifest.record_output(out_dir, plot_path)
-    manifest.write(out_dir)
     click.echo(f"analyze: {len(layers)} layers -> {report_path}")
+    return [report_path, plot_path]
 
 
-def _verify_checks(params, tok_cfg, series, cfg, seed):
+def _check(name, passed, **details):
+    return {"name": name, "passed": bool(passed), "details": details}
+
+
+def _verify_checks(run):
     """Run every theory check; returns (checks, all_passed)."""
+    opt = run.opts
+    params = run.params
     checks = []
-    stream = RngStream(seed, 0)
-    context_length = take_config(cfg, "context_length", default=16, kind=int)
-    horizon = take_config(cfg, "horizon", default=4, kind=int)
-    n_windows = take_config(cfg, "trace_windows", default=8, kind=int)
+    stream = RngStream(run.seed, 0)
 
-    windows = []
-    for name in sorted(series):
-        windows.extend(
-            _window_tokens(series[name].values, tok_cfg, context_length, horizon, stride=16)
-        )
-    windows = windows[: max(n_windows, 1)]
+    windows = run.windows(run.tok_cfg, opt["context_length"], opt["horizon"], stride=16)
+    windows = windows[: max(opt["trace_windows"], 1)]
     logits, targets = collect_window_logits(params, windows)
 
     # Shift attack: softmax/loss invariant, every sampled head zeroed.
-    n_heads = take_config(cfg, "heads", default=50, kind=int)
+    n_heads = opt["heads"]
     heads = sample_heads(n_heads, params.vocab_size, stream)
     records = [shift_attack(logits, targets, head) for head in heads]
     checks.append(
-        {
-            "name": "shift_attack",
-            "passed": all(r.passed for r in records),
-            "details": {
-                "heads": n_heads,
-                "positions": int(logits.shape[0]),
-                "max_tv_distance": max(r.max_tv_distance for r in records),
-                "max_loss_delta": max(
-                    abs(r.loss_after - r.loss_before) for r in records
-                ),
-                "max_downstream_abs": max(r.max_downstream_abs for r in records),
-            },
-        }
+        _check(
+            "shift_attack",
+            all(r.passed for r in records),
+            heads=n_heads,
+            positions=int(logits.shape[0]),
+            max_tv_distance=max(r.max_tv_distance for r in records),
+            max_loss_delta=max(abs(r.loss_after - r.loss_before) for r in records),
+            max_downstream_abs=max(r.max_downstream_abs for r in records),
+        )
     )
 
     # Softmax shift invariance on the trace logits themselves.
-    from .model import softmax as _softmax
-
     max_tv = 0.0
     for row in logits[: min(len(logits), 64)]:
-        base = _softmax(row)
+        base = softmax(row)
         for shift in (-10.0, 3.7, 100.0):
-            max_tv = max(max_tv, 0.5 * float(np.sum(np.abs(_softmax(row + shift) - base))))
-    checks.append(
-        {
-            "name": "softmax_shift_invariance",
-            "passed": max_tv <= 1e-12,
-            "details": {"max_tv_distance": max_tv},
-        }
-    )
+            max_tv = max(max_tv, 0.5 * float(np.sum(np.abs(softmax(row + shift) - base))))
+    checks.append(_check("softmax_shift_invariance", max_tv <= 1e-12, max_tv_distance=max_tv))
 
     # Attention Jacobian bound on random instances.
-    n_bound = take_config(cfg, "bound_instances", default=200, kind=int)
+    n_bound = opt["bound_instances"]
     gen = stream.generator
     min_margin = np.inf
     main_text_violations = 0
@@ -461,24 +386,22 @@ def _verify_checks(params, tok_cfg, series, cfg, seed):
         min_margin = min(min_margin, rep.margin)
         main_text_violations += rep.main_text_violated
     checks.append(
-        {
-            "name": "jacobian_bound",
-            "passed": bool(min_margin >= -1e-6),
-            "details": {
-                "instances": n_bound,
-                "rows_max": 8,
-                "dim_max": 6,
-                "score_norm_max": 2.0,
-                "min_margin": float(min_margin),
-                "main_text_violations": int(main_text_violations),
-            },
-        }
+        _check(
+            "jacobian_bound",
+            min_margin >= -1e-6,
+            instances=n_bound,
+            rows_max=8,
+            dim_max=6,
+            score_norm_max=2.0,
+            min_margin=float(min_margin),
+            main_text_violations=int(main_text_violations),
+        )
     )
 
     # Closed-form score matrix: identity and descent competitor.
-    n_opt = take_config(cfg, "score_matrix_instances", default=100, kind=int)
-    starts = take_config(cfg, "descent_starts", default=20, kind=int)
-    iters = take_config(cfg, "descent_iters", default=300, kind=int)
+    n_opt = opt["score_matrix_instances"]
+    starts = opt["descent_starts"]
+    iters = opt["descent_iters"]
     worst_rel = 0.0
     worst_gap = np.inf
     for index in range(n_opt):
@@ -496,16 +419,14 @@ def _verify_checks(params, tok_cfg, series, cfg, seed):
         )
         worst_gap = min(worst_gap, best - sol.objective_value)
     checks.append(
-        {
-            "name": "optimal_score_matrix",
-            "passed": bool(worst_rel <= 1e-8 and worst_gap >= -1e-6),
-            "details": {
-                "instances": n_opt,
-                "max_identity_rel_err": float(worst_rel),
-                "min_descent_gap": float(worst_gap),
-                "descent_starts": starts,
-            },
-        }
+        _check(
+            "optimal_score_matrix",
+            worst_rel <= 1e-8 and worst_gap >= -1e-6,
+            instances=n_opt,
+            max_identity_rel_err=float(worst_rel),
+            min_descent_gap=float(worst_gap),
+            descent_starts=starts,
+        )
     )
 
     # Small score-matrix approximation sweep must improve monotonically.
@@ -517,126 +438,64 @@ def _verify_checks(params, tok_cfg, series, cfg, seed):
         and a.substitution_error <= b.substitution_error / 2.0
         for a, b in zip(rows[:-1], rows[1:])
     )
-    checks.append(
+    rows = [
         {
-            "name": "small_score_approximation",
-            "passed": bool(monotone),
-            "details": {
-                "rows": [
-                    {
-                        "rho": r.rho,
-                        "max_prob_error": r.max_prob_error,
-                        "substitution_error": r.substitution_error,
-                    }
-                    for r in rows
-                ]
-            },
+            "rho": r.rho,
+            "max_prob_error": r.max_prob_error,
+            "substitution_error": r.substitution_error,
         }
-    )
+        for r in rows
+    ]
+    checks.append(_check("small_score_approximation", monotone, rows=rows))
     return checks, all(c["passed"] for c in checks)
 
 
-@cli.command("verify")
-@click.option("--config", "config_path", type=click.Path(), required=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--workers", type=int, default=None)
-def cmd_verify(config_path, seed, out, workers):
+def _verify(run):
     """Machine-check the structural guarantees; exit 0 iff all pass."""
-    cfg = _load_config(config_path, {"seed": seed, "out": out})
-    seed = take_config(cfg, "seed", default=0, kind=int)
-    model_dir = Path(take_config(cfg, "model", required=True, kind=str))
-    data_dir = Path(take_config(cfg, "data", required=True, kind=str))
-    names = take_config(cfg, "datasets", default=None, kind=list)
-    out_dir = _out_dir(cfg, "verify")
-    params, tok_cfg, _ = _load_model_run(model_dir)
-    _verify_upstream(data_dir)
-    series, ds_dir = _dataset_dir_series(data_dir, names)
-
-    checks, all_passed = _verify_checks(params, tok_cfg, series, cfg, seed)
-    report_doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "verification_report",
-        "seed": seed,
-        "all_passed": all_passed,
-        "checks": checks,
-    }
-    report_path = out_dir / "verification_report.json"
-    atomic_write_text(report_path, canonical_json(report_doc))
-    manifest = RunManifest(command="verify", config=cfg, seed=seed)
-    manifest.record_input(out_dir, model_dir / "model.isop")
-    for name in sorted(series):
-        manifest.record_input(out_dir, ds_dir / f"{name}.csv")
-    manifest.record_output(out_dir, report_path)
-    manifest.write(out_dir)
+    checks, all_passed = _verify_checks(run)
+    report_path = run.write_doc(
+        "verification_report.json",
+        "verification_report",
+        seed=run.seed,
+        all_passed=all_passed,
+        checks=checks,
+    )
     for check in checks:
         click.echo(f"verify: {check['name']}: {'pass' if check['passed'] else 'FAIL'}")
-    if not all_passed:
+    if all_passed:
+        click.echo(f"verify: all checks passed -> {report_path}")
+    else:
         failing = ", ".join(c["name"] for c in checks if not c["passed"])
-        raise CheckFailureError(f"failing checks: {failing}")
-    click.echo(f"verify: all checks passed -> {report_path}")
+        run.failure = CheckFailureError(f"failing checks: {failing}")
+    return [report_path]
 
 
-@cli.command("eval")
-@click.option("--config", "config_path", type=click.Path(), required=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--workers", type=int, default=None)
-def cmd_eval(config_path, seed, out, workers):
+def _eval(run):
     """Run a context-length or noise sweep and report verdicts."""
-    cfg = _load_config(config_path, {"seed": seed, "out": out})
-    seed = take_config(cfg, "seed", default=0, kind=int)
-    model_dir = Path(take_config(cfg, "model", required=True, kind=str))
-    data_dir = Path(take_config(cfg, "data", required=True, kind=str))
-    names = take_config(cfg, "datasets", default=None, kind=list)
-    out_dir = _out_dir(cfg, "eval")
-    params, tok_cfg, meta = _load_model_run(model_dir)
-    _verify_upstream(data_dir)
-    series, ds_dir = _dataset_dir_series(data_dir, names)
-    datasets = {name: s.values for name, s in series.items()}
-
-    variable = take_config(cfg, "variable", required=True, kind=str)
-    values = take_config(cfg, "values", required=True, kind=list)
-    n_seeds = take_config(cfg, "seeds", default=20, kind=int)
+    opt = run.opts
     sweep_cfg = SweepConfig(
-        variable=variable,
-        values=tuple(values),
-        seeds=tuple(range(seed, seed + n_seeds)),
-        horizon=take_config(cfg, "horizon", default=meta["horizon"], kind=int),
-        windows=take_config(cfg, "windows", default=32, kind=int),
-        sample_count=take_config(cfg, "sample_count", default=20, kind=int),
-        context_length=take_config(
-            cfg, "context_length", default=meta["context_length"], kind=int
-        ),
-        pair_budget=take_config(cfg, "pair_budget", default=10000, kind=int),
-        k_max=take_config(cfg, "k_max", default=10, kind=int),
+        variable=opt["variable"],
+        values=tuple(opt["values"]),
+        seeds=tuple(range(run.seed, run.seed + opt["seeds"])),
+        horizon=run.model_default("horizon"),
+        context_length=run.model_default("context_length"),
+        **{key: opt[key] for key in ("windows", "sample_count", "pair_budget", "k_max")},
     )
-    runner = context_length_sweep if variable == "context_length" else noise_sweep
-    rows = runner(params, tok_cfg, datasets, sweep_cfg, workers=_worker_count(workers))
+    runner = context_length_sweep if opt["variable"] == "context_length" else noise_sweep
+    datasets = {name: s.values for name, s in run.series.items()}
+    rows = runner(run.params, run.tok_cfg, datasets, sweep_cfg, workers=run.workers)
 
-    csv_path = out_dir / "sweep.csv"
+    csv_path = run.out_dir / "sweep.csv"
     atomic_write_text(csv_path, sweep_rows_to_csv(rows))
-    verdict_doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "sweep_verdicts",
-        "variable": variable,
-        "verdicts": sweep_verdicts(rows) if len(values) == 2 else {},
-        "note": (
-            "directional comparison only; absolute levels depend on the "
-            "trained model scale"
-        ),
-    }
-    verdict_path = out_dir / "sweep_verdicts.json"
-    atomic_write_text(verdict_path, canonical_json(verdict_doc))
-
-    manifest = RunManifest(command="eval", config=cfg, seed=seed)
-    manifest.record_input(out_dir, model_dir / "model.isop")
-    for name in sorted(series):
-        manifest.record_input(out_dir, ds_dir / f"{name}.csv")
-    manifest.record_output(out_dir, csv_path)
-    manifest.record_output(out_dir, verdict_path)
-    manifest.write(out_dir)
+    verdict_path = run.write_doc(
+        "sweep_verdicts.json",
+        "sweep_verdicts",
+        variable=opt["variable"],
+        verdicts=sweep_verdicts(rows) if len(opt["values"]) == 2 else {},
+        note="directional comparison only; absolute levels depend on the trained model scale",
+    )
     click.echo(f"eval: {len(rows)} rows -> {csv_path}")
+    return [csv_path, verdict_path]
 
 
 _SECTION_FILES = {
@@ -646,19 +505,10 @@ _SECTION_FILES = {
 }
 
 
-@cli.command("report")
-@click.option("--config", "config_path", type=click.Path(), required=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--workers", type=int, default=None)
-def cmd_report(config_path, seed, out, workers):
+def _report(run):
     """Merge run artifacts into one consolidated JSON report."""
-    cfg = _load_config(config_path, {"seed": seed, "out": out})
-    runs = take_config(cfg, "runs", required=True, kind=list)
-    out_dir = _out_dir(cfg, "report")
     sections = {}
-    for run in runs:
-        run_dir = Path(run)
+    for run_dir in map(Path, run.opts["runs"]):
         manifest = RunManifest.read(run_dir)
         if manifest.schema_version != SCHEMA_VERSION:
             raise MergeRefusedError(
@@ -676,22 +526,91 @@ def cmd_report(config_path, seed, out, workers):
                         f"conflicts with {SCHEMA_VERSION}"
                     )
                 section[key] = doc
-        name = run_dir.name or str(run_dir)
+        base = name = run_dir.name or str(run_dir)
         suffix = 2
-        base = name
         while name in sections:
-            name = f"{base}_{suffix}"
-            suffix += 1
+            name, suffix = f"{base}_{suffix}", suffix + 1
         sections[name] = section
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "consolidated",
-        "tool_version": __version__,
-        "sections": sections,
-    }
-    report_path = Path(out_dir) / "report.json"
-    atomic_write_text(report_path, canonical_json(doc))
+    report_path = run.write_doc(
+        "report.json", "consolidated", tool_version=__version__, sections=sections
+    )
     click.echo(f"report: merged {len(sections)} runs -> {report_path}")
+    return [report_path]
+
+
+STAGES = (
+    Stage(
+        "synth",
+        _synth,
+        {"mode": (str, "table"), "length": (int, 1024), "standardize": (bool, True),
+         "count": (int, 10), "max_kernels": (int, 5)},
+    ),
+    Stage(
+        "train",
+        _train,
+        {"vocab_size": (int, 512), "clip_low": (float, -15.0), "clip_high": (float, 15.0),
+         "learning_rate": (float, 0.05), "steps": (int, 5000), "batch_size": (int, 32),
+         "context_length": (int, 16), "horizon": (int, 4), "log_every": (int, 50),
+         "stride": (int, 1), "dim": (int, 64), "rank": (int, 16), "layers": (int, 2)},
+        inputs=("data",),
+    ),
+    Stage(
+        "embed",
+        _embed,
+        # context_length defaults to the model's
+        {"context_length": (int, None), "stride": (int, 4), "max_windows": (int, 64),
+         "layers": (list, None)},
+        inputs=("model", "data"),
+    ),
+    Stage(
+        "analyze",
+        _analyze,
+        {"pair_budget": (int, 10000), "k_min": (int, 2), "k_max": (int, 10),
+         "eps": (list, [0.8, 0.9])},
+        inputs=("embeddings",),
+    ),
+    Stage(
+        "verify",
+        _verify,
+        {"context_length": (int, 16), "horizon": (int, 4), "trace_windows": (int, 8),
+         "heads": (int, 50), "bound_instances": (int, 200),
+         "score_matrix_instances": (int, 100), "descent_starts": (int, 20),
+         "descent_iters": (int, 300)},
+        inputs=("model", "data"),
+    ),
+    Stage(
+        "eval",
+        _eval,
+        # horizon and context_length default to the model's
+        {"variable": (str, REQUIRED), "values": (list, REQUIRED), "seeds": (int, 20),
+         "horizon": (int, None), "windows": (int, 32), "sample_count": (int, 20),
+         "context_length": (int, None), "pair_budget": (int, 10000), "k_max": (int, 10)},
+        inputs=("model", "data"),
+    ),
+    Stage("report", _report, {"runs": (list, REQUIRED)}, manifest=False),
+)
+
+
+@click.group()
+@click.version_option(version=__version__, prog_name="isoprobe")
+def cli():
+    """Reproducible isotropy diagnostics for time-series forecasters."""
+
+
+def _register(stage):
+    # synth is the only stage that runs on defaults alone
+    @cli.command(stage.name, help=stage.body.__doc__)
+    @click.option("--config", "config_path", type=click.Path(), required=stage.name != "synth",
+                  help="Run config file")
+    @click.option("--seed", type=int, default=None, help="Override the config seed")
+    @click.option("--out", type=click.Path(), default=None, help="Output directory")
+    @click.option("--workers", type=int, default=None, help="Worker pool size")
+    def command(config_path, seed, out, workers):
+        run_stage(stage, config_path, {"seed": seed, "out": out}, workers)
+
+
+for _stage in STAGES:
+    _register(_stage)
 
 
 def main(argv=None):

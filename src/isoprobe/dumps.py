@@ -17,6 +17,7 @@ from .errors import InvalidArgumentError
 
 MAGIC = b"ISOEMB1"
 VERSION = 1
+HEADER_SIZE = len(MAGIC) + 20
 
 
 def _record_dtype(dim):
@@ -69,9 +70,6 @@ class EmbeddingDump:
     def layer_token_ids(self, layer):
         return self.token_ids[self.layers == layer].astype(np.int64)
 
-    def layer_context_ids(self, layer):
-        return self.context_ids[self.layers == layer]
-
     def instances_by_token(self, layer):
         """token_id -> (m, D) array of that token's embedding instances."""
         mask = self.layers == layer
@@ -104,6 +102,10 @@ class EmbeddingDump:
         raw = Path(path).read_bytes()
         if raw[: len(MAGIC)] != MAGIC:
             raise InvalidArgumentError(f"{path} is not an embedding dump (bad magic)")
+        if len(raw) < HEADER_SIZE:
+            raise InvalidArgumentError(
+                f"{path}: truncated, {len(raw)} bytes is shorter than the header"
+            )
         off = len(MAGIC)
         version = int(np.frombuffer(raw, "<u4", count=1, offset=off)[0])
         if version != VERSION:
@@ -111,7 +113,7 @@ class EmbeddingDump:
         layer_count = int(np.frombuffer(raw, "<u4", count=1, offset=off + 4)[0])
         dim = int(np.frombuffer(raw, "<u4", count=1, offset=off + 8)[0])
         n = int(np.frombuffer(raw, "<u8", count=1, offset=off + 12)[0])
-        body = raw[off + 20 :]
+        body = raw[HEADER_SIZE:]
         dtype = _record_dtype(dim)
         if len(body) != n * dtype.itemsize:
             raise InvalidArgumentError(
@@ -132,16 +134,3 @@ class EmbeddingDump:
             )
         return dump
 
-
-def concat_dumps(dumps):
-    """Merge dumps (same dim) preserving record order."""
-    dims = {d.dim for d in dumps}
-    if len(dims) != 1:
-        raise InvalidArgumentError(f"cannot concat dumps with dims {sorted(dims)}")
-    return EmbeddingDump(
-        dim=dims.pop(),
-        layers=np.concatenate([d.layers for d in dumps]),
-        token_ids=np.concatenate([d.token_ids for d in dumps]),
-        context_ids=np.concatenate([d.context_ids for d in dumps]),
-        vectors=np.vstack([d.vectors for d in dumps]),
-    )

@@ -10,7 +10,6 @@ value, seed), so tables reproduce bit-for-bit.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from .isotropy import (
 )
 from .kernels import add_noise
 from .model import dump_embeddings, forecast
-from .numerics import RngStream
+from .numerics import RngStream, ordered_map
 from .theory import isotropy_partition
 from .tokenizer import fit_scale, tokenize
 
@@ -207,12 +206,9 @@ def _run_sweep(params, tok_cfg, datasets, cfg, value_to_kwargs, workers=1):
         for name, series in datasets.items()
         for seed in cfg.seeds
     ]
-    if workers > 1 and len(tasks) > 1:
-        # rows are keyed by (variable, value, dataset, seed), so the pool
-        # cannot change any result, only the wall time
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_row_task, tasks))
-    return [_sweep_row_task(task) for task in tasks]
+    # rows are keyed by (variable, value, dataset, seed), so the pool
+    # cannot change any result, only the wall time
+    return ordered_map(_sweep_row_task, tasks, workers)
 
 
 def context_length_sweep(params, tok_cfg, datasets, cfg, workers=1):

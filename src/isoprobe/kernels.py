@@ -116,11 +116,6 @@ KERNEL_NAMES = {
 _NAME_TO_KERNEL = {name: cls for cls, name in KERNEL_NAMES.items()}
 
 
-def kernel_eval(spec, s, t):
-    """Evaluate one kernel at scalar grid positions s, t in [0, 1]."""
-    return float(spec(np.float64(s), np.float64(t)))
-
-
 @dataclass(frozen=True)
 class CompositeKernel:
     """Binary expression tree over kernel leaves with add/multiply nodes."""

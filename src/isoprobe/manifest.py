@@ -156,6 +156,8 @@ def parse_config(path):
         key = key.strip()
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
+        if key in config:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         value = value.strip()
         try:
             config[key] = json.loads(value)

@@ -444,13 +444,17 @@ def load_checkpoint(path):
     raw = path.read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise InvalidArgumentError(f"{path} is not a checkpoint (bad magic)")
+    off = 24
+    if len(raw) < off:
+        raise InvalidArgumentError(
+            f"{path}: truncated, {len(raw)} bytes is shorter than the header"
+        )
     version = int(np.frombuffer(raw, "<u4", count=1, offset=4)[0])
     if version != CHECKPOINT_VERSION:
         raise InvalidArgumentError(f"unsupported checkpoint version {version}")
     n, d, m, n_layers = (
         int(v) for v in np.frombuffer(raw, "<u4", count=4, offset=8)
     )
-    off = 24
     expected = 8 * (n * d + n_layers * 2 * d * m)
     if len(raw) - off != expected:
         raise InvalidArgumentError(

@@ -10,6 +10,7 @@ platforms and lets us pin the tie-break and sign conventions.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,6 +318,13 @@ class RngStream:
         return int(self._gen.integers(0, k))
 
 
-def rng_stream(seed, stream_id=0):
-    """Construct an RngStream (functional spelling of the constructor)."""
-    return RngStream(seed, stream_id)
+def ordered_map(fn, tasks, workers=1):
+    """Map fn over tasks, preserving order; fork a process pool when workers > 1.
+
+    Each task carries its own seed and stream id, so the pool can change
+    only the wall time, never a result.
+    """
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))

@@ -104,6 +104,21 @@ def tokenize(series, cfg, scale):
     return TokenSequence(ids, float(scale))
 
 
+def tokenize_windows(values, cfg, context_length, horizon=0, stride=1, limit=None):
+    """Token ids of the sliding windows of ``context_length + horizon``
+    values, one every ``stride`` steps, the first ``limit`` only when given.
+
+    Each window is scaled by the mean-absolute scale of its first
+    ``context_length`` values, its context.
+    """
+    span = context_length + horizon
+    starts = range(0, len(values) - span + 1, stride)[:limit]
+    return [
+        tokenize(values[s : s + span], cfg, fit_scale(values[s : s + context_length])).tokens
+        for s in starts
+    ]
+
+
 def detokenize(tokens, cfg):
     """Map token ids back to real values (bin centers times the scale)."""
     ids = np.asarray(tokens.tokens, dtype=np.int64)
@@ -113,10 +128,3 @@ def detokenize(tokens, cfg):
             f"{int(ids.min())}..{int(ids.max())}"
         )
     return cfg.bin_centers[ids] * tokens.scale
-
-
-def tokens_to_csv(tokens):
-    """Render a token sequence as `position,token_id` CSV text."""
-    lines = ["position,token_id"]
-    lines.extend(f"{i},{int(t)}" for i, t in enumerate(tokens.tokens))
-    return "\n".join(lines) + "\n"

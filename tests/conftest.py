@@ -5,24 +5,14 @@ suite (64-token vocabulary, 16-dim embeddings); training it once per
 session keeps the heavier tests affordable.
 """
 
-import numpy as np
 import pytest
 
 from isoprobe.kernels import single_kernel_series, table_dataset_specs
 from isoprobe.model import TrainConfig, train
 from isoprobe.numerics import RngStream
-from isoprobe.tokenizer import TokenizerConfig, fit_scale, tokenize
+from isoprobe.tokenizer import TokenizerConfig, tokenize_windows
 
 SEASONALITY_SEED = 42
-
-
-def tokenize_windows(values, tok_cfg, context_length, horizon, stride=1):
-    span = context_length + horizon
-    wins = []
-    for start in range(0, len(values) - span + 1, stride):
-        scale = fit_scale(values[start : start + context_length])
-        wins.append(tokenize(values[start : start + span], tok_cfg, scale).tokens)
-    return np.array(wins)
 
 
 @pytest.fixture(scope="session")

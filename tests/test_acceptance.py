@@ -44,9 +44,8 @@ from isoprobe.theory import (
     shift_attack,
     optimal_score_matrix_solution,
 )
-from isoprobe.tokenizer import TokenizerConfig
+from isoprobe.tokenizer import TokenizerConfig, tokenize_windows
 
-from conftest import tokenize_windows
 from test_model import random_params
 
 

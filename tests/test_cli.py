@@ -7,8 +7,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from isoprobe import cli
 from isoprobe.cli import main
-from isoprobe.manifest import RunManifest
+from isoprobe.manifest import RunManifest, sha256_file
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "isoprobe" / "report_schema.json"
 
@@ -217,6 +218,33 @@ class TestPipelineArtifacts:
         assert plot[0] == "layer,pc1,pc2,pc3,cluster_id,token_id"
         assert len(plot) > 1
 
+    def test_verify_failure_exits_4_and_keeps_report(self, pipeline, tmp_path, monkeypatch):
+        dirs, _ = pipeline
+        real = cli.small_score_approximation
+        # reversed, the rows stop halving from one rho to the next: the check fails
+        monkeypatch.setattr(cli, "small_score_approximation", lambda *args: real(*args)[::-1])
+        out = tmp_path / "v"
+        cfg = write_config(
+            tmp_path / "v.cfg",
+            out=str(out),
+            model=str(dirs["train"]),
+            data=str(dirs["synth"]),
+            datasets=["seasonality_2"],
+            heads=2,
+            bound_instances=2,
+            score_matrix_instances=1,
+            descent_starts=1,
+            descent_iters=5,
+            trace_windows=1,
+        )
+        assert run_cli("verify", "--config", cfg) == 4
+        report = out / "verification_report.json"
+        doc = json.loads(report.read_text())
+        assert doc["all_passed"] is False
+        failing = [c["name"] for c in doc["checks"] if not c["passed"]]
+        assert failing == ["small_score_approximation"]
+        assert RunManifest.read(out).outputs == {report.name: sha256_file(report)}
+
     def test_verify_report_all_passed(self, pipeline):
         dirs, _ = pipeline
         doc = json.loads((dirs["verify"] / "verification_report.json").read_text())
@@ -335,3 +363,27 @@ class TestDeterminismAndErrors:
         )
         assert run_cli("report", "--config", cfg) == 2
         assert "schema version" in capsys.readouterr().err
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "command", ["synth", "train", "embed", "analyze", "verify", "eval", "report"]
+    )
+    def test_unknown_key_exits_2_naming_command_and_key(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "c.cfg", out=str(tmp_path / "o"), lenght=64)
+        assert run_cli(command, "--config", cfg) == 2
+        assert f"{command}: unknown config key lenght" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_duplicate_key_exits_2_naming_key_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text(f'out = "{tmp_path / "o"}"\nlength = 64\nlength = 32\n')
+        assert run_cli("synth", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert "'length'" in err and f"{cfg}:3" in err
+
+    def test_non_integer_workers_env_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ISOPROBE_WORKERS", "abc")
+        cfg = write_config(tmp_path / "s.cfg", out=str(tmp_path / "s"), length=16)
+        assert run_cli("synth", "--config", cfg) == 2
+        assert "ISOPROBE_WORKERS" in capsys.readouterr().err

@@ -17,7 +17,6 @@ from isoprobe.kernels import (
     add_noise,
     default_bank,
     gram_matrix,
-    kernel_eval,
     kernelsynth_sample,
     load_series,
     sample_gp,
@@ -34,26 +33,26 @@ CHI2_99_DF4 = 13.2767
 
 class TestKernelEval:
     def test_rbf_zero_distance(self):
-        assert kernel_eval(RBF(1.0), 0.3, 0.3) == 1.0
+        assert RBF(1.0)(0.3, 0.3) == 1.0
 
     def test_dot_product_closed_form(self):
-        assert kernel_eval(DotProduct(0.0), 0.5, 0.5) == 0.25
-        assert kernel_eval(DotProduct(1.0), 0.5, 0.5) == 1.25
+        assert DotProduct(0.0)(0.5, 0.5) == 0.25
+        assert DotProduct(1.0)(0.5, 0.5) == 1.25
 
     def test_rational_quadratic_large_alpha_limits_to_rbf(self):
         for s, t in [(0.1, 0.9), (0.0, 0.5), (0.25, 0.3)]:
-            rq = kernel_eval(RationalQuadratic(alpha=1e6, length_scale=0.3), s, t)
-            rbf = kernel_eval(RBF(0.3), s, t)
+            rq = RationalQuadratic(alpha=1e6, length_scale=0.3)(s, t)
+            rbf = RBF(0.3)(s, t)
             assert rq == pytest.approx(rbf, abs=1e-3)
 
     def test_periodic_closed_form(self):
-        got = kernel_eval(Periodic(period=0.4, length_scale=0.7), 0.2, 0.5)
+        got = Periodic(period=0.4, length_scale=0.7)(0.2, 0.5)
         want = math.exp(-2.0 * math.sin(math.pi * 0.3 / 0.4) ** 2 / 0.7**2)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_white_is_diagonal_indicator(self):
-        assert kernel_eval(White(0.7), 0.5, 0.5) == 0.7
-        assert kernel_eval(White(0.7), 0.5, 0.6) == 0.0
+        assert White(0.7)(0.5, 0.5) == 0.7
+        assert White(0.7)(0.5, 0.6) == 0.0
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidArgumentError):

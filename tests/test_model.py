@@ -410,3 +410,17 @@ class TestDumpAndCheckpoint:
         for la, lb in zip(loaded.layers, params.layers):
             assert la.w_q.tobytes() == lb.w_q.tobytes()
             assert la.w_k.tobytes() == lb.w_k.tobytes()
+
+    def test_truncated_checkpoint_is_typed_error(self, tmp_path):
+        path = tmp_path / "model.isop"
+        path.write_bytes(b"ISOP" + bytes(5))
+        with pytest.raises(InvalidArgumentError, match="truncated") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_truncated_dump_is_typed_error(self, tmp_path):
+        path = tmp_path / "embeddings.isoemb"
+        path.write_bytes(b"ISOEMB1" + bytes(2))
+        with pytest.raises(InvalidArgumentError, match="truncated") as info:
+            EmbeddingDump.read(path)
+        assert str(path) in str(info.value)

@@ -12,7 +12,6 @@ from isoprobe.numerics import (
     RngStream,
     cholesky_psd,
     pca,
-    rng_stream,
     spectral_norm,
     sym_eigendecompose,
 )
@@ -180,8 +179,8 @@ class TestSpectralNorm:
 class TestRngStream:
     def test_determinism(self):
         assert RngStream(1, 0).gaussian() == RngStream(1, 0).gaussian()
-        a = rng_stream(123, 7).gaussians(100)
-        b = rng_stream(123, 7).gaussians(100)
+        a = RngStream(123, 7).gaussians(100)
+        b = RngStream(123, 7).gaussians(100)
         np.testing.assert_array_equal(a, b)
 
     def test_uniform_choice_frequencies(self):

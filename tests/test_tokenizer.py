@@ -14,7 +14,6 @@ from isoprobe.tokenizer import (
     detokenize,
     fit_scale,
     tokenize,
-    tokens_to_csv,
 )
 
 
@@ -101,10 +100,6 @@ class TestDetokenize:
         cfg = TokenizerConfig(vocab_size=4)
         with pytest.raises(InvalidArgumentError):
             detokenize(TokenSequence(np.array([4]), 1.0), cfg)
-
-    def test_token_dump_csv(self):
-        seq = TokenSequence(np.array([3, 0, 7]), 1.0)
-        assert tokens_to_csv(seq) == "position,token_id\n0,3\n1,0\n2,7\n"
 
     def test_quantization_noise_floor(self):
         # Pure quantization NMSE should sit at the uniform-noise floor

@@ -100,6 +100,8 @@ class Run:
 
     def windows(self, tok_cfg, context_length, horizon=0, stride=1, limit=None):
         """Tokenized windows of every loaded dataset, in name order."""
+        if stride < 1:
+            raise ConfigError(f"config field stride: expected >= 1, got {stride}")
         return [
             window
             for name in sorted(self.series)
@@ -319,7 +321,7 @@ def _analyze(run):
             eps_values=tuple(opt["eps"]),
         )
         layers.append(report.to_dict())
-        for row in pca_plot_rows(run.dump, layer, report.clustering):
+        for row in pca_plot_rows(run.dump, report):
             plot_lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
 
     report_path = run.write_doc("isotropy_report.json", "isotropy_report", layers=layers)
@@ -340,8 +342,9 @@ def _verify_checks(run):
     checks = []
     stream = RngStream(run.seed, 0)
 
-    windows = run.windows(run.tok_cfg, opt["context_length"], opt["horizon"], stride=16)
-    windows = windows[: max(opt["trace_windows"], 1)]
+    # the first `keep` windows of each dataset hold the first `keep` of all
+    keep = max(opt["trace_windows"], 1)
+    windows = run.windows(run.tok_cfg, opt["context_length"], opt["horizon"], 16, keep)[:keep]
     logits, targets = collect_window_logits(params, windows)
 
     # Shift attack: softmax/loss invariant, every sampled head zeroed.

@@ -9,12 +9,12 @@ pure function of (data, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import InvalidArgumentError, UndefinedMetricError
-from .numerics import RngStream, as_matrix, pca
+from .numerics import PCAResult, RngStream, as_matrix, pca
 from .theory import isotropy_partition
 
 
@@ -27,9 +27,13 @@ class EffectiveDimension:
 def effective_dimension(a, eps):
     """Smallest m whose leading PCA components capture fraction eps of
     the variance; rows are centered first."""
+    return _captured_dimension(pca(a), eps)
+
+
+def _captured_dimension(res, eps):
+    """Effective dimension at eps from an existing PCA."""
     if not 0.0 < eps <= 1.0:
         raise InvalidArgumentError(f"eps must be in (0, 1], got {eps}")
-    res = pca(a)
     if float(res.eigenvalues.sum()) <= 0.0:
         return EffectiveDimension(1, True)
     cum = np.cumsum(res.explained_ratio)
@@ -209,14 +213,20 @@ def kmeans(x, k, stream=None, *, restarts=5, max_iter=300, tol=1e-8):
     return best
 
 
+# Bytes of silhouette's largest temporary, a row block's difference
+# vectors: a few MB, so a block stays in cache without a loop per point.
+_SILHOUETTE_BLOCK_BYTES = 1 << 21
+
+
 def silhouette(x, clustering):
     """Per-point silhouette scores and their mean (Euclidean distances).
 
     a(p): mean distance to the rest of p's cluster (singletons score 0);
-    b(p): smallest mean distance to another cluster; s = (b-a)/max(a,b).
+    b(p): smallest mean distance to another non-empty cluster;
+    s = (b-a)/max(a,b).
     """
     data = as_matrix(x, "data")
-    n = data.shape[0]
+    n, dim = data.shape
     k = clustering.k
     if k < 2:
         raise InvalidArgumentError("silhouette needs at least 2 clusters")
@@ -224,21 +234,28 @@ def silhouette(x, clustering):
     members = np.zeros((n, k))
     members[np.arange(n), assignment] = 1.0
     counts = members.sum(axis=0)
-    scores = np.zeros(n)
-    for p in range(n):
-        own = assignment[p]
-        if counts[own] <= 1:
-            continue  # singleton: s(p) = 0
-        # difference-based distances avoid the cancellation of the
-        # expanded quadratic form
-        row = np.linalg.norm(data - data[p], axis=1)
-        sums = row @ members
-        a = sums[own] / (counts[own] - 1)
-        b = min(
-            sums[c] / counts[c] for c in range(k) if c != own and counts[c] > 0
-        )
-        denom = max(a, b)
-        scores[p] = (b - a) / denom if denom > 0 else 0.0
+    if np.count_nonzero(counts) < 2:
+        raise InvalidArgumentError("silhouette needs at least 2 non-empty clusters")
+    # Per-cluster distance sums over the upper triangle of the distance
+    # matrix in row blocks; a block also counts, mirrored, for the later
+    # rows.  Difference-based distances avoid the cancellation of the
+    # expanded quadratic form.
+    sums = np.zeros((n, k))
+    rows = max(1, _SILHOUETTE_BLOCK_BYTES // (8 * n * max(dim, 1)))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        diff = data[start:stop, None, :] - data[None, start:, :]
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        sums[start:stop] += dist @ members[start:]
+        sums[stop:] += dist[:, stop - start :].T @ members[start:stop]
+    own = counts[assignment]
+    a = sums[np.arange(n), assignment] / np.maximum(own - 1, 1)
+    means = np.where(counts > 0, sums / np.maximum(counts, 1), np.inf)
+    means[np.arange(n), assignment] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    # singletons score 0
+    scores = np.divide(b - a, denom, out=np.zeros(n), where=(own > 1) & (denom > 0))
     return scores, float(scores.mean())
 
 
@@ -355,23 +372,15 @@ class LayerIsotropyReport:
     partition_isotropy: float
     degenerate_partition: bool
     explained_ratio: list
-    clustering: Clustering | None = None  # not serialized; reused for plots
+    # not serialized; reused for the plot rows
+    clustering: Clustering | None = None
+    pca: PCAResult | None = None
 
     def to_dict(self):
         return {
-            "layer": self.layer,
-            "record_count": self.record_count,
-            "distinct_tokens": self.distinct_tokens,
-            "effective_dim": self.effective_dim,
-            "zeta_cos": self.zeta_cos,
-            "chosen_k": self.chosen_k,
-            "mean_silhouette": self.mean_silhouette,
-            "low_silhouette": self.low_silhouette,
-            "zeta_prime_cos": self.zeta_prime_cos,
-            "skipped_clusters": self.skipped_clusters,
-            "partition_isotropy": self.partition_isotropy,
-            "degenerate_partition": self.degenerate_partition,
-            "explained_ratio": self.explained_ratio,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("clustering", "pca")
         }
 
 
@@ -388,16 +397,14 @@ def layer_report(
     matrix = dump.layer_matrix(layer)
     if matrix.shape[0] < 2:
         raise InvalidArgumentError(f"layer {layer} has fewer than 2 records")
-    eff = {
-        f"{eps:g}": effective_dimension(matrix, eps).value for eps in eps_values
-    }
+    res = pca(matrix)
+    eff = {f"{eps:g}": _captured_dimension(res, eps).value for eps in eps_values}
     zeta = inter_token_cos(dump, layer, pair_budget, stream)
     selection = select_cluster_count(matrix, k_range, stream)
     adjusted = adjusted_inter_token_cos(
         dump, layer, selection.clustering, pair_budget, stream
     )
     iso = isotropy_partition(matrix)
-    ratios = pca(matrix).explained_ratio
     return LayerIsotropyReport(
         layer=int(layer),
         record_count=int(matrix.shape[0]),
@@ -411,23 +418,23 @@ def layer_report(
         skipped_clusters=adjusted.skipped_clusters,
         partition_isotropy=iso.value,
         degenerate_partition=iso.degenerate,
-        explained_ratio=[float(r) for r in ratios],
+        explained_ratio=[float(r) for r in res.explained_ratio],
         clustering=selection.clustering,
+        pca=res,
     )
 
 
-def pca_plot_rows(dump, layer, clustering):
-    """Top-3 principal-component coordinates per record, for plot CSVs."""
-    matrix = dump.layer_matrix(layer)
-    res = pca(matrix)
+def pca_plot_rows(dump, report):
+    """Top-3 principal-component coordinates per record, for plot CSVs,
+    from the PCA and clustering a layer report already holds."""
+    matrix = dump.layer_matrix(report.layer)
     centered = matrix - matrix.mean(axis=0)
-    take = min(3, res.components.shape[1])
-    proj = centered @ res.components[:, :take]
-    if take < 3:
-        proj = np.hstack([proj, np.zeros((proj.shape[0], 3 - take))])
-    tokens = dump.layer_token_ids(layer)
-    assignment = np.asarray(clustering.assignment)
+    take = min(3, report.pca.components.shape[1])
+    proj = np.zeros((matrix.shape[0], 3))
+    proj[:, :take] = centered @ report.pca.components[:, :take]
+    tokens = dump.layer_token_ids(report.layer)
+    assignment = np.asarray(report.clustering.assignment)
     return [
-        (int(layer), float(p[0]), float(p[1]), float(p[2]), int(c), int(t))
+        (report.layer, float(p[0]), float(p[1]), float(p[2]), int(c), int(t))
         for p, c, t in zip(proj, assignment, tokens)
     ]

@@ -2,8 +2,8 @@
 
 All routines work on 64-bit float numpy arrays and are pure functions of
 their inputs, so they are safe to call from multiple threads.  The
-eigendecomposition is a cyclic Jacobi iteration implemented here rather
-than delegated to LAPACK, which keeps results bit-identical across
+eigendecomposition is a round-robin Jacobi iteration implemented here
+rather than delegated to LAPACK, which keeps results bit-identical across
 platforms and lets us pin the tie-break and sign conventions.
 """
 
@@ -22,9 +22,6 @@ from .errors import (
 )
 
 _MASK64 = (1 << 64) - 1
-
-# Internal stream used for deterministic starting vectors (power iteration).
-_START_VECTOR_KEY = 0x150B0BE5
 
 
 def as_matrix(m, name="matrix"):
@@ -57,8 +54,8 @@ class EigenDecomposition:
 
     ``eigenvectors`` holds unit-norm eigenvectors as columns, matching
     the eigenvalue order.  Sign convention: the largest-magnitude entry
-    of every eigenvector is positive.  Equal eigenvalues keep the stable
-    order in which the Jacobi sweep produced them.
+    of every eigenvector is positive.  Equal eigenvalues keep the order of
+    their diagonal positions after the round-robin sweeps (a stable sort).
     """
 
     eigenvalues: np.ndarray
@@ -69,9 +66,27 @@ class EigenDecomposition:
         return (g * self.eigenvalues) @ g.T
 
 
-def sym_eigendecompose(m, *, max_sweeps=60):
-    """Full eigendecomposition of a symmetric matrix via cyclic Jacobi.
+def _round_robin_pairs(n):
+    """Brent-Luk round-robin ordering: n - 1 rounds (n rounded up to even)
+    of disjoint index pairs, as arrays (p, q) with p < q, that pair every
+    index with every other once.  Index 0 stays put while the others
+    rotate; for odd n, the index drawn against the phantom n sits out."""
+    m = n + n % 2
+    rounds = []
+    for r in range(m - 1):
+        order = [0] + [1 + (i + r) % (m - 1) for i in range(m - 1)]
+        pairs = sorted(
+            (min(i, j), max(i, j)) for i, j in zip(order[: m // 2], order[::-1]) if max(i, j) < n
+        )
+        rounds.append(np.array(pairs).T)
+    return rounds
 
+
+def sym_eigendecompose(m, *, max_sweeps=60):
+    """Full eigendecomposition of a symmetric matrix via Jacobi rotations.
+
+    Each sweep visits every off-diagonal pivot once, in round-robin
+    order: a round rotates floor(n/2) disjoint (p, q) planes at once.
     Raises InvalidArgumentError for non-square or asymmetric input and
     NumericFailureError (with the sweep count) if the off-diagonal mass
     has not vanished after ``max_sweeps`` sweeps.
@@ -79,8 +94,8 @@ def sym_eigendecompose(m, *, max_sweeps=60):
     a = _require_symmetric(as_matrix(m), "matrix")
     n = a.shape[0]
     v = np.eye(n)
-    if n == 0:
-        return EigenDecomposition(np.empty(0), v)
+    if n <= 1:
+        return EigenDecomposition(np.diag(a).copy(), v)
 
     fro = float(np.linalg.norm(a))
     if fro == 0.0:
@@ -89,6 +104,7 @@ def sym_eigendecompose(m, *, max_sweeps=60):
     # Pivots below this leave the total off-diagonal mass under tol even
     # if every one of them is skipped.
     small = tol / (n * n)
+    rounds = _round_robin_pairs(n)
 
     converged = False
     for _ in range(max_sweeps):
@@ -96,35 +112,30 @@ def sym_eigendecompose(m, *, max_sweeps=60):
         if off <= tol:
             converged = True
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= small:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(tau) > 1e12:
-                    t = 1.0 / (2.0 * tau)
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # Symmetry-preserving rotation in the (p, q) plane: rows
-                # mirror columns exactly and the 2x2 block uses the exact
-                # annihilation formulas.
-                app, aqq = a[p, p], a[q, q]
-                kp = c * a[:, p] - s * a[:, q]
-                kq = s * a[:, p] + c * a[:, q]
-                a[:, p] = kp
-                a[p, :] = kp
-                a[:, q] = kq
-                a[q, :] = kq
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
+        for p, q in rounds:
+            live = np.abs(a[p, q]) > small
+            p, q = p[live], q[live]
+            if not p.size:
+                continue
+            apq, app, aqq = a[p, q], a[p, p], a[q, q]
+            tau = (aqq - app) / (2.0 * apq)
+            # hypot keeps t = 1/(2 tau) finite for huge tau
+            t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            # The planes are disjoint, so rotating all their columns and then
+            # all their rows (the columns of a.T) is one orthogonal similarity.
+            # The 2x2 blocks then take the exact annihilation formulas, and
+            # averaging with the transpose restores the symmetry that
+            # rounding broke.
+            for x in (a, a.T, v):
+                xp, xq = x[:, p], x[:, q]
+                x[:, p], x[:, q] = c * xp - s * xq, s * xp + c * xq
+            a[p, p] = app - t * apq
+            a[q, q] = aqq + t * apq
+            a[p, q] = 0.0
+            a[q, p] = 0.0
+            a = 0.5 * (a + a.T)
     else:
         off = float(np.linalg.norm(a - np.diag(np.diag(a))))
         converged = off <= tol
@@ -242,33 +253,12 @@ def pca(a):
     return PCAResult(eig.eigenvectors, vals, ratio)
 
 
-def spectral_norm(m, *, max_iter=500, delta_tol=1e-12):
-    """Largest singular value via power iteration on the Gram matrix.
-
-    Iterates on the smaller of M.T @ M and M @ M.T with a deterministic
-    start vector; stops early once successive estimates differ by less
-    than ``delta_tol`` relative.
-    """
+def spectral_norm(m):
+    """Largest singular value (the matrix 2-norm), from LAPACK's SVD."""
     a = as_matrix(m)
-    if a.size == 0 or not np.any(a):
+    if a.size == 0:
         return 0.0
-    gram = a.T @ a if a.shape[1] <= a.shape[0] else a @ a.T
-    d = gram.shape[0]
-    start = RngStream(_START_VECTOR_KEY, 0).gaussians(d)
-    nrm = np.linalg.norm(start)
-    vvec = start / nrm if nrm > 0 else np.ones(d) / math.sqrt(d)
-    est = 0.0
-    for _ in range(max_iter):
-        w = gram @ vvec
-        wnorm = float(np.linalg.norm(w))
-        if wnorm == 0.0:
-            return 0.0
-        vvec = w / wnorm
-        new_est = math.sqrt(float(vvec @ (gram @ vvec)))
-        if abs(new_est - est) <= delta_tol * max(1.0, new_est):
-            return new_est
-        est = new_est
-    return est
+    return float(np.linalg.norm(a, 2))
 
 
 class RngStream:

@@ -76,13 +76,11 @@ def isotropy_partition(rows):
         return IsotropyPartition(1.0, True, math.log(x.shape[0]), math.log(x.shape[0]))
     corr = x.T @ x
     eig = sym_eigendecompose(corr)
-    log_zs = []
-    for gamma in eig.eigenvectors.T:
-        for sign in (1.0, -1.0):
-            logits = x @ (sign * gamma)
-            m = float(logits.max())
-            log_zs.append(m + math.log(float(np.sum(np.exp(logits - m)))))
-    lo, hi = min(log_zs), max(log_zs)
+    logits = x @ eig.eigenvectors
+    logits = np.hstack([logits, -logits])  # one column per probe
+    peak = logits.max(axis=0)
+    log_zs = peak + np.log(np.sum(np.exp(logits - peak), axis=0))
+    lo, hi = float(log_zs.min()), float(log_zs.max())
     return IsotropyPartition(math.exp(lo - hi), False, lo, hi)
 
 

@@ -245,6 +245,40 @@ class TestPipelineArtifacts:
         assert failing == ["small_score_approximation"]
         assert RunManifest.read(out).outputs == {report.name: sha256_file(report)}
 
+    def test_verify_tokenizes_only_the_windows_it_keeps(self, pipeline, tmp_path, monkeypatch):
+        dirs, _ = pipeline
+        real = cli.tokenize_windows
+        reports, tokenized = [], []
+
+        def counted(*args):
+            windows = real(*args)
+            tokenized.append(len(windows))
+            return windows
+
+        def unlimited(values, cfg, context_length, horizon, stride, limit):
+            return real(values, cfg, context_length, horizon, stride)
+
+        # no datasets key: every synth dataset, so the slice crosses datasets
+        for name, tokenizer in (("limited", counted), ("unlimited", unlimited)):
+            monkeypatch.setattr(cli, "tokenize_windows", tokenizer)
+            out = tmp_path / name
+            cfg = write_config(
+                tmp_path / f"{name}.cfg",
+                out=str(out),
+                model=str(dirs["train"]),
+                data=str(dirs["synth"]),
+                heads=2,
+                bound_instances=2,
+                score_matrix_instances=1,
+                descent_starts=1,
+                descent_iters=5,
+                trace_windows=6,
+            )
+            assert run_cli("verify", "--config", cfg) == 0
+            reports.append((out / "verification_report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert tokenized == [6] * 10
+
     def test_verify_report_all_passed(self, pipeline):
         dirs, _ = pipeline
         doc = json.loads((dirs["verify"] / "verification_report.json").read_text())
@@ -374,6 +408,16 @@ class TestConfigErrors:
         assert run_cli(command, "--config", cfg) == 2
         assert f"{command}: unknown config key lenght" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "embed"])
+    def test_stride_below_one_exits_2_naming_key(self, pipeline, tmp_path, capsys, command):
+        dirs, _ = pipeline
+        upstream = {"data": str(dirs["synth"]), "datasets": ["seasonality_2"]}
+        if command == "embed":
+            upstream["model"] = str(dirs["train"])
+        cfg = write_config(tmp_path / "c.cfg", out=str(tmp_path / "o"), stride=0, **upstream)
+        assert run_cli(command, "--config", cfg) == 2
+        assert "config field stride" in capsys.readouterr().err
 
     def test_duplicate_key_exits_2_naming_key_and_line(self, tmp_path, capsys):
         cfg = tmp_path / "d.cfg"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from isoprobe import isotropy, numerics, theory
 from isoprobe.dumps import EmbeddingDump
 from isoprobe.errors import InvalidArgumentError, UndefinedMetricError
 from isoprobe.isotropy import (
@@ -174,6 +175,28 @@ class TestKmeans:
             kmeans(np.eye(3), 4, RngStream(0, 0))
 
 
+def silhouette_oracle(x, clustering):
+    """Silhouette scores straight from the definition, one pair at a time."""
+    assign = clustering.assignment
+
+    def score(p):
+        same = [q for q in range(len(x)) if assign[q] == assign[p] and q != p]
+        if not same:
+            return 0.0
+        a = float(np.mean([np.linalg.norm(x[p] - x[q]) for q in same]))
+        bs = []
+        for c in range(clustering.k):
+            if c == assign[p]:
+                continue
+            others = [q for q in range(len(x)) if assign[q] == c]
+            if others:
+                bs.append(float(np.mean([np.linalg.norm(x[p] - x[q]) for q in others])))
+        b = min(bs)
+        return (b - a) / max(a, b) if max(a, b) > 0 else 0.0
+
+    return np.array([score(p) for p in range(len(x))])
+
+
 class TestSilhouette:
     def test_separated_blobs_score_high(self):
         rng = np.random.default_rng(16)
@@ -189,24 +212,29 @@ class TestSilhouette:
         x = rng.normal(size=(500, 4))
         clustering = kmeans(x, 5, RngStream(19, 0))
         scores, mean_score = silhouette(x, clustering)
-        assign = clustering.assignment
+        direct = silhouette_oracle(x, clustering)
+        np.testing.assert_allclose(scores, direct, atol=1e-12)
+        assert mean_score == pytest.approx(direct.mean(), abs=1e-12)
 
-        def oracle(p):
-            same = [q for q in range(len(x)) if assign[q] == assign[p] and q != p]
-            if not same:
-                return 0.0
-            a = float(np.mean([np.linalg.norm(x[p] - x[q]) for q in same]))
-            bs = []
-            for c in range(clustering.k):
-                if c == assign[p]:
-                    continue
-                others = [q for q in range(len(x)) if assign[q] == c]
-                if others:
-                    bs.append(float(np.mean([np.linalg.norm(x[p] - x[q]) for q in others])))
-            b = min(bs)
-            return (b - a) / max(a, b) if max(a, b) > 0 else 0.0
-
-        direct = np.array([oracle(p) for p in range(len(x))])
+    def test_row_blocks_singleton_and_empty_cluster_match_oracle(self):
+        n, dim = 151, 256
+        rows = isotropy._SILHOUETTE_BLOCK_BYTES // (8 * n * dim)
+        assert 1 < rows < n // 2 and n % rows  # several blocks, a partial last one
+        rng = np.random.default_rng(28)
+        x = rng.normal(size=(n, dim))
+        assignment = kmeans(x, 3, RngStream(29, 0)).assignment
+        assignment[7] = 3  # a singleton; cluster 4 stays empty
+        clustering = Clustering(
+            k=5,
+            assignment=assignment,
+            centroids=np.zeros((5, dim)),
+            inertia=0.0,
+            iterations=0,
+            inertia_history=np.array([0.0]),
+        )
+        scores, mean_score = silhouette(x, clustering)
+        direct = silhouette_oracle(x, clustering)
+        assert scores[7] == 0.0
         np.testing.assert_allclose(scores, direct, atol=1e-12)
         assert mean_score == pytest.approx(direct.mean(), abs=1e-12)
 
@@ -365,6 +393,25 @@ class TestLayerReport:
         assert -1.0 <= d["zeta_prime_cos"] <= 1.0
         assert 0.0 < d["partition_isotropy"] <= 1.0
         assert abs(sum(d["explained_ratio"]) - 1.0) < 1e-10
-        rows = pca_plot_rows(dump, 1, report_clustering := kmeans(vectors, d["chosen_k"], RngStream(36, 0)))
+        rows = pca_plot_rows(dump, report)
         assert len(rows) == 120
         assert all(len(r) == 6 for r in rows)
+
+    def test_one_decomposition_per_matrix(self, monkeypatch):
+        # the covariance (for every PCA use) and the uncentered Gram of
+        # isotropy_partition: two decompositions per layer, plot included
+        calls = []
+        real = numerics.sym_eigendecompose
+
+        def counted(m, **kwargs):
+            calls.append(np.shape(m))
+            return real(m, **kwargs)
+
+        monkeypatch.setattr(numerics, "sym_eigendecompose", counted)
+        monkeypatch.setattr(theory, "sym_eigendecompose", counted)
+        stream = RngStream(37, 0)
+        dump = make_dump(stream.gaussians(80, 6), np.arange(80) % 20)
+        report = layer_report(dump, 1, RngStream(38, 0), k_range=range(2, 4))
+        rows = pca_plot_rows(dump, report)
+        assert len(rows) == 80
+        assert calls == [(6, 6), (6, 6)]

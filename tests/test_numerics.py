@@ -76,6 +76,32 @@ class TestSymEigendecompose:
         eig = sym_eigendecompose(np.diag([2.0, 5.0, 2.0]))
         np.testing.assert_allclose(eig.eigenvalues, [5.0, 2.0, 2.0])
 
+    def test_odd_and_paper_sizes_match_eigvalsh(self):
+        rng = np.random.default_rng(64)
+        for n in (7, 15, 64):
+            m = rng.normal(size=(n, n))
+            m = m + m.T
+            eig = sym_eigendecompose(m)
+            want = np.linalg.eigvalsh(m)[::-1]
+            np.testing.assert_allclose(eig.eigenvalues, want, atol=1e-12 * np.linalg.norm(m))
+            lead = np.argmax(np.abs(eig.eigenvectors), axis=0)
+            assert np.all(eig.eigenvectors[lead, np.arange(n)] > 0)
+
+    def test_rank_deficient_covariance(self):
+        # rank 8 in dimension 16: an 8-dimensional null space
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(200, 8)) @ rng.normal(size=(8, 16))
+        cov = np.cov(x.T)
+        eig = sym_eigendecompose(cov)
+        cnorm = np.linalg.norm(cov)
+        want = np.linalg.eigvalsh(cov)[::-1]
+        np.testing.assert_allclose(eig.eigenvalues, want, atol=1e-12 * cnorm)
+        assert np.linalg.norm(eig.reconstruct() - cov) <= 1e-8 * cnorm
+        for lam, gamma in zip(eig.eigenvalues, eig.eigenvectors.T):
+            assert np.linalg.norm(cov @ gamma - lam * gamma) <= 1e-8 * cnorm
+        gram = eig.eigenvectors.T @ eig.eigenvectors
+        np.testing.assert_allclose(gram, np.eye(16), atol=1e-8)
+
     def test_rejects_nonsquare_and_asymmetric(self):
         with pytest.raises(InvalidArgumentError):
             sym_eigendecompose(np.ones((2, 3)))
@@ -162,6 +188,15 @@ class TestSpectralNorm:
             a = rng.normal(size=(6, 6))
             want = np.linalg.svd(a, compute_uv=False)[0]
             assert spectral_norm(a) == pytest.approx(want, rel=1e-6)
+
+    def test_close_top_singular_values_match_svd(self):
+        # a relative gap of 1e-6 between the top two singular values
+        rng = np.random.default_rng(23)
+        u, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        v, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+        a = (u[:, :5] * [2.0, 2.0 - 2e-6, 1.0, 0.5, 0.1]) @ v.T
+        want = np.linalg.svd(a, compute_uv=False)[0]
+        assert abs(spectral_norm(a) - want) <= 1e-12 * want
 
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((4, 3))) == 0.0

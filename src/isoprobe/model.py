@@ -4,6 +4,18 @@ The network is exactly stacked attention g(X) = softmax(X @ L @ X.T) @ X
 with a weight-tied inner-product softmax head: no value projection, no
 MLP, no layer norm, no residual.  Attention is causal for training and
 forecasting; gradients are exact reverse-mode, written out by hand.
+
+Every pass over token windows is one batched causal pass over a (B, n)
+stack (`causal_pass`): `grad` (whose backward is batched the same way),
+`forward`, `dump_embeddings` and the theory checks' logit rows.
+`forecast` decodes from a cache instead of re-running the pass per
+token.  That cache is exact, not an approximation: attention is causal
+and there is no residual, norm or value projection, so output row i of
+a layer depends on that layer's input rows 0..i alone.  Appending a
+token therefore leaves every earlier row of every layer unchanged and
+adds exactly one new row per layer, computed from the cached input rows
+of that layer (the KV cache of Pope et al. 2022, "Efficiently Scaling
+Transformer Inference", reduced to this model).
 """
 
 from __future__ import annotations
@@ -29,10 +41,34 @@ CHECKPOINT_VERSION = 1
 
 
 def softmax(logits):
-    """Numerically stable softmax of a 1-D logit vector."""
+    """Numerically stable softmax along the last axis of the logits."""
     z = np.asarray(logits, dtype=np.float64)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def mean_nll(logits, targets):
+    """Mean negative log-likelihood of one target per logit row.
+
+    Returns (loss, probabilities): the rows' softmax probabilities come
+    out of the same max-shifted buffer the loss is read from, and they
+    are what the loss gradient needs (probabilities minus the one-hot
+    targets, over the row count).
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.int64)
+    if z.ndim != 2 or z.shape[0] == 0 or targets.shape != (z.shape[0],):
+        raise InvalidArgumentError("need exactly one target per logit row")
+    if targets.min() < 0 or targets.max() >= z.shape[1]:
+        raise InvalidArgumentError(
+            f"target out of range [0, {z.shape[1]}): {int(targets.min())}..{int(targets.max())}"
+        )
+    probs = z - z.max(axis=1, keepdims=True)
+    picked = probs[np.arange(targets.size), targets]
+    np.exp(probs, out=probs)
+    denom = probs.sum(axis=1)
+    probs /= denom[:, None]
+    return float(np.mean(np.log(denom) - picked)), probs
 
 
 @dataclass
@@ -85,7 +121,9 @@ class TrainConfig:
     log_every: int = 50
 
     def __post_init__(self):
-        for name in ("learning_rate", "steps", "batch_size", "context_length", "horizon"):
+        for name in (
+            "learning_rate", "steps", "batch_size", "context_length", "horizon", "log_every"
+        ):
             if getattr(self, name) <= 0:
                 raise InvalidArgumentError(f"TrainConfig.{name} must be positive")
 
@@ -99,7 +137,6 @@ class ForwardTrace:
     """Activations and the next-token head output for one sequence."""
 
     activations: list  # [(n, D)] embedding input plus each layer output
-    encoding: np.ndarray  # (D,) last position of the final layer
     logits: np.ndarray  # (N,)
     probabilities: np.ndarray  # (N,)
 
@@ -126,23 +163,27 @@ def init_params(vocab_size, dim, rank, layer_count, stream):
     return ModelParams(embed, layers)
 
 
-def attention_weights(rows, score_matrix, causal):
-    """Row-stochastic attention matrix softmax(rows @ score_matrix @ rows.T).
-
-    Rows use max-subtraction before exponentiation; with `causal` the
-    normalization runs over positions j <= i only.
-    """
-    x = np.asarray(rows, dtype=np.float64)
-    scores = x @ score_matrix @ x.T
-    if causal:
-        scores = np.where(np.tril(np.ones(scores.shape, dtype=bool)), scores, -np.inf)
-    stable = scores - scores.max(axis=1, keepdims=True)
-    weights = np.exp(stable)
-    norm = weights.sum(axis=1, keepdims=True)
-    weights = weights / norm
+def _attention_softmax(scores):
+    weights = softmax(scores)
     if not np.all(np.isfinite(weights)):
         raise NumericFailureError("attention weights are non-finite after stabilization")
     return weights
+
+
+def attention_weights(rows, score_matrix, causal):
+    """Row-stochastic attention matrix softmax(rows @ score_matrix @ rows.T).
+
+    `rows` is one (n, D) sequence or a (B, n, D) stack of them; the score
+    matrix multiplies all rows in one flat product.  Rows use
+    max-subtraction before exponentiation; with `causal` the
+    normalization runs over positions j <= i only.
+    """
+    x = np.asarray(rows, dtype=np.float64)
+    projected = (x.reshape(-1, x.shape[-1]) @ score_matrix).reshape(x.shape)
+    scores = projected @ np.swapaxes(x, -1, -2)
+    if causal:
+        scores[..., ~np.tril(np.ones(scores.shape[-2:], dtype=bool))] = -np.inf
+    return _attention_softmax(scores)
 
 
 def self_attention(rows, score_matrix, causal=False):
@@ -155,64 +196,38 @@ def self_attention(rows, score_matrix, causal=False):
     return attention_weights(x, score_matrix, causal) @ x
 
 
-def _check_tokens(ids, vocab_size):
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise InvalidArgumentError("token sequence must be non-empty and 1-D")
-    if ids.min() < 0 or ids.max() >= vocab_size:
-        raise InvalidArgumentError(
-            f"token id out of range [0, {vocab_size}): {int(ids.min())}..{int(ids.max())}"
-        )
-    return ids
+def causal_pass(params, windows):
+    """One causal pass over a (B, n) batch of token windows.
 
-
-def window_forward(tokens, params):
-    """Causal forward over a whole window.
-
-    Returns (activations, logits) where logits[i] is the next-token logit
-    row for the prefix ending at position i; by causality it equals the
-    head output of a forward pass on tokens[: i + 1].
+    Returns (activations, weights): activations[0] is the (B, n, D)
+    embedding lookup and activations[l + 1] the output of attention layer
+    l, whose (B, n, n) attention matrices are weights[l].  Row i of every
+    output depends on positions <= i only, so it is the row a pass over
+    the prefix ending at i gives.
     """
-    ids = _check_tokens(tokens, params.vocab_size)
-    activations = [params.embed[ids]]
-    for layer in params.layers:
-        activations.append(
-            self_attention(activations[-1], layer.score_matrix, causal=True)
+    ids = np.asarray(windows, dtype=np.int64)
+    if ids.ndim != 2 or ids.size == 0:
+        raise InvalidArgumentError("token windows must be a non-empty (B, n) array")
+    if ids.min() < 0 or ids.max() >= params.vocab_size:
+        raise InvalidArgumentError(
+            f"token id out of range [0, {params.vocab_size}): {int(ids.min())}..{int(ids.max())}"
         )
-    logits = activations[-1] @ params.embed.T
-    return activations, logits
+    activations, weights = [params.embed[ids]], []
+    for layer in params.layers:
+        weights.append(attention_weights(activations[-1], layer.score_matrix, causal=True))
+        activations.append(weights[-1] @ activations[-1])
+    return activations, weights
 
 
 def forward(tokens, params):
-    """Next-token prediction after the last position of `tokens`."""
+    """Next-token prediction after the last position of one token sequence."""
     ids = tokens.tokens if isinstance(tokens, TokenSequence) else tokens
-    activations, logits_all = window_forward(ids, params)
-    logits = logits_all[-1]
-    return ForwardTrace(
-        activations=activations,
-        encoding=activations[-1][-1],
-        logits=logits,
-        probabilities=softmax(logits),
-    )
-
-
-def _nll(logits, target):
-    z = logits - logits.max()
-    return float(np.log(np.sum(np.exp(z))) - z[target])
-
-
-def loss(traces, targets):
-    """Mean negative log probability of one target per trace."""
-    traces = list(traces)
-    targets = np.asarray(targets, dtype=np.int64)
-    if targets.shape != (len(traces),):
-        raise InvalidArgumentError("need exactly one target per trace")
-    total = 0.0
-    for trace, target in zip(traces, targets):
-        if not 0 <= target < trace.logits.size:
-            raise InvalidArgumentError(f"target {int(target)} out of range")
-        total += _nll(trace.logits, int(target))
-    return total / len(traces)
+    if np.ndim(ids) != 1:
+        raise InvalidArgumentError("token sequence must be non-empty and 1-D")
+    activations, _ = causal_pass(params, np.asarray(ids)[None])
+    activations = [a[0] for a in activations]
+    logits = activations[-1][-1] @ params.embed.T
+    return ForwardTrace(activations, logits, softmax(logits))
 
 
 def grad(params, windows, context_length, horizon):
@@ -220,7 +235,8 @@ def grad(params, windows, context_length, horizon):
 
     Each window of length context_length + horizon contributes `horizon`
     prediction positions; the tied embedding accumulates both its head
-    and its lookup role.
+    and its lookup role.  Forward and backward each run once over the
+    whole batch.
     """
     windows = np.asarray(windows, dtype=np.int64)
     if windows.ndim == 1:
@@ -229,54 +245,36 @@ def grad(params, windows, context_length, horizon):
         raise InvalidArgumentError(
             f"window length {windows.shape[1]} != context {context_length} + horizon {horizon}"
         )
+    acts, weights = causal_pass(params, windows)
     embed = params.embed
-    n_preds = windows.shape[0] * horizon
-    d_embed = np.zeros_like(embed)
-    d_layers = [
-        (np.zeros_like(l.w_q), np.zeros_like(l.w_k)) for l in params.layers
-    ]
-    score_matrices = [l.score_matrix for l in params.layers]
-    pred_rows = np.arange(context_length - 1, context_length + horizon - 1)
-    total_loss = 0.0
-    for window in windows:
-        ids = _check_tokens(window, params.vocab_size)
-        acts = [embed[ids]]
-        probs_per_layer = []
-        for score_matrix in score_matrices:
-            p = attention_weights(acts[-1], score_matrix, causal=True)
-            probs_per_layer.append(p)
-            acts.append(p @ acts[-1])
-        hidden = acts[-1]
-        logits = hidden @ embed.T
-        targets = ids[context_length:]
-
-        d_logits = np.zeros_like(logits)
-        for row, target in zip(pred_rows, targets):
-            z = logits[row] - logits[row].max()
-            e = np.exp(z)
-            denom = e.sum()
-            total_loss += float(np.log(denom) - z[target])
-            p = e / denom
-            p[target] -= 1.0
-            d_logits[row] = p / n_preds
-
-        d_hidden = d_logits @ embed
-        d_embed += d_logits.T @ hidden  # head role of the tied table
-        for idx in range(params.layer_count - 1, -1, -1):
-            x = acts[idx]
-            p = probs_per_layer[idx]
-            score_matrix = score_matrices[idx]
-            d_p = d_hidden @ x.T
-            d_x = p.T @ d_hidden
-            d_scores = p * (d_p - np.sum(d_p * p, axis=1, keepdims=True))
-            d_x += d_scores @ x @ score_matrix.T + d_scores.T @ x @ score_matrix
-            d_lambda = x.T @ d_scores @ x
-            w_q, w_k = params.layers[idx].w_q, params.layers[idx].w_k
-            dwq, dwk = d_layers[idx]
-            dwq += d_lambda @ w_k
-            dwk += d_lambda.T @ w_q
-            d_hidden = d_x
-        np.add.at(d_embed, ids, d_hidden)  # lookup role of the tied table
+    batch, n, dim = acts[0].shape
+    # the softmax head runs on the batch * horizon prediction rows only
+    preds = slice(context_length - 1, n - 1)
+    hidden = acts[-1][:, preds].reshape(-1, dim)
+    targets = windows[:, context_length:].ravel()
+    total_loss, d_logits = mean_nll(hidden @ embed.T, targets)
+    d_logits[np.arange(targets.size), targets] -= 1.0
+    d_logits /= targets.size
+    d_embed = d_logits.T @ hidden  # head role of the tied table
+    d_hidden = np.zeros_like(acts[-1])
+    d_hidden[:, preds] = (d_logits @ embed).reshape(batch, horizon, dim)
+    d_layers = []
+    for layer, x, p in reversed(list(zip(params.layers, acts, weights))):
+        score_matrix = layer.score_matrix
+        d_p = d_hidden @ np.swapaxes(x, 1, 2)
+        d_x = np.swapaxes(p, 1, 2) @ d_hidden
+        d_scores = p * (d_p - np.sum(d_p * p, axis=2, keepdims=True))
+        # the score matrix is shared by every window: flat (B*n, D) products
+        row_side = (d_scores @ x).reshape(-1, dim)
+        col_side = (np.swapaxes(d_scores, 1, 2) @ x).reshape(-1, dim)
+        d_x += (row_side @ score_matrix.T + col_side @ score_matrix).reshape(batch, n, dim)
+        d_lambda = x.reshape(-1, dim).T @ row_side
+        d_layers.append((d_lambda @ layer.w_k, d_lambda.T @ layer.w_q))
+        d_hidden = d_x
+    d_layers.reverse()
+    # lookup role: one scatter-add over the (token, coordinate) cells
+    cells = (windows.reshape(-1, 1) * dim + np.arange(dim)).ravel()
+    d_embed += np.bincount(cells, d_hidden.ravel(), embed.size).reshape(embed.shape)
 
     for name, grad_arr in [("embed", d_embed)] + [
         (f"layer{idx}", g) for idx, pair in enumerate(d_layers) for g in pair
@@ -285,7 +283,7 @@ def grad(params, windows, context_length, horizon):
             raise NumericFailureError(
                 f"non-finite gradient for parameter {name}", parameter=name
             )
-    return Gradients(d_embed, d_layers), total_loss / n_preds
+    return Gradients(d_embed, d_layers), total_loss
 
 
 @dataclass
@@ -337,10 +335,11 @@ def train(windows, cfg, *, dim=64, rank=16, layer_count=2, vocab_size=512):
     return TrainResult(params, curve)
 
 
-def _sample_token(probabilities, stream):
-    cdf = np.cumsum(probabilities)
-    idx = int(np.searchsorted(cdf, stream.uniform() * cdf[-1], side="right"))
-    return min(idx, len(cdf) - 1)
+def _sample_tokens(probabilities, uniforms):
+    """Inverse-CDF draw of one token per probability row."""
+    cdf = np.cumsum(probabilities, axis=1)
+    idx = np.sum(cdf <= (uniforms * cdf[:, -1])[:, None], axis=1)
+    return np.minimum(idx, cdf.shape[1] - 1)
 
 
 def forecast(params, context_tokens, horizon, sample_count=20, *, stream, tok_cfg, scale):
@@ -348,26 +347,38 @@ def forecast(params, context_tokens, horizon, sample_count=20, *, stream, tok_cf
 
     Returns (trajectories, point_forecast): sample_count token paths and
     the mean of their detokenized values.  The default of 20 paths sits
-    on the flat part of the point-forecast variance curve.
+    on the flat part of the point-forecast variance curve.  Path s draws
+    uniforms s * horizon .. (s + 1) * horizon - 1 of `stream`, in step
+    order.
+
+    One `forward` covers the context; the paths then decode as one batch,
+    each step adding one row per layer from the cached input rows of that
+    layer (exact, see the module docstring).
     """
     if horizon < 1 or sample_count < 1:
         raise InvalidArgumentError("horizon and sample_count must be >= 1")
-    ids = context_tokens.tokens if isinstance(context_tokens, TokenSequence) else context_tokens
-    ids = _check_tokens(ids, params.vocab_size)
+    trace = forward(context_tokens, params)
+    uniforms = stream.uniforms(sample_count, horizon)
+    n = trace.activations[0].shape[0]
+    # cache[l]: the input rows of attention layer l, one stack per path
+    cache = [np.empty((sample_count, n + horizon - 1, params.dim)) for _ in params.layers]
+    for rows, context_rows in zip(cache, trace.activations):
+        rows[:, :n] = context_rows
+    probs = np.broadcast_to(trace.probabilities, (sample_count, params.vocab_size))
     trajectories = np.empty((sample_count, horizon), dtype=np.int64)
-    for s in range(sample_count):
-        current = list(ids)
-        for step in range(horizon):
-            trace = forward(np.asarray(current), params)
-            token = _sample_token(trace.probabilities, stream)
-            trajectories[s, step] = token
-            current.append(token)
-    values = np.stack(
-        [
-            detokenize(TokenSequence(traj, scale), tok_cfg)
-            for traj in trajectories
-        ]
-    )
+    for step in range(horizon):
+        trajectories[:, step] = _sample_tokens(probs, uniforms[:, step])
+        if step + 1 == horizon:
+            break
+        row = params.embed[trajectories[:, step]]
+        seen = n + step + 1
+        for layer, rows in zip(params.layers, cache):
+            rows[:, seen - 1] = row
+            query = row @ layer.score_matrix
+            weights = _attention_softmax((rows[:, :seen] @ query[:, :, None])[:, :, 0])
+            row = (weights[:, None, :] @ rows[:, :seen])[:, 0]
+        probs = softmax(row @ params.embed.T)
+    values = detokenize(TokenSequence(trajectories, scale), tok_cfg)
     return trajectories, values.mean(axis=0)
 
 
@@ -382,30 +393,26 @@ def dump_embeddings(params, windows, layer_ids=None):
     """Record every position's activation row for the selected layers.
 
     Layer 0 is the embedding lookup; layers 1..layer_count are attention
-    outputs.  Default: all attention layers.
+    outputs.  Default: all attention layers.  Records run window by
+    window, then layer by layer, then position by position.
     """
     if layer_ids is None:
         layer_ids = list(range(1, params.layer_count + 1))
     for lid in layer_ids:
         if not 0 <= lid <= params.layer_count:
             raise InvalidArgumentError(f"layer id {lid} out of range")
-    layers_col, tokens_col, ctx_col, vecs = [], [], [], []
-    for window in windows:
-        ids = _check_tokens(window, params.vocab_size)
-        acts, _ = window_forward(ids, params)
-        chash = context_hash(ids)
-        for lid in layer_ids:
-            for pos in range(ids.size):
-                layers_col.append(lid)
-                tokens_col.append(int(ids[pos]))
-                ctx_col.append(chash)
-                vecs.append(acts[lid][pos])
+    if len(windows) == 0 or not layer_ids:
+        return EmbeddingDump(dim=params.dim)
+    ids = np.asarray(windows, dtype=np.int64)
+    acts, _ = causal_pass(params, ids)
+    per_window = len(layer_ids) * ids.shape[1]
+    vectors = np.stack([acts[lid] for lid in layer_ids], axis=1)
     return EmbeddingDump(
         dim=params.dim,
-        layers=np.array(layers_col, dtype=np.uint32),
-        token_ids=np.array(tokens_col, dtype=np.uint32),
-        context_ids=np.array(ctx_col, dtype=np.uint64),
-        vectors=np.array(vecs) if vecs else np.empty((0, params.dim)),
+        layers=np.tile(np.repeat(layer_ids, ids.shape[1]), len(ids)),
+        token_ids=np.tile(ids, len(layer_ids)).ravel(),
+        context_ids=np.repeat(np.array([context_hash(w) for w in ids], dtype=np.uint64), per_window),
+        vectors=vectors.reshape(-1, params.dim),
     )
 
 

@@ -230,7 +230,10 @@ class PCAResult:
     ``components`` holds eigenvectors of the sample covariance as
     columns; ``explained_ratio`` sums to 1 for non-degenerate input, and
     its partial sums give the variance fraction captured by the leading
-    components.
+    components.  An eigenvalue at or below ``1e-14 * ||cov||_F``, the
+    tolerance at which ``sym_eigendecompose`` stops, is rounding noise of
+    the null space and reads exactly 0 in ``eigenvalues`` and
+    ``explained_ratio``.
     """
 
     components: np.ndarray
@@ -247,7 +250,7 @@ def pca(a):
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (n - 1)
     eig = sym_eigendecompose(cov)
-    vals = np.maximum(eig.eigenvalues, 0.0)
+    vals = np.where(eig.eigenvalues > 1e-14 * np.linalg.norm(cov), eig.eigenvalues, 0.0)
     total = float(vals.sum())
     ratio = vals / total if total > 0.0 else np.zeros_like(vals)
     return PCAResult(eig.eigenvectors, vals, ratio)

@@ -24,7 +24,7 @@ from .errors import (
     NumericFailureError,
     RankDeficiencyError,
 )
-from .model import attention_weights, self_attention, softmax, window_forward
+from .model import attention_weights, causal_pass, mean_nll, self_attention, softmax
 from .numerics import RngStream, as_matrix, spectral_norm, sym_eigendecompose
 
 
@@ -118,14 +118,6 @@ def downstream_value(logits, head):
     return value, active
 
 
-def _mean_nll(logits, targets):
-    total = 0.0
-    for row, target in zip(logits, targets):
-        z = row - row.max()
-        total += float(np.log(np.sum(np.exp(z))) - z[int(target)])
-    return total / len(targets)
-
-
 @dataclass(frozen=True)
 class ShiftAttackRecord:
     """Outcome of the constant-shift logit attack for one head."""
@@ -160,8 +152,8 @@ def shift_attack(logits, targets, head):
         max_tv = max(max_tv, tv)
         value, _ = downstream_value(srow, head)
         max_down = max(max_down, abs(value))
-    loss_before = _mean_nll(z, targets)
-    loss_after = _mean_nll(shifted, targets)
+    loss_before, _ = mean_nll(z, targets)
+    loss_after, _ = mean_nll(shifted, targets)
     relu_margin = float((shifted - head.thresholds[None, :]).max())
     passed = (
         max_tv <= 1e-12
@@ -183,13 +175,10 @@ def shift_attack(logits, targets, head):
 
 def collect_window_logits(params, windows):
     """Stack next-token logit rows and targets over whole windows."""
-    rows, targets = [], []
-    for window in windows:
-        ids = np.asarray(window, dtype=np.int64)
-        _, logits = window_forward(ids, params)
-        rows.append(logits[:-1])
-        targets.append(ids[1:])
-    return np.vstack(rows), np.concatenate(targets)
+    ids = np.asarray(windows, dtype=np.int64)
+    activations, _ = causal_pass(params, ids)
+    rows = activations[-1][:, :-1].reshape(-1, params.dim)
+    return rows @ params.embed.T, ids[:, 1:].ravel()
 
 
 def fd_jacobian(fn, x0, h):

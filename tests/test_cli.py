@@ -419,6 +419,20 @@ class TestConfigErrors:
         assert run_cli(command, "--config", cfg) == 2
         assert "config field stride" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("log_every", [0, -5])
+    def test_log_every_below_one_exits_2_before_training(
+        self, pipeline, tmp_path, capsys, log_every
+    ):
+        dirs, _ = pipeline
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path / "c.cfg", out=str(out), data=str(dirs["synth"]),
+            datasets=["seasonality_2"], steps=2, log_every=log_every,
+        )
+        assert run_cli("train", "--config", cfg) == 2
+        assert "log_every" in capsys.readouterr().err
+        assert not (out / "model.isop").exists()
+
     def test_duplicate_key_exits_2_naming_key_and_line(self, tmp_path, capsys):
         cfg = tmp_path / "d.cfg"
         cfg.write_text(f'out = "{tmp_path / "o"}"\nlength = 64\nlength = 32\n')

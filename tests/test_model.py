@@ -5,28 +5,32 @@ import math
 import numpy as np
 import pytest
 
+from isoprobe import model
 from isoprobe.dumps import EmbeddingDump
-from isoprobe.errors import InvalidArgumentError
+from isoprobe.errors import InvalidArgumentError, NumericFailureError
 from isoprobe.kernels import Periodic, kernelsynth_sample
 from isoprobe.model import (
     AttentionLayer,
+    Gradients,
     ModelParams,
     TrainConfig,
     attention_weights,
+    causal_pass,
+    context_hash,
     dump_embeddings,
     forecast,
     forward,
     grad,
+    init_params,
     load_checkpoint,
-    loss,
+    mean_nll,
     save_checkpoint,
     self_attention,
     softmax,
     train,
-    window_forward,
 )
 from isoprobe.numerics import RngStream
-from isoprobe.tokenizer import TokenizerConfig, fit_scale, tokenize
+from isoprobe.tokenizer import TokenizerConfig, TokenSequence, detokenize, fit_scale, tokenize
 
 
 def random_params(rng, vocab_size, dim, rank, layer_count, scale=0.5):
@@ -54,6 +58,90 @@ def seasonality_windows(tok_cfg, context_length, horizon, length=512, stride=4, 
         scale = fit_scale(x[start : start + context_length])
         out.append(tokenize(x[start : start + window], tok_cfg, scale).tokens)
     return np.array(out)
+
+
+def grad_oracle(params, windows, context_length, horizon):
+    """The per-window looped gradient, kept as the reference for `grad`."""
+    windows = np.asarray(windows, dtype=np.int64)
+    if windows.ndim == 1:
+        windows = windows[None, :]
+    embed = params.embed
+    n_preds = windows.shape[0] * horizon
+    d_embed = np.zeros_like(embed)
+    d_layers = [
+        (np.zeros_like(l.w_q), np.zeros_like(l.w_k)) for l in params.layers
+    ]
+    score_matrices = [l.score_matrix for l in params.layers]
+    pred_rows = np.arange(context_length - 1, context_length + horizon - 1)
+    total_loss = 0.0
+    for window in windows:
+        ids = np.asarray(window, dtype=np.int64)
+        acts = [embed[ids]]
+        probs_per_layer = []
+        for score_matrix in score_matrices:
+            p = attention_weights(acts[-1], score_matrix, causal=True)
+            probs_per_layer.append(p)
+            acts.append(p @ acts[-1])
+        hidden = acts[-1]
+        logits = hidden @ embed.T
+        targets = ids[context_length:]
+
+        d_logits = np.zeros_like(logits)
+        for row, target in zip(pred_rows, targets):
+            z = logits[row] - logits[row].max()
+            e = np.exp(z)
+            denom = e.sum()
+            total_loss += float(np.log(denom) - z[target])
+            p = e / denom
+            p[target] -= 1.0
+            d_logits[row] = p / n_preds
+
+        d_hidden = d_logits @ embed
+        d_embed += d_logits.T @ hidden  # head role of the tied table
+        for idx in range(params.layer_count - 1, -1, -1):
+            x = acts[idx]
+            p = probs_per_layer[idx]
+            score_matrix = score_matrices[idx]
+            d_p = d_hidden @ x.T
+            d_x = p.T @ d_hidden
+            d_scores = p * (d_p - np.sum(d_p * p, axis=1, keepdims=True))
+            d_x += d_scores @ x @ score_matrix.T + d_scores.T @ x @ score_matrix
+            d_lambda = x.T @ d_scores @ x
+            w_q, w_k = params.layers[idx].w_q, params.layers[idx].w_k
+            dwq, dwk = d_layers[idx]
+            dwq += d_lambda @ w_k
+            dwk += d_lambda.T @ w_q
+            d_hidden = d_x
+        np.add.at(d_embed, ids, d_hidden)  # lookup role of the tied table
+    return Gradients(d_embed, d_layers), total_loss / n_preds
+
+
+def _sample_token(probabilities, stream):
+    cdf = np.cumsum(probabilities)
+    idx = int(np.searchsorted(cdf, stream.uniform() * cdf[-1], side="right"))
+    return min(idx, len(cdf) - 1)
+
+
+def forecast_oracle(params, context_tokens, horizon, sample_count, *, stream, tok_cfg, scale):
+    """Uncached decoding, kept as the reference for `forecast`: a full
+    forward over the growing sequence for every token of every path."""
+    trajectories = np.empty((sample_count, horizon), dtype=np.int64)
+    for s in range(sample_count):
+        current = list(context_tokens)
+        for step in range(horizon):
+            trace = forward(np.asarray(current), params)
+            token = _sample_token(trace.probabilities, stream)
+            trajectories[s, step] = token
+            current.append(token)
+    values = np.stack(
+        [detokenize(TokenSequence(traj, scale), tok_cfg) for traj in trajectories]
+    )
+    return trajectories, values.mean(axis=0)
+
+
+# (vocab, dim, rank, batch) of the readme_smoke and paper_shape models,
+# both with 2 layers, context 16 and horizon 4
+BENCHMARK_SHAPES = [(64, 16, 8, 16), (512, 64, 16, 32)]
 
 
 class TestSelfAttention:
@@ -127,7 +215,12 @@ class TestForward:
         rng = np.random.default_rng(5)
         params = random_params(rng, 10, 4, 2, 2)
         w = rng.integers(0, 10, size=7)
-        _, logits_all = window_forward(w, params)
+
+        def all_logits(window):
+            activations, _ = causal_pass(params, window[None])
+            return activations[-1][0] @ params.embed.T
+
+        logits_all = all_logits(w)
         # each row equals a fresh forward on the prefix
         for t in range(7):
             np.testing.assert_allclose(
@@ -136,13 +229,26 @@ class TestForward:
         # perturbing a later token leaves earlier rows untouched
         w2 = w.copy()
         w2[-1] = (w2[-1] + 1) % 10
-        _, logits_all2 = window_forward(w2, params)
-        np.testing.assert_allclose(logits_all2[:-1], logits_all[:-1], atol=1e-12)
+        np.testing.assert_allclose(all_logits(w2)[:-1], logits_all[:-1], atol=1e-12)
         # perturbing the first token changes the last row
         w3 = w.copy()
         w3[0] = (w3[0] + 1) % 10
-        _, logits_all3 = window_forward(w3, params)
-        assert np.max(np.abs(logits_all3[-1] - logits_all[-1])) > 1e-8
+        assert np.max(np.abs(all_logits(w3)[-1] - logits_all[-1])) > 1e-8
+
+    def test_batch_rows_match_single_windows(self):
+        rng = np.random.default_rng(22)
+        params = random_params(rng, 10, 4, 2, 2)
+        wins = rng.integers(0, 10, size=(5, 6))
+        batched, weights = causal_pass(params, wins)
+        assert len(batched) == 3 and len(weights) == 2
+        for b, w in enumerate(wins):
+            for layer, rows in enumerate(forward(w, params).activations):
+                np.testing.assert_allclose(batched[layer][b], rows, rtol=0, atol=1e-12)
+
+    def test_out_of_range_token_rejected(self):
+        params = random_params(np.random.default_rng(0), 4, 2, 1, 1)
+        with pytest.raises(InvalidArgumentError, match="out of range"):
+            causal_pass(params, np.array([[0, 4]]))
 
     def test_empty_sequence_rejected(self):
         params = random_params(np.random.default_rng(0), 4, 2, 1, 1)
@@ -152,38 +258,39 @@ class TestForward:
 
 class TestLoss:
     def test_uniform_is_log_vocab(self):
-        params = ModelParams(np.zeros((512, 4)), [])
-        trace = forward(np.array([0]), params)
-        assert loss([trace], [7]) == pytest.approx(math.log(512), rel=1e-12)
+        value, probs = mean_nll(np.zeros((1, 512)), [7])
+        assert value == pytest.approx(math.log(512), rel=1e-12)
+        np.testing.assert_allclose(probs, 1.0 / 512, rtol=1e-15)
 
     def test_certain_prediction_is_zero(self):
         # logit gap large enough that softmax saturates exactly
-        embed = np.zeros((4, 1))
-        embed[2, 0] = 40.0
-        params = ModelParams(embed, [])
-        trace = forward(np.array([2]), params)
-        assert trace.probabilities[2] == 1.0
-        assert loss([trace], [2]) == 0.0
+        logits = np.zeros((1, 4))
+        logits[0, 2] = 1600.0
+        value, probs = mean_nll(logits, [2])
+        assert probs[0, 2] == 1.0
+        assert value == 0.0
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(6)
         params = random_params(rng, 9, 4, 2, 1)
-        traces, targets, direct = [], [], []
+        rows, targets, direct = [], [], []
         for _ in range(20):
             w = rng.integers(0, 9, size=5)
             t = int(rng.integers(0, 9))
             trace = forward(w, params)
-            traces.append(trace)
+            rows.append(trace.logits)
             targets.append(t)
             probs = [math.exp(v) for v in trace.logits]
             direct.append(-math.log(probs[t] / sum(probs)))
-        assert loss(traces, targets) == pytest.approx(float(np.mean(direct)), abs=1e-12)
+        value, probs = mean_nll(np.array(rows), targets)
+        assert value == pytest.approx(float(np.mean(direct)), abs=1e-12)
+        np.testing.assert_allclose(probs, softmax(np.array(rows)), rtol=1e-14)
 
     def test_target_range_checked(self):
-        params = random_params(np.random.default_rng(0), 4, 2, 1, 1)
-        trace = forward(np.array([1]), params)
         with pytest.raises(InvalidArgumentError):
-            loss([trace], [4])
+            mean_nll(np.zeros((1, 4)), [4])
+        with pytest.raises(InvalidArgumentError):
+            mean_nll(np.zeros((2, 4)), [1])
 
 
 class TestGrad:
@@ -245,6 +352,29 @@ class TestGrad:
             minus.embed[idx] -= h
             fd[idx] = (grad(plus, wins, 2, 2)[1] - grad(minus, wins, 2, 2)[1]) / (2 * h)
         np.testing.assert_allclose(grads.embed, fd, atol=1e-7)
+
+    @pytest.mark.parametrize("shape", BENCHMARK_SHAPES + [(64, 16, 8, 1)])
+    def test_batched_matches_looped_oracle(self, shape):
+        vocab, dim, rank, batch = shape
+        rng = np.random.default_rng(vocab + batch)
+        params = init_params(vocab, dim, rank, 2, RngStream(batch, 0))
+        wins = rng.integers(0, vocab, size=(batch, 20))
+        if batch == 1:
+            wins = wins[0]  # a single 1-D window
+        grads, value = grad(params, wins, 16, 4)
+        want, want_value = grad_oracle(params, wins, 16, 4)
+        assert value == pytest.approx(want_value, rel=1e-14)
+        pairs = [(grads.embed, want.embed)] + [
+            (g, w) for got, ref in zip(grads.layers, want.layers) for g, w in zip(got, ref)
+        ]
+        for got, ref in pairs:
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_nonfinite_attention_is_numeric_failure(self):
+        params = random_params(np.random.default_rng(0), 4, 2, 1, 1)
+        params.layers[0].w_q[:] = np.inf
+        with pytest.raises(NumericFailureError):
+            grad(params, np.array([[0, 1, 2]]), 2, 1)
 
 
 class TestTrain:
@@ -339,6 +469,36 @@ class TestForecast:
         assert v20 < v5 / 2.0
         assert (v5 - v20) > 2.0 * (v20 - v80)
 
+    @pytest.mark.parametrize("vocab, dim, rank", [s[:3] for s in BENCHMARK_SHAPES])
+    def test_cached_decoding_matches_uncached_oracle(self, monkeypatch, vocab, dim, rank):
+        rng = np.random.default_rng(dim)
+        params = init_params(vocab, dim, rank, 2, RngStream(dim, 0))
+        tok_cfg = TokenizerConfig(vocab_size=vocab)
+        calls = []
+        real_forward = model.forward
+
+        def counted(tokens, p):
+            calls.append(len(tokens.tokens))
+            return real_forward(tokens, p)
+
+        # the oracle calls this module's own `forward`, which stays uncounted
+        monkeypatch.setattr(model, "forward", counted)
+        for case in range(64):
+            context = rng.integers(0, vocab, size=16)
+            cached, oracle = RngStream(case, 3), RngStream(case, 3)
+            traj, point = forecast(
+                params, TokenSequence(context, 1.5), horizon=4, sample_count=20,
+                stream=cached, tok_cfg=tok_cfg, scale=1.5,
+            )
+            want_traj, want_point = forecast_oracle(
+                params, context, 4, 20, stream=oracle, tok_cfg=tok_cfg, scale=1.5
+            )
+            np.testing.assert_array_equal(traj, want_traj)
+            np.testing.assert_array_equal(point, want_point)
+            # both consumed sample_count * horizon uniforms
+            assert cached.uniform() == oracle.uniform()
+        assert calls == [16] * 64  # one forward over the context per forecast
+
 
 class TestInvariants:
     def test_softmax_shift_invariance(self):
@@ -387,6 +547,23 @@ class TestDumpAndCheckpoint:
         half = dump.record_count // 2
         np.testing.assert_array_equal(dump.vectors[:half], dump.vectors[half:])
         assert len(set(dump.context_ids.tolist())) == 1
+
+    def test_batched_dump_keeps_record_order(self):
+        rng = np.random.default_rng(17)
+        params = random_params(rng, 8, 3, 2, 2)
+        wins = rng.integers(0, 8, size=(4, 5))
+        dump = dump_embeddings(params, list(wins), layer_ids=[2, 0])
+        records = [
+            (lid, int(w[pos]), context_hash(w), forward(w, params).activations[lid][pos])
+            for w in wins
+            for lid in (2, 0)
+            for pos in range(len(w))
+        ]
+        assert dump.layers.tolist() == [r[0] for r in records]
+        assert dump.token_ids.tolist() == [r[1] for r in records]
+        assert dump.context_ids.tolist() == [r[2] for r in records]
+        np.testing.assert_allclose(dump.vectors, [r[3] for r in records], rtol=0, atol=1e-12)
+        assert dump_embeddings(params, []).record_count == 0
 
     def test_dump_file_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(15)

@@ -170,6 +170,17 @@ class TestPca:
         assert np.all(np.diff(r) <= 1e-15)
         assert abs(r.sum() - 1.0) <= 1e-10
 
+    def test_null_space_ratios_are_exact_zeros(self):
+        # rank 8 in dimension 16: the null-space entries are solver
+        # rounding noise unless clamped, and would move with row order
+        rng = np.random.default_rng(8)
+        data = rng.normal(size=(512, 8)) @ rng.normal(size=(8, 16))
+        for rows in (data, data[rng.permutation(len(data))]):
+            res = pca(rows)
+            assert res.explained_ratio[8:].tolist() == [0.0] * 8
+            assert res.eigenvalues[8:].tolist() == [0.0] * 8
+            assert np.all(res.explained_ratio[:8] > 1e-6)
+
     def test_needs_two_rows(self):
         with pytest.raises(InvalidArgumentError):
             pca(np.ones((1, 4)))

@@ -12,7 +12,6 @@ failure, 5 numeric failure.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from dataclasses import dataclass, field
@@ -46,20 +45,13 @@ from .manifest import (
     atomic_write_text,
     canonical_json,
     parse_config,
+    read_json,
     take_config,
     verify_outputs,
 )
-from .model import TrainConfig, dump_embeddings, load_checkpoint, save_checkpoint, softmax, train
-from .numerics import RngStream, ordered_map, spectral_norm
-from .theory import (
-    collect_window_logits,
-    attention_jacobian_bound,
-    rank_m_descent,
-    sample_heads,
-    small_score_approximation,
-    shift_attack,
-    optimal_score_matrix_solution,
-)
+from .model import TrainConfig, dump_embeddings, load_checkpoint, save_checkpoint, train
+from .numerics import RngStream, ordered_map
+from .theory import run_checks
 from .tokenizer import TokenizerConfig, tokenize_windows
 
 # A stage declares each config key it reads as (type, default); a key
@@ -279,7 +271,7 @@ def _train(run):
     ckpt_path, sidecar = save_checkpoint(result.params, run.out_dir / "model.isop", meta)
     curve_lines = ["step,loss"]
     curve_lines.extend(
-        f"{step},{result.loss_curve[step]!r}"
+        f"{step},{float(result.loss_curve[step])!r}"
         for step in range(0, train_cfg.steps, train_cfg.log_every)
     )
     curve_path = run.out_dir / "loss_curve.csv"
@@ -331,131 +323,18 @@ def _analyze(run):
     return [report_path, plot_path]
 
 
-def _check(name, passed, **details):
-    return {"name": name, "passed": bool(passed), "details": details}
-
-
-def _verify_checks(run):
-    """Run every theory check; returns (checks, all_passed)."""
+def _verify(run):
+    """Machine-check the structural guarantees; exit 0 iff all pass."""
     opt = run.opts
-    params = run.params
-    checks = []
-    stream = RngStream(run.seed, 0)
-
     # the first `keep` windows of each dataset hold the first `keep` of all
     keep = max(opt["trace_windows"], 1)
     windows = run.windows(run.tok_cfg, opt["context_length"], opt["horizon"], 16, keep)[:keep]
-    logits, targets = collect_window_logits(params, windows)
-
-    # Shift attack: softmax/loss invariant, every sampled head zeroed.
-    n_heads = opt["heads"]
-    heads = sample_heads(n_heads, params.vocab_size, stream)
-    records = [shift_attack(logits, targets, head) for head in heads]
-    checks.append(
-        _check(
-            "shift_attack",
-            all(r.passed for r in records),
-            heads=n_heads,
-            positions=int(logits.shape[0]),
-            max_tv_distance=max(r.max_tv_distance for r in records),
-            max_loss_delta=max(abs(r.loss_after - r.loss_before) for r in records),
-            max_downstream_abs=max(r.max_downstream_abs for r in records),
-        )
+    sizes = ("heads", "bound_instances", "score_matrix_instances", "descent_starts",
+             "descent_iters")
+    checks = run_checks(
+        run.params, windows, RngStream(run.seed, 0), **{key: opt[key] for key in sizes}
     )
-
-    # Softmax shift invariance on the trace logits themselves.
-    max_tv = 0.0
-    for row in logits[: min(len(logits), 64)]:
-        base = softmax(row)
-        for shift in (-10.0, 3.7, 100.0):
-            max_tv = max(max_tv, 0.5 * float(np.sum(np.abs(softmax(row + shift) - base))))
-    checks.append(_check("softmax_shift_invariance", max_tv <= 1e-12, max_tv_distance=max_tv))
-
-    # Attention Jacobian bound on random instances.
-    n_bound = opt["bound_instances"]
-    gen = stream.generator
-    min_margin = np.inf
-    main_text_violations = 0
-    for _ in range(n_bound):
-        n = int(gen.integers(1, 9))
-        d = int(gen.integers(1, 7))
-        instance = stream.gaussians(n, d).reshape(n, d)
-        score = stream.gaussians(d, d).reshape(d, d)
-        target = float(gen.uniform(0.0, 2.0))
-        norm = spectral_norm(score)
-        if norm > 0:
-            score *= target / norm
-        rep = attention_jacobian_bound(instance, score)
-        min_margin = min(min_margin, rep.margin)
-        main_text_violations += rep.main_text_violated
-    checks.append(
-        _check(
-            "jacobian_bound",
-            min_margin >= -1e-6,
-            instances=n_bound,
-            rows_max=8,
-            dim_max=6,
-            score_norm_max=2.0,
-            min_margin=float(min_margin),
-            main_text_violations=int(main_text_violations),
-        )
-    )
-
-    # Closed-form score matrix: identity and descent competitor.
-    n_opt = opt["score_matrix_instances"]
-    starts = opt["descent_starts"]
-    iters = opt["descent_iters"]
-    worst_rel = 0.0
-    worst_gap = np.inf
-    for index in range(n_opt):
-        n = int(gen.integers(6, 25))
-        d = int(gen.integers(2, 6))
-        m = int(gen.integers(1, d + 1))
-        instance = stream.gaussians(n, d).reshape(n, d)
-        sol = optimal_score_matrix_solution(instance, m)
-        rel = abs(sol.objective_value - sol.trailing_eigsum) / max(
-            sol.trailing_eigsum, 1e-12
-        )
-        worst_rel = max(worst_rel, rel if sol.trailing_eigsum > 1e-12 else 0.0)
-        best = rank_m_descent(
-            instance, m, starts=starts, iters=iters, stream=stream.child(1000 + index)
-        )
-        worst_gap = min(worst_gap, best - sol.objective_value)
-    checks.append(
-        _check(
-            "optimal_score_matrix",
-            worst_rel <= 1e-8 and worst_gap >= -1e-6,
-            instances=n_opt,
-            max_identity_rel_err=float(worst_rel),
-            min_descent_gap=float(worst_gap),
-            descent_starts=starts,
-        )
-    )
-
-    # Small score-matrix approximation sweep must improve monotonically.
-    instance = stream.gaussians(8, 4).reshape(8, 4)
-    direction = stream.gaussians(4, 4).reshape(4, 4)
-    rows = small_score_approximation(instance, direction)
-    monotone = all(
-        a.max_prob_error <= b.max_prob_error / 2.0
-        and a.substitution_error <= b.substitution_error / 2.0
-        for a, b in zip(rows[:-1], rows[1:])
-    )
-    rows = [
-        {
-            "rho": r.rho,
-            "max_prob_error": r.max_prob_error,
-            "substitution_error": r.substitution_error,
-        }
-        for r in rows
-    ]
-    checks.append(_check("small_score_approximation", monotone, rows=rows))
-    return checks, all(c["passed"] for c in checks)
-
-
-def _verify(run):
-    """Machine-check the structural guarantees; exit 0 iff all pass."""
-    checks, all_passed = _verify_checks(run)
+    all_passed = all(c["passed"] for c in checks)
     report_path = run.write_doc(
         "verification_report.json",
         "verification_report",
@@ -522,7 +401,7 @@ def _report(run):
         for key, filename in _SECTION_FILES.items():
             path = run_dir / filename
             if path.is_file():
-                doc = json.loads(path.read_text())
+                doc = read_json(path)
                 if doc.get("schema_version") != SCHEMA_VERSION:
                     raise MergeRefusedError(
                         f"{path}: schema version {doc.get('schema_version')} "

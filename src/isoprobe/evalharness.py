@@ -41,14 +41,6 @@ def nmse(pred, truth):
     return float(np.sum((p - t) ** 2)) / denom
 
 
-def naive_baseline(context, horizon):
-    """Repeat the last context value over the forecast region."""
-    ctx = np.asarray(context, dtype=np.float64)
-    if ctx.size == 0:
-        raise InvalidArgumentError("context must be non-empty")
-    return np.full(horizon, ctx[-1])
-
-
 @dataclass(frozen=True)
 class SweepRow:
     variable: str

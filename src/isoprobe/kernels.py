@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GenerationFailureError, InvalidArgumentError
+from .manifest import read_json
 from .numerics import RngStream, cholesky_psd
 
 DEFAULT_MAX_KERNELS = 5
@@ -272,8 +273,20 @@ def kernelsynth_sample(
     if stream is None:
         stream = RngStream(0, 0)
     tree = sample_kernel_tree(bank, max_kernels, stream)
+    return _gp_series(tree, length, stream, standardize_output, max_kernels)
+
+
+def single_kernel_series(spec, length, stream, *, standardize_output=True, name=None):
+    """GP sample of one fixed kernel (the named-dataset generation path)."""
+    series = _gp_series(CompositeKernel.leaf(spec), length, stream, standardize_output, 1)
+    if name is not None:
+        series.origin["name"] = name
+    return series
+
+
+def _gp_series(tree, length, stream, standardize_output, max_kernels):
+    """One GP sample of the kernel tree, with the origin its sidecar records."""
     raw, jitter = sample_gp(tree, length, stream)
-    values = standardize(raw) if standardize_output else raw
     origin = {
         "kernel_tree": tree.to_dict(),
         "seed": stream.seed,
@@ -283,26 +296,7 @@ def kernelsynth_sample(
         "standardized": standardize_output,
         "jitter": jitter,
     }
-    return TimeSeries(values, origin)
-
-
-def single_kernel_series(spec, length, stream, *, standardize_output=True, name=None):
-    """GP sample of one fixed kernel (the named-dataset generation path)."""
-    tree = CompositeKernel.leaf(spec)
-    raw, jitter = sample_gp(tree, length, stream)
-    values = standardize(raw) if standardize_output else raw
-    origin = {
-        "kernel_tree": tree.to_dict(),
-        "seed": stream.seed,
-        "stream_id": stream.stream_id,
-        "max_kernels": 1,
-        "length": length,
-        "standardized": standardize_output,
-        "jitter": jitter,
-    }
-    if name is not None:
-        origin["name"] = name
-    return TimeSeries(values, origin)
+    return TimeSeries(standardize(raw) if standardize_output else raw, origin)
 
 
 def add_noise(values, sigma, stream):
@@ -359,7 +353,14 @@ def load_series(csv_path):
     rows = path.read_text().strip().splitlines()
     if not rows or rows[0] != "index,value":
         raise InvalidArgumentError(f"{path} is not a dataset CSV (bad header)")
-    values = np.array([float(r.split(",")[1]) for r in rows[1:]])
+    values = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        try:
+            values.append(float(row.split(",")[1]))
+        except (IndexError, ValueError):
+            raise InvalidArgumentError(
+                f"{path}:{lineno}: expected 'index,value', got {row!r}"
+            ) from None
     sidecar = path.with_suffix(".json")
-    origin = json.loads(sidecar.read_text()) if sidecar.exists() else {}
-    return TimeSeries(values, origin)
+    origin = read_json(sidecar) if sidecar.exists() else {}
+    return TimeSeries(np.array(values), origin)

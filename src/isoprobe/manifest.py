@@ -17,14 +17,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, MissingInputError, StaleArtifactError
+from .errors import ConfigError, InvalidArgumentError, MissingInputError, StaleArtifactError
 
 MANIFEST_NAME = "manifest.json"
 SCHEMA_VERSION = 1
-
-
-def sha256_bytes(data):
-    return hashlib.sha256(data).hexdigest()
 
 
 def sha256_file(path):
@@ -56,6 +52,14 @@ def atomic_write_bytes(path, data):
 
 def atomic_write_text(path, text):
     return atomic_write_bytes(path, text.encode())
+
+
+def read_json(path):
+    """Parse a JSON artifact; a malformed one raises InvalidArgumentError naming it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise InvalidArgumentError(f"{path}: malformed JSON ({exc})") from None
 
 
 def canonical_json(obj):
@@ -111,7 +115,9 @@ class RunManifest:
         path = Path(out_dir) / MANIFEST_NAME
         if not path.is_file():
             raise MissingInputError(f"no manifest at {path}")
-        raw = json.loads(path.read_text())
+        raw = read_json(path)
+        if not isinstance(raw, dict) or not {"command", "config", "seed"} <= raw.keys():
+            raise InvalidArgumentError(f"{path}: a manifest needs command, config and seed")
         return cls(
             command=raw["command"],
             config=raw["config"],

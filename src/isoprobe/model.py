@@ -33,6 +33,7 @@ from .errors import (
     NumericFailureError,
     TrainingFailureError,
 )
+from .manifest import read_json
 from .numerics import RngStream
 from .tokenizer import TokenSequence, detokenize
 
@@ -477,5 +478,5 @@ def load_checkpoint(path):
     embed = take(n, d)
     layers = [AttentionLayer(take(d, m), take(d, m)) for _ in range(n_layers)]
     sidecar = Path(str(path) + ".json")
-    meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
+    meta = read_json(sidecar) if sidecar.exists() else {}
     return ModelParams(embed, layers), meta

@@ -61,10 +61,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self):
-        g = self.eigenvectors
-        return (g * self.eigenvalues) @ g.T
-
 
 def _round_robin_pairs(n):
     """Brent-Luk round-robin ordering: n - 1 rounds (n rounded up to even)
@@ -291,9 +287,6 @@ class RngStream:
     def child(self, stream_id):
         """Fresh stream with the same seed and a different stream id."""
         return RngStream(self.seed, stream_id)
-
-    def gaussian(self):
-        return float(self._gen.standard_normal())
 
     def gaussians(self, *shape):
         return self._gen.standard_normal(shape if len(shape) > 1 else shape[0])

@@ -7,6 +7,11 @@ attention Jacobian bound, the closed-form rank-m score matrix that
 minimizes the reconstruction objective, the small-score-matrix attention
 approximation, and the partition-function isotropy ratio.
 
+The ``check_*`` functions are the verify suite: each draws its instances
+from a caller-supplied ``RngStream`` and returns the
+``{"name", "passed", "details"}`` record of ``verification_report.json``;
+``run_checks`` runs all five on one stream, in report order.
+
 Attention here is deliberately the unmasked map used in the bound
 statements; the trained model applies the same map causally.
 """
@@ -14,43 +19,17 @@ statements; the trained model applies the same map causally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import (
     CheckFailureError,
     InvalidArgumentError,
-    NumericFailureError,
     RankDeficiencyError,
 )
 from .model import attention_weights, causal_pass, mean_nll, self_attention, softmax
 from .numerics import RngStream, as_matrix, spectral_norm, sym_eigendecompose
-
-
-@dataclass(frozen=True)
-class PartitionValue:
-    log_value: float
-    value: float
-
-
-def partition_function(encoding, embed):
-    """Z = sum_i exp(<encoding, embed_i>), computed with max-subtraction."""
-    e = np.asarray(encoding, dtype=np.float64)
-    table = as_matrix(embed, "embed")
-    if not np.all(np.isfinite(e)):
-        raise InvalidArgumentError("encoding contains non-finite entries")
-    logits = table @ e
-    m = float(logits.max())
-    log_z = m + math.log(float(np.sum(np.exp(logits - m))))
-    if not math.isfinite(log_z):
-        raise NumericFailureError("partition function overflowed after stabilization")
-    value = math.exp(log_z) if log_z < 709.0 else math.inf
-    if not math.isfinite(value):
-        raise NumericFailureError(
-            f"partition function linear value overflows float64 (log Z = {log_z:g})"
-        )
-    return PartitionValue(log_z, value)
 
 
 @dataclass(frozen=True)
@@ -378,11 +357,20 @@ class ApproxSweepRow:
 
 
 def small_score_approximation(rows, direction, rhos=(1e-3, 1e-2, 1e-1, 1.0), *, center=True):
-    """Error table for the first-order attention-weight approximation
-    p_ij ~ 1/n + psi_i.T score_matrix psi_j / n across score-matrix norms.
+    """Error table of the first-order attention approximation across
+    score-matrix norms rho (score_matrix = rho * direction / |direction|_F).
 
-    Also reports how far sum_i |psi_i - rows.T p_i|^2 sits from the
-    substituted objective sum_i |psi_i - (rows.T rows) score_matrix psi_i|^2.
+    With s_ij = psi_i.T score_matrix psi_j = O(rho), expanding the softmax
+    gives p_ij = 1/n + (s_ij - mean_k s_ik)/n + O(rho^2), and on centered
+    rows mean_k s_ik = psi_i.T score_matrix mean_k psi_k = 0.  So
+    ``max_prob_error`` = max_ij |p_ij - (1 + s_ij)/n| is O(rho^2), and so
+    is ``substitution_error``, the Frobenius gap
+    |P X - (1/n)(11^T + X score_matrix X^T) X|_F <= |P - (11^T + S)/n|_F |X|_2
+    between the attention output and its substitute.  Both shrink about
+    100x per decade of rho while rho is small.  A substitute without the
+    1/n leaves a gap of (1 - 1/n)|X score_matrix X^T X|_F + O(rho^2),
+    which is order rho and shrinks only about 10x per decade.  Uncentered
+    rows keep the mean_k s_ik term, so their gap is order rho too.
     """
     x = center_rows(rows) if center else as_matrix(rows, "rows")
     base = as_matrix(direction, "direction")
@@ -390,17 +378,140 @@ def small_score_approximation(rows, direction, rhos=(1e-3, 1e-2, 1e-1, 1.0), *, 
     if base_norm == 0.0:
         raise InvalidArgumentError("direction matrix must be nonzero")
     n = x.shape[0]
-    corr = x.T @ x
     rows = []
     for rho in rhos:
         score_matrix = base * (rho / base_norm)
         weights = attention_weights(x, score_matrix, causal=False)
-        scores = x @ score_matrix @ x.T
-        approx = 1.0 / n + scores / n
+        approx = 1.0 / n + (x @ score_matrix @ x.T) / n
         max_err = float(np.max(np.abs(weights - approx)))
-        resid = x - weights @ x
-        lhs = float(np.sum(resid * resid))
-        sub = x - x @ (corr @ score_matrix).T
-        rhs = float(np.sum(sub * sub))
-        rows.append(ApproxSweepRow(float(rho), max_err, abs(lhs - rhs)))
+        gap = float(np.linalg.norm((weights - approx) @ x))
+        rows.append(ApproxSweepRow(float(rho), max_err, gap))
     return rows
+
+
+def _record(name, passed, **details):
+    return {"name": name, "passed": bool(passed), "details": details}
+
+
+def check_shift_attack(logits, targets, heads, stream):
+    """Shift attack against ``heads`` random heads: every readout is
+    zeroed while softmax and loss stay put."""
+    records = [
+        shift_attack(logits, targets, head)
+        for head in sample_heads(heads, logits.shape[1], stream)
+    ]
+    return _record(
+        "shift_attack",
+        all(r.passed for r in records),
+        heads=heads,
+        positions=int(logits.shape[0]),
+        max_tv_distance=max(r.max_tv_distance for r in records),
+        max_loss_delta=max(abs(r.loss_after - r.loss_before) for r in records),
+        max_downstream_abs=max(r.max_downstream_abs for r in records),
+    )
+
+
+def check_softmax_shift(logits):
+    """Softmax of (at most 64 of) the logit rows ignores constant shifts."""
+    rows = logits[:64, None, :]
+    shifted = softmax(rows + np.array([-10.0, 3.7, 100.0])[:, None])
+    max_tv = 0.5 * float(np.abs(shifted - softmax(rows)).sum(axis=-1).max())
+    return _record("softmax_shift_invariance", max_tv <= 1e-12, max_tv_distance=max_tv)
+
+
+def check_jacobian_bound(instances, stream):
+    """The proven Jacobian bound on random instances: up to 8 rows in up to
+    6 dimensions, score matrices of spectral norm uniform in [0, 2)."""
+    gen = stream.generator
+    min_margin = np.inf
+    main_text_violations = 0
+    for _ in range(instances):
+        n = int(gen.integers(1, 9))
+        d = int(gen.integers(1, 7))
+        x = stream.gaussians(n, d).reshape(n, d)
+        score = stream.gaussians(d, d).reshape(d, d)
+        target = float(gen.uniform(0.0, 2.0))
+        norm = spectral_norm(score)
+        if norm > 0:
+            score *= target / norm
+        rep = attention_jacobian_bound(x, score)
+        min_margin = min(min_margin, rep.margin)
+        main_text_violations += rep.main_text_violated
+    return _record(
+        "jacobian_bound",
+        min_margin >= -1e-6,
+        instances=instances,
+        rows_max=8,
+        dim_max=6,
+        score_norm_max=2.0,
+        min_margin=float(min_margin),
+        main_text_violations=int(main_text_violations),
+    )
+
+
+def check_optimal_score_matrix(instances, starts, iters, stream):
+    """The closed form on random instances: its objective is the trailing
+    eigenvalue sum, and a ``starts``-restart descent (instance i on stream
+    child 1000 + i) never beats it."""
+    gen = stream.generator
+    worst_rel = 0.0
+    worst_gap = np.inf
+    for index in range(instances):
+        n = int(gen.integers(6, 25))
+        d = int(gen.integers(2, 6))
+        m = int(gen.integers(1, d + 1))
+        x = stream.gaussians(n, d).reshape(n, d)
+        sol = optimal_score_matrix_solution(x, m)
+        if sol.trailing_eigsum > 1e-12:
+            rel = abs(sol.objective_value - sol.trailing_eigsum) / sol.trailing_eigsum
+            worst_rel = max(worst_rel, rel)
+        best = rank_m_descent(x, m, starts=starts, iters=iters, stream=stream.child(1000 + index))
+        worst_gap = min(worst_gap, best - sol.objective_value)
+    return _record(
+        "optimal_score_matrix",
+        worst_rel <= 1e-8 and worst_gap >= -1e-6,
+        instances=instances,
+        max_identity_rel_err=float(worst_rel),
+        min_descent_gap=float(worst_gap),
+        descent_starts=starts,
+    )
+
+
+def check_small_score_approximation(stream):
+    """The small-score sweep on one random 8x4 instance and 4x4 direction.
+
+    Both errors are O(rho^2) (see ``small_score_approximation``), so each
+    must shrink at least 20x over a decade of rho ending at rho <= 0.1;
+    on the decade up to rho = 1, where the higher-order terms are no
+    longer small, each must still halve.  An order-rho error (such as the
+    substitute without its 1/n) shrinks only about 10x and fails.
+    """
+    x = stream.gaussians(8, 4).reshape(8, 4)
+    direction = stream.gaussians(4, 4).reshape(4, 4)
+    rows = small_score_approximation(x, direction)
+
+    def shrinks(a, b):
+        bar = 20.0 if b.rho <= 0.1 else 2.0
+        return (
+            a.max_prob_error * bar <= b.max_prob_error
+            and a.substitution_error * bar <= b.substitution_error
+        )
+
+    passed = all(shrinks(a, b) for a, b in zip(rows[:-1], rows[1:]))
+    return _record("small_score_approximation", passed, rows=[asdict(r) for r in rows])
+
+
+def run_checks(
+    params, windows, stream, *, heads, bound_instances, score_matrix_instances,
+    descent_starts, descent_iters,
+):
+    """Every check on one stream, in report order; the first two run on
+    the model's next-token logits over the windows."""
+    logits, targets = collect_window_logits(params, windows)
+    return [
+        check_shift_attack(logits, targets, heads, stream),
+        check_softmax_shift(logits),
+        check_jacobian_bound(bound_instances, stream),
+        check_optimal_score_matrix(score_matrix_instances, descent_starts, descent_iters, stream),
+        check_small_score_approximation(stream),
+    ]

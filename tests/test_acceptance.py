@@ -35,14 +35,12 @@ from isoprobe.kernels import (
     uniform_grid,
 )
 from isoprobe.model import grad, train, TrainConfig
-from isoprobe.numerics import RngStream, spectral_norm
+from isoprobe.numerics import RngStream
 from isoprobe.theory import (
+    check_jacobian_bound,
+    check_optimal_score_matrix,
+    check_shift_attack,
     collect_window_logits,
-    attention_jacobian_bound,
-    rank_m_descent,
-    sample_heads,
-    shift_attack,
-    optimal_score_matrix_solution,
 )
 from isoprobe.tokenizer import TokenizerConfig, tokenize_windows
 
@@ -67,94 +65,37 @@ def test_criterion_1_shift_attack(smoke_model, seasonality_series):
     )
     started = time.time()
     logits, targets = collect_window_logits(params, windows)
-    heads = sample_heads(50, params.vocab_size, RngStream(2024, 0))
-    max_tv = 0.0
-    max_loss_delta = 0.0
-    downstream_all_zero = True
-    for head in heads:
-        rec = shift_attack(logits, targets, head)
-        max_tv = max(max_tv, rec.max_tv_distance)
-        max_loss_delta = max(max_loss_delta, abs(rec.loss_after - rec.loss_before))
-        downstream_all_zero &= rec.max_downstream_abs == 0.0
+    check = check_shift_attack(logits, targets, 50, RngStream(2024, 0))
     elapsed = time.time() - started
+    got = check["details"]
     passed = (
-        max_tv <= 1e-12
-        and max_loss_delta <= 1e-12
-        and downstream_all_zero
+        check["passed"]
+        and got["max_tv_distance"] <= 1e-12
+        and got["max_loss_delta"] <= 1e-12
+        and got["max_downstream_abs"] == 0.0
         and elapsed < 10.0
     )
-    report(
-        1,
-        passed,
-        f"shift attack on trained smoke model: max TV {max_tv:.2e}, "
-        f"max loss delta {max_loss_delta:.2e}, downstream all zero: "
-        f"{downstream_all_zero}, {len(heads)} heads, "
-        f"{logits.shape[0]} positions, {elapsed:.1f}s",
-    )
+    report(1, passed, f"shift attack on trained smoke model: {got}, {elapsed:.1f}s")
 
 
 def test_criterion_2_jacobian_bound():
     started = time.time()
-    stream = RngStream(2025, 0)
-    gen = stream.generator
-    holds = 0
-    min_margin = math.inf
-    total = 200
-    for _ in range(total):
-        n = int(gen.integers(1, 9))
-        d = int(gen.integers(1, 7))
-        rows = stream.gaussians(n, d).reshape(n, d)
-        score = stream.gaussians(d, d).reshape(d, d)
-        target = float(gen.uniform(0.0, 2.0))
-        norm = spectral_norm(score)
-        if norm > 0:
-            score *= target / norm
-        rep = attention_jacobian_bound(rows, score)
-        min_margin = min(min_margin, rep.margin)
-        holds += rep.margin >= -1e-6
+    check = check_jacobian_bound(200, RngStream(2025, 0))
     elapsed = time.time() - started
-    passed = holds == total and elapsed < 120.0
-    report(
-        2,
-        passed,
-        f"FD Jacobian norm within proven bound in {holds}/{total} instances, "
-        f"min margin {min_margin:.3e}, {elapsed:.1f}s",
-    )
+    got = check["details"]
+    # the additive row-count term matters: the main-text form alone
+    # fails on some instances
+    passed = check["passed"] and got["main_text_violations"] > 0 and elapsed < 120.0
+    report(2, passed, f"FD Jacobian norm within proven bound: {got}, {elapsed:.1f}s")
 
 
 def test_criterion_3_optimal_score_matrix():
     started = time.time()
-    stream = RngStream(2026, 0)
-    gen = stream.generator
-    total = 100
-    identity_ok = 0
-    descent_ok = 0
-    worst_gap = math.inf
-    for index in range(total):
-        n = int(gen.integers(6, 25))
-        d = int(gen.integers(2, 6))
-        m = int(gen.integers(1, d + 1))
-        rows = stream.gaussians(n, d).reshape(n, d)
-        sol = optimal_score_matrix_solution(rows, m)
-        rel = abs(sol.objective_value - sol.trailing_eigsum) / max(
-            sol.trailing_eigsum, 1e-12
-        )
-        identity_ok += rel <= 1e-8 or sol.trailing_eigsum <= 1e-12
-        best = rank_m_descent(
-            rows, m, starts=20, iters=300, stream=stream.child(500 + index)
-        )
-        gap = best - sol.objective_value
-        worst_gap = min(worst_gap, gap)
-        descent_ok += gap >= -1e-6
+    check = check_optimal_score_matrix(100, 20, 300, RngStream(2026, 0))
     elapsed = time.time() - started
-    passed = identity_ok == total and descent_ok == total and elapsed < 120.0
-    report(
-        3,
-        passed,
-        f"objective equals trailing eigenvalue sum in {identity_ok}/{total}, "
-        f"20-start descent never improves (min gap {worst_gap:.3e}) in "
-        f"{descent_ok}/{total}, {elapsed:.1f}s",
-    )
+    got = check["details"]
+    passed = check["passed"] and elapsed < 120.0
+    report(3, passed, f"closed form matches and beats descent: {got}, {elapsed:.1f}s")
 
 
 def test_criterion_4_gradient_correctness():

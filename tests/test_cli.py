@@ -1,13 +1,15 @@
 """End-to-end pipeline tests: artifacts, manifests, determinism, exits."""
 
+import csv
 import json
+import math
 import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from isoprobe import cli
+from isoprobe import cli, theory
 from isoprobe.cli import main
 from isoprobe.manifest import RunManifest, sha256_file
 
@@ -195,9 +197,12 @@ class TestPipelineArtifacts:
         dirs, _ = pipeline
         assert (dirs["train"] / "model.isop").exists()
         assert (dirs["train"] / "model.isop.json").exists()
-        curve = (dirs["train"] / "loss_curve.csv").read_text().splitlines()
-        assert curve[0] == "step,loss"
-        assert len(curve) > 2
+        with (dirs["train"] / "loss_curve.csv").open(newline="") as handle:
+            assert handle.readline() == "step,loss\n"
+            rows = list(csv.reader(handle))
+        # one numeric row per log_every (default 50) of the 200 steps
+        assert [int(step) for step, _ in rows] == [0, 50, 100, 150]
+        assert all(math.isfinite(float(loss)) for _, loss in rows)
 
     def test_embed_dump_readable(self, pipeline):
         from isoprobe.dumps import EmbeddingDump
@@ -220,9 +225,9 @@ class TestPipelineArtifacts:
 
     def test_verify_failure_exits_4_and_keeps_report(self, pipeline, tmp_path, monkeypatch):
         dirs, _ = pipeline
-        real = cli.small_score_approximation
-        # reversed, the rows stop halving from one rho to the next: the check fails
-        monkeypatch.setattr(cli, "small_score_approximation", lambda *args: real(*args)[::-1])
+        real = theory.small_score_approximation
+        # reversed, the rows stop shrinking from one rho to the next: the check fails
+        monkeypatch.setattr(theory, "small_score_approximation", lambda *args: real(*args)[::-1])
         out = tmp_path / "v"
         cfg = write_config(
             tmp_path / "v.cfg",
@@ -445,3 +450,62 @@ class TestConfigErrors:
         cfg = write_config(tmp_path / "s.cfg", out=str(tmp_path / "s"), length=16)
         assert run_cli("synth", "--config", cfg) == 2
         assert "ISOPROBE_WORKERS" in capsys.readouterr().err
+
+
+def forge_run(run_dir, files):
+    """A run directory holding `files` (relative path -> bytes or text)
+    under a manifest whose hashes match them; a `manifest.json` entry
+    replaces that manifest."""
+    manifest = RunManifest(command="forged", config={}, seed=0)
+    for rel, data in files.items():
+        path = run_dir / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
+        if rel != "manifest.json":
+            manifest.record_output(run_dir, path)
+    if "manifest.json" not in files:
+        manifest.write(run_dir)
+    return run_dir
+
+
+SERIES = "index,value\n0,0.5\n1,-0.5\n2,0.25\n"
+
+
+class TestMalformedArtifacts:
+    """A malformed upstream artifact exits 2 naming its file.  run_cli
+    returns only if main handled the error, so no traceback was printed."""
+
+    @pytest.mark.parametrize(
+        "files, culprit",
+        [
+            ({"manifest.json": "{not json"}, "manifest.json"),
+            ({"manifest.json": '{"command": "synth", "config": {}}'}, "manifest.json"),
+            ({"datasets/x.csv": SERIES + "3\n"}, "datasets/x.csv:5"),
+            ({"datasets/x.csv": SERIES + "3,abc\n"}, "datasets/x.csv:5"),
+            ({"datasets/x.json": "{oops"}, "datasets/x.json"),
+        ],
+        ids=["unparsable_manifest", "manifest_without_seed", "row_without_value",
+             "non_numeric_value", "unparsable_dataset_sidecar"],
+    )
+    def test_malformed_data_run_exits_2(self, tmp_path, capsys, files, culprit):
+        data_dir = forge_run(tmp_path / "d", {"datasets/x.csv": SERIES, **files})
+        cfg = write_config(
+            tmp_path / "t.cfg", out=str(tmp_path / "t"), data=str(data_dir), datasets=["x"],
+            vocab_size=8, dim=2, rank=1, layers=1, steps=1, batch_size=1,
+            context_length=1, horizon=1,
+        )
+        assert run_cli("train", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert str(data_dir / culprit) in err and "Traceback" not in err
+
+    def test_unparsable_model_sidecar_exits_2(self, pipeline, tmp_path, capsys):
+        dirs, _ = pipeline
+        model = (dirs["train"] / "model.isop").read_bytes()
+        model_dir = forge_run(tmp_path / "m", {"model.isop": model, "model.isop.json": "{oops"})
+        cfg = write_config(
+            tmp_path / "e.cfg", out=str(tmp_path / "e"), model=str(model_dir),
+            data=str(dirs["synth"]), datasets=["seasonality_2"],
+        )
+        assert run_cli("embed", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert str(model_dir / "model.isop.json") in err and "Traceback" not in err

@@ -1,4 +1,4 @@
-"""Tests for NMSE, baselines, and the sweep machinery."""
+"""Tests for NMSE, the naive-forecast comparison, and the sweep machinery."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from isoprobe.evalharness import (
     SweepConfig,
     context_length_sweep,
     evaluate_point,
-    naive_baseline,
     nmse,
     noise_sweep,
     sweep_rows_to_csv,
@@ -50,13 +49,6 @@ class TestNmse:
 
 
 class TestNaiveBaseline:
-    def test_repeats_last_value(self):
-        np.testing.assert_array_equal(naive_baseline([1.0, 2.0, 3.0], 2), [3.0, 3.0])
-
-    def test_constant_series_perfect(self):
-        ctx = np.full(8, 2.5)
-        assert nmse(naive_baseline(ctx, 3), np.full(3, 2.5)) == 0.0
-
     def test_trained_model_beats_naive_on_seasonality(self, smoke_model, seasonality_series):
         params, tok_cfg, train_cfg = smoke_model
         x = seasonality_series.values
@@ -78,7 +70,8 @@ class TestNaiveBaseline:
         anchors = t_ctx + np.sort(
             picker.generator.choice(n_anchors, size=32, replace=False)
         )
-        naive_preds = [naive_baseline(x[a - t_ctx : a], horizon) for a in anchors]
+        # the naive forecast repeats the last context value
+        naive_preds = [np.full(horizon, x[a - 1]) for a in anchors]
         truths = [x[a : a + horizon] for a in anchors]
         naive_err = nmse(np.concatenate(naive_preds), np.concatenate(truths))
         assert err < naive_err

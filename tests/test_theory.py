@@ -9,20 +9,21 @@ import pytest
 
 from isoprobe.errors import (
     InvalidArgumentError,
-    NumericFailureError,
     RankDeficiencyError,
 )
 from isoprobe.model import TrainConfig, attention_weights, train
-from isoprobe.numerics import RngStream, spectral_norm
+from isoprobe.numerics import RngStream
+from isoprobe import theory
 from isoprobe.theory import (
+    ApproxSweepRow,
     DownstreamHead,
+    check_small_score_approximation,
     collect_window_logits,
     downstream_value,
     fd_jacobian,
     isotropy_partition,
     jacobian_fd,
     attention_jacobian_bound,
-    partition_function,
     rank_m_descent,
     reconstruction_objective,
     sample_heads,
@@ -33,31 +34,33 @@ from isoprobe.theory import (
 
 
 class TestPartitionFunction:
+    """log Z(u) = log sum_i exp(<row_i, u>) at the isotropy probes u."""
+
     def test_zero_encoding_counts_vocab(self):
-        res = partition_function(np.zeros(3), np.ones((64, 3)))
-        assert res.value == pytest.approx(64.0, rel=1e-14)
+        # every logit is 0, so Z = n at every probe
+        res = isotropy_partition(np.zeros((64, 3)))
+        assert res.log_z_min == res.log_z_max == pytest.approx(math.log(64.0), rel=1e-14)
 
     def test_two_token_hand_value(self):
-        embed = np.array([[0.0], [math.log(3.0)]])
-        res = partition_function(np.array([1.0]), embed)
-        assert res.value == pytest.approx(4.0, rel=1e-14)
-        assert res.log_value == pytest.approx(math.log(4.0), rel=1e-14)
+        # probes +/-1: Z(+1) = 1 + 3 and Z(-1) = 1 + 1/3
+        res = isotropy_partition(np.array([[0.0], [math.log(3.0)]]))
+        assert res.log_z_max == pytest.approx(math.log(4.0), rel=1e-14)
+        assert res.log_z_min == pytest.approx(math.log(4.0 / 3.0), rel=1e-14)
+        assert res.value == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     def test_matches_extended_precision_oracle(self):
         mpmath.mp.dps = 50
         rng = np.random.default_rng(0)
         for _ in range(10):
-            embed = rng.normal(size=(40, 6)) * 3.0
-            enc = rng.normal(size=6)
-            res = partition_function(enc, embed)
-            logits = embed @ enc
-            exact = mpmath.fsum(mpmath.e ** mpmath.mpf(float(v)) for v in logits)
-            assert res.value == pytest.approx(float(exact), rel=1e-12)
-            assert res.log_value == pytest.approx(float(mpmath.log(exact)), rel=1e-12)
-
-    def test_overflow_raises(self):
-        with pytest.raises(NumericFailureError):
-            partition_function(np.array([1000.0]), np.array([[1.0]]))
+            rows = rng.normal(size=(40, 6)) * 3.0
+            res = isotropy_partition(rows)
+            probes = np.linalg.eigh(rows.T @ rows)[1]
+            log_zs = [
+                mpmath.log(mpmath.fsum(mpmath.e ** mpmath.mpf(float(v)) for v in logits))
+                for logits in np.hstack([rows @ probes, -rows @ probes]).T
+            ]
+            assert res.log_z_min == pytest.approx(float(min(log_zs)), rel=1e-12)
+            assert res.log_z_max == pytest.approx(float(max(log_zs)), rel=1e-12)
 
 
 class TestIsotropyPartition:
@@ -223,26 +226,6 @@ class TestAttentionJacobianBound:
         assert rep.measured == pytest.approx(1.0, abs=1e-6)
         assert rep.margin >= -1e-6
 
-    def test_200_random_instances_within_bound(self):
-        stream = RngStream(2025, 0)
-        gen = stream.generator
-        main_text_violations = 0
-        for _ in range(200):
-            n = int(gen.integers(1, 9))
-            d = int(gen.integers(1, 7))
-            rows = stream.gaussians(n, d).reshape(n, d)
-            score = stream.gaussians(d, d).reshape(d, d)
-            target = float(gen.uniform(0.0, 2.0))
-            norm = spectral_norm(score)
-            if norm > 0:
-                score *= target / norm
-            rep = attention_jacobian_bound(rows, score)
-            assert rep.margin >= -1e-6
-            main_text_violations += rep.main_text_violated
-        # the additive row-count term matters: the main-text form alone
-        # fails on some instances
-        assert main_text_violations > 0
-
 
 class TestOptimalScoreMatrix:
     def test_diagonal_spectrum_hand_case(self):
@@ -312,6 +295,24 @@ class TestSmallScoreApproximation:
         for smaller, larger in zip(sweep[:-1], sweep[1:]):  # rho ascending
             assert smaller.max_prob_error <= larger.max_prob_error / 2.0
             assert smaller.substitution_error <= larger.substitution_error / 2.0
+
+    def test_check_passes_every_seed_and_fails_without_one_over_n(self, monkeypatch):
+        seeds = range(2000)
+        assert all(check_small_score_approximation(RngStream(s, 0))["passed"] for s in seeds)
+
+        def dropped_one_over_n(rows, direction):
+            # substitute (11^T + X L X^T) X: an order-rho gap
+            x = rows - rows.mean(axis=0)
+            sweep = []
+            for row in small_score_approximation(rows, direction):
+                score = direction * (row.rho / np.linalg.norm(direction))
+                weights = attention_weights(x, score, causal=False)
+                gap = np.linalg.norm(weights @ x - (1.0 + x @ score @ x.T) @ x)
+                sweep.append(ApproxSweepRow(row.rho, row.max_prob_error, gap))
+            return sweep
+
+        monkeypatch.setattr(theory, "small_score_approximation", dropped_one_over_n)
+        assert not any(check_small_score_approximation(RngStream(s, 0))["passed"] for s in seeds)
 
     def test_centering_reduces_substitution_error(self):
         stream = RngStream(15, 0)

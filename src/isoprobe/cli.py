@@ -24,7 +24,8 @@ import numpy as np
 from . import __version__
 from .dumps import EmbeddingDump
 from .errors import (
-    CheckFailureError, ConfigError, IsoprobeError, MergeRefusedError, MissingInputError
+    CheckFailureError, ConfigError, InvalidArgumentError, IsoprobeError, MergeRefusedError,
+    MissingInputError,
 )
 from .evalharness import (
     SweepConfig, context_length_sweep, noise_sweep, sweep_rows_to_csv, sweep_verdicts
@@ -54,8 +55,8 @@ from .numerics import RngStream, ordered_map
 from .theory import run_checks
 from .tokenizer import TokenizerConfig, tokenize_windows
 
-# A stage declares each config key it reads as (type, default); a key
-# whose default is REQUIRED must be set.
+# A stage declares each config key it reads as (type, default) or
+# (type, default, minimum); a key whose default is REQUIRED must be set.
 REQUIRED = object()
 # the config keys each kind of upstream run adds to a stage that reads it
 UPSTREAM_KEYS = {
@@ -92,8 +93,6 @@ class Run:
 
     def windows(self, tok_cfg, context_length, horizon=0, stride=1, limit=None):
         """Tokenized windows of every loaded dataset, in name order."""
-        if stride < 1:
-            raise ConfigError(f"config field stride: expected >= 1, got {stride}")
         return [
             window
             for name in sorted(self.series)
@@ -143,6 +142,9 @@ def _load_upstream(run, kind):
     if kind == "model":
         path = run_dir / "model.isop"
         run.params, run.meta = load_checkpoint(path)
+        missing = [key for key in ("tokenizer", "context_length", "horizon") if key not in run.meta]
+        if missing:
+            raise InvalidArgumentError(f"{path}.json: model sidecar lacks {', '.join(missing)}")
         run.tok_cfg = TokenizerConfig.from_dict(run.meta["tokenizer"])
         run.inputs.append(path)
     elif kind == "embeddings":
@@ -175,10 +177,11 @@ def run_stage(stage, config_path, overrides, workers):
     unknown = [key for key in cfg if key not in keys]
     if unknown:
         raise ConfigError(f"{stage.name}: unknown config key {', '.join(unknown)}")
-    opts = {
-        key: take_config(cfg, key, default, required=default is REQUIRED, kind=kind)
-        for key, (kind, default) in keys.items()
-    }
+    opts = {}
+    for key, (kind, default, *minimum) in keys.items():
+        opts[key] = take_config(cfg, key, default, required=default is REQUIRED, kind=kind)
+        if minimum and opts[key] is not None and opts[key] < minimum[0]:
+            raise ConfigError(f"config field {key}: expected >= {minimum[0]}, got {opts[key]}")
     out_dir = Path(opts["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     run = Run(opts, out_dir, _worker_count(workers))
@@ -301,6 +304,8 @@ def _embed(run):
 def _analyze(run):
     """Isotropy report plus top-3 PCA plot data per layer."""
     opt = run.opts
+    if opt["k_max"] < opt["k_min"]:
+        raise ConfigError(f"config field k_max: {opt['k_max']} is below k_min {opt['k_min']}")
     layers = []
     plot_lines = ["layer,pc1,pc2,pc3,cluster_id,token_id"]
     for layer in run.dump.layer_ids():
@@ -433,21 +438,21 @@ STAGES = (
         {"vocab_size": (int, 512), "clip_low": (float, -15.0), "clip_high": (float, 15.0),
          "learning_rate": (float, 0.05), "steps": (int, 5000), "batch_size": (int, 32),
          "context_length": (int, 16), "horizon": (int, 4), "log_every": (int, 50),
-         "stride": (int, 1), "dim": (int, 64), "rank": (int, 16), "layers": (int, 2)},
+         "stride": (int, 1, 1), "dim": (int, 64), "rank": (int, 16), "layers": (int, 2)},
         inputs=("data",),
     ),
     Stage(
         "embed",
         _embed,
         # context_length defaults to the model's
-        {"context_length": (int, None), "stride": (int, 4), "max_windows": (int, 64),
+        {"context_length": (int, None), "stride": (int, 4, 1), "max_windows": (int, 64),
          "layers": (list, None)},
         inputs=("model", "data"),
     ),
     Stage(
         "analyze",
         _analyze,
-        {"pair_budget": (int, 10000), "k_min": (int, 2), "k_max": (int, 10),
+        {"pair_budget": (int, 10000, 1), "k_min": (int, 2, 2), "k_max": (int, 10),
          "eps": (list, [0.8, 0.9])},
         inputs=("embeddings",),
     ),
@@ -455,18 +460,18 @@ STAGES = (
         "verify",
         _verify,
         {"context_length": (int, 16), "horizon": (int, 4), "trace_windows": (int, 8),
-         "heads": (int, 50), "bound_instances": (int, 200),
-         "score_matrix_instances": (int, 100), "descent_starts": (int, 20),
-         "descent_iters": (int, 300)},
+         "heads": (int, 50, 1), "bound_instances": (int, 200, 1),
+         "score_matrix_instances": (int, 100, 1), "descent_starts": (int, 20, 1),
+         "descent_iters": (int, 300, 1)},
         inputs=("model", "data"),
     ),
     Stage(
         "eval",
         _eval,
         # horizon and context_length default to the model's
-        {"variable": (str, REQUIRED), "values": (list, REQUIRED), "seeds": (int, 20),
-         "horizon": (int, None), "windows": (int, 32), "sample_count": (int, 20),
-         "context_length": (int, None), "pair_budget": (int, 10000), "k_max": (int, 10)},
+        {"variable": (str, REQUIRED), "values": (list, REQUIRED), "seeds": (int, 20, 1),
+         "horizon": (int, None), "windows": (int, 32, 1), "sample_count": (int, 20, 1),
+         "context_length": (int, None), "pair_budget": (int, 10000, 1), "k_max": (int, 10, 2)},
         inputs=("model", "data"),
     ),
     Stage("report", _report, {"runs": (list, REQUIRED)}, manifest=False),

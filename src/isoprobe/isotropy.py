@@ -62,40 +62,38 @@ def _nonzero_instances(instances):
     return clean, dropped
 
 
-def _cosine(u, v):
-    return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
-
-
 def _pair_expectation(instances, pair_budget, stream):
     """Expected cosine over pairs of distinct tokens, one freshly sampled
     instance per token per pair.  Enumerates every token pair when that
-    is within budget, otherwise Monte-Carlo samples pair_budget pairs."""
+    is within budget (drawing every instance index at once: i's then j's
+    per pair, none for a one-instance token), otherwise Monte-Carlo
+    samples pair_budget pairs one draw at a time.  The cosines are one
+    row-wise operation either way."""
     tokens = sorted(instances)
     k = len(tokens)
-    total_pairs = k * (k - 1) // 2
-    exhaustive = total_pairs <= pair_budget
-
-    def draw(token):
-        vecs = instances[token]
-        idx = stream.uniform_choice(len(vecs)) if len(vecs) > 1 else 0
-        return vecs[idx]
-
-    acc = 0.0
-    count = 0
+    exhaustive = k * (k - 1) // 2 <= pair_budget
+    sizes = np.array([len(instances[t]) for t in tokens])
     if exhaustive:
-        for i in range(k):
-            for j in range(i + 1, k):
-                acc += _cosine(draw(tokens[i]), draw(tokens[j]))
-                count += 1
+        pairs = np.stack(np.triu_indices(k, 1), axis=1).ravel()
+        highs = sizes[pairs]
+        picks = np.zeros(pairs.size, dtype=np.int64)
+        picks[highs > 1] = stream.generator.integers(0, highs[highs > 1])
     else:
+        pairs, picks = [], []
         for _ in range(pair_budget):
             i = stream.uniform_choice(k)
             j = stream.uniform_choice(k - 1)
             if j >= i:
                 j += 1
-            acc += _cosine(draw(tokens[i]), draw(tokens[j]))
-            count += 1
-    return acc / count, count, exhaustive
+            for t in (i, j):
+                pairs.append(t)
+                picks.append(stream.uniform_choice(sizes[t]) if sizes[t] > 1 else 0)
+    flat = np.concatenate([instances[t] for t in tokens])
+    starts = np.cumsum(sizes) - sizes
+    rows = flat[starts[pairs] + np.asarray(picks, dtype=np.int64)]
+    u, v = rows[0::2], rows[1::2]
+    cos = np.einsum("ij,ij->i", u, v) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+    return float(cos.mean()), len(cos), exhaustive
 
 
 def inter_token_cos(dump, layer, pair_budget=10000, stream=None):
@@ -126,12 +124,8 @@ class Clustering:
     mean_silhouette: float | None = None
 
 
-def _dist_sq(x, centroids):
-    d2 = (
-        np.sum(x * x, axis=1)[:, None]
-        - 2.0 * x @ centroids.T
-        + np.sum(centroids * centroids, axis=1)[None, :]
-    )
+def _dist_sq(x, x_sq, centroids):
+    d2 = x_sq[:, None] - 2.0 * x @ centroids.T + np.sum(centroids * centroids, axis=1)[None, :]
     return np.maximum(d2, 0.0)
 
 
@@ -154,13 +148,16 @@ def _kmeans_pp_init(x, k, stream):
 
 
 def _lloyd(x, centroids, max_iter, tol):
-    k = centroids.shape[0]
+    """Lloyd iteration from the given centroids: row norms once per run,
+    and per iteration one one-hot product, (members.T @ x) / counts, for
+    the new centroids once any empty cluster is reseeded."""
+    n, k = x.shape[0], centroids.shape[0]
+    x_sq = np.sum(x * x, axis=1)
     history = []
-    assignment = None
-    for iteration in range(max_iter):
-        d2 = _dist_sq(x, centroids)
+    for _ in range(max_iter):
+        d2 = _dist_sq(x, x_sq, centroids)
         assignment = np.argmin(d2, axis=1)
-        own = d2[np.arange(x.shape[0]), assignment]
+        own = d2[np.arange(n), assignment]
         counts = np.bincount(assignment, minlength=k)
         for c in np.flatnonzero(counts == 0):
             # reseed an empty cluster at the farthest point whose own
@@ -172,16 +169,16 @@ def _lloyd(x, centroids, max_iter, tol):
             counts[c] = 1
             own[far] = 0.0
         history.append(float(own.sum()))
-        new_centroids = np.empty_like(centroids)
-        for c in range(k):
-            new_centroids[c] = x[assignment == c].mean(axis=0)
+        members = np.zeros((n, k))
+        members[np.arange(n), assignment] = 1.0
+        new_centroids = (members.T @ x) / counts[:, None]
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
         if shift < tol:
             break
-    d2 = _dist_sq(x, centroids)
+    d2 = _dist_sq(x, x_sq, centroids)
     assignment = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(x.shape[0]), assignment].sum())
+    inertia = float(d2[np.arange(n), assignment].sum())
     return assignment, centroids, inertia, len(history), history
 
 
@@ -202,14 +199,7 @@ def kmeans(x, k, stream=None, *, restarts=5, max_iter=300, tol=1e-8):
         init = _kmeans_pp_init(data, k, stream)
         assignment, centroids, inertia, iters, history = _lloyd(data, init, max_iter, tol)
         if best is None or inertia < best.inertia:
-            best = Clustering(
-                k=k,
-                assignment=assignment,
-                centroids=centroids,
-                inertia=inertia,
-                iterations=iters,
-                inertia_history=np.asarray(history),
-            )
+            best = Clustering(k, assignment, centroids, inertia, iters, np.asarray(history))
     return best
 
 
@@ -218,29 +208,29 @@ def kmeans(x, k, stream=None, *, restarts=5, max_iter=300, tol=1e-8):
 _SILHOUETTE_BLOCK_BYTES = 1 << 21
 
 
-def silhouette(x, clustering):
-    """Per-point silhouette scores and their mean (Euclidean distances).
+def silhouette(x, clusterings):
+    """Per-point silhouette scores and their mean (Euclidean distances),
+    as one (scores, mean) pair per clustering of the same rows.
 
     a(p): mean distance to the rest of p's cluster (singletons score 0);
     b(p): smallest mean distance to another non-empty cluster;
-    s = (b-a)/max(a,b).
+    s = (b-a)/max(a,b).  Every clustering's one-hot membership columns
+    are stacked, so one blocked pass over the distances serves them all.
     """
     data = as_matrix(x, "data")
     n, dim = data.shape
-    k = clustering.k
-    if k < 2:
+    if min((c.k for c in clusterings), default=0) < 2:
         raise InvalidArgumentError("silhouette needs at least 2 clusters")
-    assignment = np.asarray(clustering.assignment)
-    members = np.zeros((n, k))
-    members[np.arange(n), assignment] = 1.0
-    counts = members.sum(axis=0)
-    if np.count_nonzero(counts) < 2:
-        raise InvalidArgumentError("silhouette needs at least 2 non-empty clusters")
+    assignments = [np.asarray(c.assignment) for c in clusterings]
+    offsets = np.cumsum([0] + [c.k for c in clusterings])
+    members = np.zeros((n, offsets[-1]))
+    for assignment, offset in zip(assignments, offsets):
+        members[np.arange(n), offset + assignment] = 1.0
     # Per-cluster distance sums over the upper triangle of the distance
     # matrix in row blocks; a block also counts, mirrored, for the later
     # rows.  Difference-based distances avoid the cancellation of the
     # expanded quadratic form.
-    sums = np.zeros((n, k))
+    sums = np.zeros_like(members)
     rows = max(1, _SILHOUETTE_BLOCK_BYTES // (8 * n * max(dim, 1)))
     for start in range(0, n, rows):
         stop = min(start + rows, n)
@@ -248,15 +238,21 @@ def silhouette(x, clustering):
         dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         sums[start:stop] += dist @ members[start:]
         sums[stop:] += dist[:, stop - start :].T @ members[start:stop]
-    own = counts[assignment]
-    a = sums[np.arange(n), assignment] / np.maximum(own - 1, 1)
-    means = np.where(counts > 0, sums / np.maximum(counts, 1), np.inf)
-    means[np.arange(n), assignment] = np.inf
-    b = means.min(axis=1)
-    denom = np.maximum(a, b)
-    # singletons score 0
-    scores = np.divide(b - a, denom, out=np.zeros(n), where=(own > 1) & (denom > 0))
-    return scores, float(scores.mean())
+    results = []
+    for assignment, lo, hi in zip(assignments, offsets, offsets[1:]):
+        counts = members[:, lo:hi].sum(axis=0)
+        if np.count_nonzero(counts) < 2:
+            raise InvalidArgumentError("silhouette needs at least 2 non-empty clusters")
+        own = counts[assignment]
+        a = sums[np.arange(n), lo + assignment] / np.maximum(own - 1, 1)
+        means = np.where(counts > 0, sums[:, lo:hi] / np.maximum(counts, 1), np.inf)
+        means[np.arange(n), assignment] = np.inf
+        b = means.min(axis=1)
+        denom = np.maximum(a, b)
+        # singletons score 0
+        scores = np.divide(b - a, denom, out=np.zeros(n), where=(own > 1) & (denom > 0))
+        results.append((scores, float(scores.mean())))
+    return results
 
 
 @dataclass
@@ -270,28 +266,25 @@ class ClusterSelection:
 def select_cluster_count(x, k_range=range(2, 11), stream=None):
     """Pick the cluster count with the highest mean silhouette.
 
-    Ties resolve to the smallest k; a winning silhouette below 0.3 sets
-    the low_silhouette flag (weak cluster structure)."""
+    k-means runs for every feasible k first, in k order on the stream;
+    then one silhouette pass scores them all.  Ties resolve to the
+    smallest k; a winning silhouette below 0.3 sets the low_silhouette
+    flag (weak cluster structure)."""
     data = as_matrix(x, "data")
     if stream is None:
         stream = RngStream(0, 0)
     candidates = [k for k in k_range if 2 <= k <= data.shape[0]]
     if not candidates:
         raise InvalidArgumentError("no feasible cluster counts in range")
-    scores = {}
-    clusterings = {}
-    for k in candidates:
-        clustering = kmeans(data, k, stream)
-        _, mean_score = silhouette(data, clustering)
+    clusterings = [kmeans(data, k, stream) for k in candidates]
+    for clustering, (_, mean_score) in zip(clusterings, silhouette(data, clusterings)):
         clustering.mean_silhouette = mean_score
-        scores[k] = mean_score
-        clusterings[k] = clustering
-    best_k = max(candidates, key=lambda k: (scores[k], -k))
+    best = max(clusterings, key=lambda c: (c.mean_silhouette, -c.k))
     return ClusterSelection(
-        best_k=best_k,
-        clustering=clusterings[best_k],
-        scores=scores,
-        low_silhouette=scores[best_k] < 0.3,
+        best_k=best.k,
+        clustering=best,
+        scores={c.k: c.mean_silhouette for c in clusterings},
+        low_silhouette=best.mean_silhouette < 0.3,
     )
 
 

@@ -238,7 +238,7 @@ def test_criterion_7_isotropy_calibration():
     rng = np.random.default_rng(2034)
     x = rng.normal(size=(500, 4))
     clustering = kmeans(x, 5, RngStream(2035, 0))
-    scores, mean_score = silhouette(x, clustering)
+    scores, mean_score = silhouette(x, [clustering])[0]
     assign = clustering.assignment
     worst = 0.0
     for p in range(len(x)):

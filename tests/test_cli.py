@@ -438,6 +438,39 @@ class TestConfigErrors:
         assert "log_every" in capsys.readouterr().err
         assert not (out / "model.isop").exists()
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("analyze", "pair_budget", 0),
+            ("analyze", "k_min", 1),
+            ("analyze", "k_max", 3),  # below k_min = 4
+            ("eval", "pair_budget", 0),
+            ("eval", "windows", 0),
+            ("eval", "sample_count", 0),
+            ("eval", "seeds", 0),
+            ("eval", "k_max", 1),
+            ("verify", "heads", 0),
+            ("verify", "bound_instances", 0),
+            ("verify", "score_matrix_instances", 0),
+            ("verify", "descent_starts", 0),
+            ("verify", "descent_iters", 0),
+        ],
+    )
+    def test_out_of_range_value_exits_2_naming_key(
+        self, pipeline, tmp_path, capsys, command, key, value
+    ):
+        dirs, _ = pipeline
+        upstream = {"embeddings": str(dirs["embed"]), "k_min": 4}
+        if command != "analyze":
+            upstream = {"model": str(dirs["train"]), "data": str(dirs["synth"]),
+                        "datasets": ["seasonality_2"]}
+        if command == "eval":
+            upstream.update(variable="noise", values=[0.0, 0.05])
+        cfg = write_config(tmp_path / "c.cfg", out=str(tmp_path / "o"), **{**upstream, key: value})
+        assert run_cli(command, "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert f"config field {key}" in err and "Traceback" not in err
+
     def test_duplicate_key_exits_2_naming_key_and_line(self, tmp_path, capsys):
         cfg = tmp_path / "d.cfg"
         cfg.write_text(f'out = "{tmp_path / "o"}"\nlength = 64\nlength = 32\n')
@@ -497,6 +530,24 @@ class TestMalformedArtifacts:
         assert run_cli("train", "--config", cfg) == 2
         err = capsys.readouterr().err
         assert str(data_dir / culprit) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["tokenizer", "context_length", "horizon"])
+    def test_model_sidecar_without_key_exits_2(self, pipeline, tmp_path, capsys, key):
+        dirs, _ = pipeline
+        model = (dirs["train"] / "model.isop").read_bytes()
+        meta = json.loads((dirs["train"] / "model.isop.json").read_text())
+        del meta[key]
+        model_dir = forge_run(
+            tmp_path / "m", {"model.isop": model, "model.isop.json": json.dumps(meta)}
+        )
+        cfg = write_config(
+            tmp_path / "e.cfg", out=str(tmp_path / "e"), model=str(model_dir),
+            data=str(dirs["synth"]), datasets=["seasonality_2"],
+        )
+        assert run_cli("embed", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert str(model_dir / "model.isop.json") in err and key in err
+        assert "Traceback" not in err
 
     def test_unparsable_model_sidecar_exits_2(self, pipeline, tmp_path, capsys):
         dirs, _ = pipeline

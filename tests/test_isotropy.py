@@ -32,6 +32,11 @@ def make_dump(vectors, token_ids, layer=1):
     )
 
 
+def rng_state(stream):
+    """The stream's full generator state (counter, key and buffers)."""
+    return repr(stream.generator.bit_generator.state)
+
+
 def axis_cross(dim, scale=1.0):
     return np.vstack([np.eye(dim), -np.eye(dim)]) * scale
 
@@ -135,6 +140,58 @@ class TestInterTokenCos:
         )
 
 
+def pair_expectation_oracle(instances, pair_budget, stream):
+    """Expected pair cosine one pair at a time: i's instance draw, then
+    j's, and no draw for a token with one instance."""
+    tokens = sorted(instances)
+    k = len(tokens)
+    exhaustive = k * (k - 1) // 2 <= pair_budget
+
+    def draw(token):
+        vecs = instances[token]
+        return vecs[stream.uniform_choice(len(vecs)) if len(vecs) > 1 else 0]
+
+    def cosine(u, v):
+        return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
+
+    acc, count = 0.0, 0
+    if exhaustive:
+        for i in range(k):
+            for j in range(i + 1, k):
+                acc += cosine(draw(tokens[i]), draw(tokens[j]))
+                count += 1
+    else:
+        for _ in range(pair_budget):
+            i = stream.uniform_choice(k)
+            j = stream.uniform_choice(k - 1)
+            if j >= i:
+                j += 1
+            acc += cosine(draw(tokens[i]), draw(tokens[j]))
+            count += 1
+    return acc / count, count, exhaustive
+
+
+class TestPairExpectation:
+    @pytest.fixture
+    def instances(self):
+        rng = np.random.default_rng(50)
+        sizes = rng.integers(1, 6, size=40)
+        assert (sizes == 1).any()  # some tokens draw nothing
+        return {int(t): rng.normal(size=(int(size), 8)) for t, size in enumerate(sizes)}
+
+    @pytest.mark.parametrize("pair_budget, exhaustive", [(10_000, True), (300, False)])
+    def test_matches_scalar_loop(self, instances, pair_budget, exhaustive):
+        fast_stream, slow_stream = RngStream(51, 0), RngStream(51, 0)
+        value, count, fast_exhaustive = isotropy._pair_expectation(
+            instances, pair_budget, fast_stream
+        )
+        expected, expected_count, _ = pair_expectation_oracle(instances, pair_budget, slow_stream)
+        assert fast_exhaustive == exhaustive
+        assert count == expected_count == (40 * 39 // 2 if exhaustive else pair_budget)
+        assert value == pytest.approx(expected, abs=1e-13)
+        assert rng_state(fast_stream) == rng_state(slow_stream)
+
+
 class TestKmeans:
     def test_two_blobs_recovered(self):
         rng = np.random.default_rng(8)
@@ -204,14 +261,14 @@ class TestSilhouette:
             [rng.normal(size=(100, 2)) * 0.2, rng.normal(size=(100, 2)) * 0.2 + 50.0]
         )
         clustering = kmeans(x, 2, RngStream(17, 0))
-        _, mean_score = silhouette(x, clustering)
+        _, mean_score = silhouette(x, [clustering])[0]
         assert mean_score > 0.9
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(18)
         x = rng.normal(size=(500, 4))
         clustering = kmeans(x, 5, RngStream(19, 0))
-        scores, mean_score = silhouette(x, clustering)
+        scores, mean_score = silhouette(x, [clustering])[0]
         direct = silhouette_oracle(x, clustering)
         np.testing.assert_allclose(scores, direct, atol=1e-12)
         assert mean_score == pytest.approx(direct.mean(), abs=1e-12)
@@ -232,7 +289,7 @@ class TestSilhouette:
             iterations=0,
             inertia_history=np.array([0.0]),
         )
-        scores, mean_score = silhouette(x, clustering)
+        scores, mean_score = silhouette(x, [clustering])[0]
         direct = silhouette_oracle(x, clustering)
         assert scores[7] == 0.0
         np.testing.assert_allclose(scores, direct, atol=1e-12)
@@ -248,7 +305,7 @@ class TestSilhouette:
             iterations=0,
             inertia_history=np.array([0.0]),
         )
-        scores, mean_score = silhouette(x, clustering)
+        scores, mean_score = silhouette(x, [clustering])[0]
         np.testing.assert_allclose(scores, 1.0)  # a=0, b>0 for every point
         assert mean_score == 1.0
 
@@ -256,14 +313,90 @@ class TestSilhouette:
         rng = np.random.default_rng(20)
         x = rng.normal(size=(100, 3))
         clustering = kmeans(x, 4, RngStream(21, 0))
-        scores, _ = silhouette(x, clustering)
+        scores, _ = silhouette(x, [clustering])[0]
         assert np.all(scores >= -1.0) and np.all(scores <= 1.0)
 
     def test_single_cluster_rejected(self):
         x = np.eye(3)
         clustering = kmeans(x, 1, RngStream(0, 0))
         with pytest.raises(InvalidArgumentError):
-            silhouette(x, clustering)
+            silhouette(x, [clustering])
+
+
+def select_oracle(x, k_range, stream):
+    """The per-k selection loop: k-means, then a one-pair-at-a-time
+    silhouette, for each k in turn."""
+    clusterings, scores = {}, {}
+    for k in k_range:
+        clusterings[k] = kmeans(x, k, stream)
+        scores[k] = float(silhouette_oracle(x, clusterings[k]).mean())
+    best_k = max(scores, key=lambda k: (scores[k], -k))
+    return best_k, clusterings, scores
+
+
+def near_tie_rows():
+    # four blobs on a 4.265 x 10 rectangle: two columns (k = 2) and four
+    # corners (k = 4) score within 1e-3 of each other
+    rng = np.random.default_rng(40)
+    centers = np.array([[0.0, 0.0], [4.265, 0.0], [0.0, 10.0], [4.265, 10.0]])
+    return np.vstack([rng.normal(size=(30, 2)) * 0.6 + c for c in centers])
+
+
+def repeated_rows():
+    # 4 distinct rows, 3 copies each: every k >= 5 starts with coincident
+    # centroids, so Lloyd must reseed an empty cluster
+    return np.repeat(np.random.default_rng(42).normal(size=(4, 3)), 3, axis=0)
+
+
+def blob_rows():
+    rng = np.random.default_rng(44)
+    centers = np.array([[0.0, 0.0, 0.0], [6.0, 0.0, 1.0], [0.0, 6.0, -1.0]])
+    return np.vstack([rng.normal(size=(50, 3)) + c for c in centers])
+
+
+class TestFusedSelection:
+    @pytest.mark.parametrize(
+        "rows, k_range",
+        [(blob_rows, range(2, 11)), (near_tie_rows, range(2, 7)), (repeated_rows, range(2, 12))],
+        ids=["blobs", "near_tie", "k_near_n"],
+    )
+    def test_matches_per_k_oracle(self, rows, k_range):
+        x = rows()
+        fused_stream, oracle_stream = RngStream(45, 0), RngStream(45, 0)
+        sel = select_cluster_count(x, k_range, fused_stream)
+        best_k, clusterings, scores = select_oracle(x, k_range, oracle_stream)
+        assert sel.best_k == best_k
+        assert sel.scores.keys() == scores.keys()
+        for k, score in scores.items():
+            assert sel.scores[k] == pytest.approx(score, abs=1e-12)
+        np.testing.assert_array_equal(sel.clustering.assignment, clusterings[best_k].assignment)
+        assert sel.clustering.iterations == clusterings[best_k].iterations
+        assert rng_state(fused_stream) == rng_state(oracle_stream)
+
+    def test_near_tie_is_near(self):
+        scores = sorted(select_oracle(near_tie_rows(), range(2, 7), RngStream(45, 0))[2].values())
+        assert scores[-1] - scores[-2] < 1e-3
+
+    def test_scores_every_clustering_in_one_pass(self):
+        rng = np.random.default_rng(46)
+        x = rng.normal(size=(90, 5))
+        clusterings = [kmeans(x, k, RngStream(47, k)) for k in (2, 3, 7)]
+        fused = silhouette(x, clusterings)
+        assert len(fused) == 3
+        for clustering, (scores, mean_score) in zip(clusterings, fused):
+            direct = silhouette_oracle(x, clustering)
+            np.testing.assert_allclose(scores, direct, atol=1e-12)
+            assert mean_score == pytest.approx(direct.mean(), abs=1e-12)
+
+    def test_one_hot_centroids_match_mask_means(self):
+        rng = np.random.default_rng(48)
+        x = rng.normal(size=(300, 6)) + 3.0
+        init = x[rng.choice(300, size=7, replace=False)]
+        _, centroids, _, _, _ = isotropy._lloyd(x, init, 1, 0.0)
+        d2 = ((x[:, None, :] - init[None, :, :]) ** 2).sum(axis=2)
+        first = np.argmin(d2, axis=1)
+        means = np.array([x[first == c].mean(axis=0) for c in range(7)])
+        np.testing.assert_allclose(centroids, means, rtol=0, atol=1e-12)
 
 
 class TestSelectClusterCount:

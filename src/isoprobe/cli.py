@@ -289,12 +289,16 @@ def _train(run):
 def _embed(run):
     """Dump per-position contextual embeddings over evaluation windows."""
     opt = run.opts
+    if opt["layers"] == []:
+        raise ConfigError("config field layers: expected at least one layer id")
+    context_length = run.model_default("context_length")
     windows = run.windows(
-        run.tok_cfg,
-        run.model_default("context_length"),
-        stride=opt["stride"],
-        limit=opt["max_windows"],
+        run.tok_cfg, context_length, stride=opt["stride"], limit=opt["max_windows"]
     )
+    if not windows:
+        raise ConfigError(
+            f"config field context_length: no dataset holds a window of {context_length} values"
+        )
     dump = dump_embeddings(run.params, windows, layer_ids=opt["layers"])
     dump_path = dump.write(run.out_dir / "embeddings.isoemb")
     click.echo(f"embed: {dump.record_count} records -> {dump_path}")
@@ -332,7 +336,7 @@ def _verify(run):
     """Machine-check the structural guarantees; exit 0 iff all pass."""
     opt = run.opts
     # the first `keep` windows of each dataset hold the first `keep` of all
-    keep = max(opt["trace_windows"], 1)
+    keep = opt["trace_windows"]
     windows = run.windows(run.tok_cfg, opt["context_length"], opt["horizon"], 16, keep)[:keep]
     sizes = ("heads", "bound_instances", "score_matrix_instances", "descent_starts",
              "descent_iters")
@@ -429,23 +433,24 @@ STAGES = (
     Stage(
         "synth",
         _synth,
-        {"mode": (str, "table"), "length": (int, 1024), "standardize": (bool, True),
-         "count": (int, 10), "max_kernels": (int, 5)},
+        {"mode": (str, "table"), "length": (int, 1024, 2), "standardize": (bool, True),
+         "count": (int, 10, 1), "max_kernels": (int, 5, 1)},
     ),
     Stage(
         "train",
         _train,
-        {"vocab_size": (int, 512), "clip_low": (float, -15.0), "clip_high": (float, 15.0),
-         "learning_rate": (float, 0.05), "steps": (int, 5000), "batch_size": (int, 32),
-         "context_length": (int, 16), "horizon": (int, 4), "log_every": (int, 50),
-         "stride": (int, 1, 1), "dim": (int, 64), "rank": (int, 16), "layers": (int, 2)},
+        {"vocab_size": (int, 512, 2), "clip_low": (float, -15.0), "clip_high": (float, 15.0),
+         "learning_rate": (float, 0.05), "steps": (int, 5000, 1), "batch_size": (int, 32, 1),
+         "context_length": (int, 16, 2), "horizon": (int, 4, 1), "log_every": (int, 50, 1),
+         "stride": (int, 1, 1), "dim": (int, 64, 1), "rank": (int, 16, 1),
+         "layers": (int, 2, 1)},
         inputs=("data",),
     ),
     Stage(
         "embed",
         _embed,
         # context_length defaults to the model's
-        {"context_length": (int, None), "stride": (int, 4, 1), "max_windows": (int, 64),
+        {"context_length": (int, None, 2), "stride": (int, 4, 1), "max_windows": (int, 64, 1),
          "layers": (list, None)},
         inputs=("model", "data"),
     ),
@@ -459,7 +464,7 @@ STAGES = (
     Stage(
         "verify",
         _verify,
-        {"context_length": (int, 16), "horizon": (int, 4), "trace_windows": (int, 8),
+        {"context_length": (int, 16, 2), "horizon": (int, 4, 1), "trace_windows": (int, 8, 1),
          "heads": (int, 50, 1), "bound_instances": (int, 200, 1),
          "score_matrix_instances": (int, 100, 1), "descent_starts": (int, 20, 1),
          "descent_iters": (int, 300, 1)},
@@ -470,8 +475,9 @@ STAGES = (
         _eval,
         # horizon and context_length default to the model's
         {"variable": (str, REQUIRED), "values": (list, REQUIRED), "seeds": (int, 20, 1),
-         "horizon": (int, None), "windows": (int, 32, 1), "sample_count": (int, 20, 1),
-         "context_length": (int, None), "pair_budget": (int, 10000, 1), "k_max": (int, 10, 2)},
+         "horizon": (int, None, 1), "windows": (int, 32, 1), "sample_count": (int, 20, 1),
+         "context_length": (int, None, 2), "pair_budget": (int, 10000, 1),
+         "k_max": (int, 10, 2)},
         inputs=("model", "data"),
     ),
     Stage("report", _report, {"runs": (list, REQUIRED)}, manifest=False),

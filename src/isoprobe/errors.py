@@ -59,7 +59,7 @@ class NumericFailureError(IsoprobeError):
 
 
 class NotPositiveSemidefiniteError(NumericFailureError):
-    """Cholesky failed even after exhausting the jitter policy."""
+    """Cholesky failed even after exhausting the jitter ladder."""
 
 
 class GenerationFailureError(NumericFailureError):

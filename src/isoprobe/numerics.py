@@ -2,9 +2,10 @@
 
 All routines work on 64-bit float numpy arrays and are pure functions of
 their inputs, so they are safe to call from multiple threads.  The
-eigendecomposition is a round-robin Jacobi iteration implemented here
-rather than delegated to LAPACK, which keeps results bit-identical across
-platforms and lets us pin the tie-break and sign conventions.
+eigendecomposition is LAPACK's symmetric solver with pinned order and
+sign conventions.  Like the BLAS products that feed it, its bits depend
+on the numpy and BLAS build, so the invariant is per machine: the same
+config gives the same hashes on one machine, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -54,116 +55,41 @@ class EigenDecomposition:
 
     ``eigenvectors`` holds unit-norm eigenvectors as columns, matching
     the eigenvalue order.  Sign convention: the largest-magnitude entry
-    of every eigenvector is positive.  Equal eigenvalues keep the order of
-    their diagonal positions after the round-robin sweeps (a stable sort).
+    of every eigenvector is positive.  Equal eigenvalues keep LAPACK's
+    output order (a stable sort); their eigenvectors are an orthonormal
+    basis of the shared eigenspace, fixed by the input bits.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
-def _round_robin_pairs(n):
-    """Brent-Luk round-robin ordering: n - 1 rounds (n rounded up to even)
-    of disjoint index pairs, as arrays (p, q) with p < q, that pair every
-    index with every other once.  Index 0 stays put while the others
-    rotate; for odd n, the index drawn against the phantom n sits out."""
-    m = n + n % 2
-    rounds = []
-    for r in range(m - 1):
-        order = [0] + [1 + (i + r) % (m - 1) for i in range(m - 1)]
-        pairs = sorted(
-            (min(i, j), max(i, j)) for i, j in zip(order[: m // 2], order[::-1]) if max(i, j) < n
-        )
-        rounds.append(np.array(pairs).T)
-    return rounds
+def sym_eigendecompose(m):
+    """Full eigendecomposition of a symmetric matrix by LAPACK's ``eigh``.
 
-
-def sym_eigendecompose(m, *, max_sweeps=60):
-    """Full eigendecomposition of a symmetric matrix via Jacobi rotations.
-
-    Each sweep visits every off-diagonal pivot once, in round-robin
-    order: a round rotates floor(n/2) disjoint (p, q) planes at once.
     Raises InvalidArgumentError for non-square or asymmetric input and
-    NumericFailureError (with the sweep count) if the off-diagonal mass
-    has not vanished after ``max_sweeps`` sweeps.
+    NumericFailureError if LAPACK reports no convergence.
     """
     a = _require_symmetric(as_matrix(m), "matrix")
-    n = a.shape[0]
-    v = np.eye(n)
-    if n <= 1:
-        return EigenDecomposition(np.diag(a).copy(), v)
-
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
-        return EigenDecomposition(np.zeros(n), v)
-    tol = 1e-14 * fro
-    # Pivots below this leave the total off-diagonal mass under tol even
-    # if every one of them is skipped.
-    small = tol / (n * n)
-    rounds = _round_robin_pairs(n)
-
-    converged = False
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off <= tol:
-            converged = True
-            break
-        for p, q in rounds:
-            live = np.abs(a[p, q]) > small
-            p, q = p[live], q[live]
-            if not p.size:
-                continue
-            apq, app, aqq = a[p, q], a[p, p], a[q, q]
-            tau = (aqq - app) / (2.0 * apq)
-            # hypot keeps t = 1/(2 tau) finite for huge tau
-            t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            # The planes are disjoint, so rotating all their columns and then
-            # all their rows (the columns of a.T) is one orthogonal similarity.
-            # The 2x2 blocks then take the exact annihilation formulas, and
-            # averaging with the transpose restores the symmetry that
-            # rounding broke.
-            for x in (a, a.T, v):
-                xp, xq = x[:, p], x[:, q]
-                x[:, p], x[:, q] = c * xp - s * xq, s * xp + c * xq
-            a[p, p] = app - t * apq
-            a[q, q] = aqq + t * apq
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            a = 0.5 * (a + a.T)
-    else:
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        converged = off <= tol
-    if not converged:
-        raise NumericFailureError(
-            f"Jacobi eigendecomposition did not converge in {max_sweeps} sweeps "
-            f"(off-diagonal norm {off:g})",
-            iterations=max_sweeps,
-        )
-
-    vals = np.diag(a).copy()
+    try:
+        vals, vecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
-    vecs = v[:, order]
-    # Sign convention: largest-magnitude entry of each column positive.
-    lead = np.argmax(np.abs(vecs), axis=0)
-    flip = vecs[lead, np.arange(n)] < 0.0
-    vecs[:, flip] *= -1.0
+    vecs = vecs[:, order]
+    if a.size:
+        # Sign convention: largest-magnitude entry of each column positive.
+        lead = np.argmax(np.abs(vecs), axis=0)
+        vecs[:, vecs[lead, np.arange(a.shape[0])] < 0.0] *= -1.0
     return EigenDecomposition(vals, vecs)
 
 
-@dataclass(frozen=True)
-class JitterPolicy:
-    """Diagonal-jitter escalation for nearly-PSD Cholesky inputs.
-
-    The first attempt uses no jitter; each retry scales
-    ``initial_relative * mean(diag)`` by another factor of ``growth``.
-    """
-
-    initial_relative: float = 1e-9
-    growth: float = 10.0
-    max_attempts: int = 6
+# Cholesky jitter ladder: no jitter first, then 1e-9 * mean(diag) grown
+# tenfold per retry, six retries.
+_JITTER_INITIAL = 1e-9
+_JITTER_GROWTH = 10.0
+_JITTER_ATTEMPTS = 6
 
 
 @dataclass(frozen=True)
@@ -197,24 +123,24 @@ def _cholesky_lower(a):
     return lower
 
 
-def cholesky_psd(m, policy=JitterPolicy()):
+def cholesky_psd(m):
     """Lower-triangular factor of a (nearly) PSD symmetric matrix.
 
     Returns a CholeskyResult reporting the jitter actually added to the
-    diagonal.  Raises NotPositiveSemidefiniteError after the policy's
-    attempts are exhausted.
+    diagonal.  Raises NotPositiveSemidefiniteError once the jitter
+    ladder is exhausted.
     """
     a = _require_symmetric(as_matrix(m), "matrix")
     n = a.shape[0]
     mean_diag = float(np.mean(np.diag(a))) if n else 0.0
-    base = policy.initial_relative * (mean_diag if mean_diag > 0.0 else 1.0)
-    jitters = [0.0] + [base * policy.growth**k for k in range(policy.max_attempts)]
+    base = _JITTER_INITIAL * (mean_diag if mean_diag > 0.0 else 1.0)
+    jitters = [0.0] + [base * _JITTER_GROWTH**k for k in range(_JITTER_ATTEMPTS)]
     for jit in jitters:
         lower = _cholesky_lower(a + jit * np.eye(n) if jit else a)
         if lower is not None:
             return CholeskyResult(lower, jit)
     raise NotPositiveSemidefiniteError(
-        f"matrix is not positive semidefinite within jitter policy "
+        f"matrix is not positive semidefinite within the jitter ladder "
         f"(max jitter tried {jitters[-1]:g})"
     )
 
@@ -226,10 +152,12 @@ class PCAResult:
     ``components`` holds eigenvectors of the sample covariance as
     columns; ``explained_ratio`` sums to 1 for non-degenerate input, and
     its partial sums give the variance fraction captured by the leading
-    components.  An eigenvalue at or below ``1e-14 * ||cov||_F``, the
-    tolerance at which ``sym_eigendecompose`` stops, is rounding noise of
-    the null space and reads exactly 0 in ``eigenvalues`` and
-    ``explained_ratio``.
+    components.  An eigenvalue at or below ``1e-14 * ||cov||_F`` is
+    rounding noise of the null space and reads exactly 0 in
+    ``eigenvalues`` and ``explained_ratio``: LAPACK's ``eigh`` is
+    backward stable, so its eigenvalues err by a small multiple of
+    ``eps * ||cov||_2`` (``eps`` = 2.2e-16), below the clamp and far
+    below any variance a report reads.
     """
 
     components: np.ndarray

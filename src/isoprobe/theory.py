@@ -305,8 +305,9 @@ def optimal_score_matrix_solution(rows, rank):
 
 
 def _project_rank_m_symmetric(score_matrix, rank):
-    # The descent oracle deliberately uses LAPACK so it shares nothing
-    # with the Jacobi path under test.
+    # The closed form and this projection both reach LAPACK's eigh; the
+    # descent stays an independent check because it searches by gradient
+    # steps and never uses the trailing-eigenvalue identity it tests.
     sym = 0.5 * (score_matrix + score_matrix.T)
     vals, vecs = np.linalg.eigh(sym)
     order = np.argsort(-np.abs(vals))[:rank]

@@ -454,18 +454,40 @@ class TestConfigErrors:
             ("verify", "score_matrix_instances", 0),
             ("verify", "descent_starts", 0),
             ("verify", "descent_iters", 0),
+            ("verify", "trace_windows", 0),
+            ("verify", "context_length", 1),
+            ("verify", "horizon", 0),
+            ("eval", "context_length", 1),
+            ("eval", "horizon", 0),
+            ("synth", "length", 1),
+            ("synth", "count", 0),
+            ("synth", "max_kernels", 0),
+            ("train", "vocab_size", 1),
+            ("train", "context_length", 1),
+            ("train", "steps", 0),
+            ("train", "batch_size", 0),
+            ("train", "horizon", 0),
+            ("train", "dim", 0),
+            ("train", "rank", 0),
+            ("train", "layers", 0),
+            ("embed", "context_length", 1),
+            ("embed", "max_windows", 0),
+            pytest.param("embed", "layers", [], id="embed-layers-empty"),
+            ("embed", "context_length", 4096),  # longer than every series
         ],
     )
     def test_out_of_range_value_exits_2_naming_key(
         self, pipeline, tmp_path, capsys, command, key, value
     ):
         dirs, _ = pipeline
-        upstream = {"embeddings": str(dirs["embed"]), "k_min": 4}
-        if command != "analyze":
-            upstream = {"model": str(dirs["train"]), "data": str(dirs["synth"]),
-                        "datasets": ["seasonality_2"]}
-        if command == "eval":
-            upstream.update(variable="noise", values=[0.0, 0.05])
+        data = {"data": str(dirs["synth"]), "datasets": ["seasonality_2"]}
+        upstream = {
+            "synth": {},
+            "train": data,
+            "analyze": {"embeddings": str(dirs["embed"]), "k_min": 4},
+            "eval": {"model": str(dirs["train"]), **data, "variable": "noise",
+                     "values": [0.0, 0.05]},
+        }.get(command, {"model": str(dirs["train"]), **data})
         cfg = write_config(tmp_path / "c.cfg", out=str(tmp_path / "o"), **{**upstream, key: value})
         assert run_cli(command, "--config", cfg) == 2
         err = capsys.readouterr().err
@@ -525,7 +547,7 @@ class TestMalformedArtifacts:
         cfg = write_config(
             tmp_path / "t.cfg", out=str(tmp_path / "t"), data=str(data_dir), datasets=["x"],
             vocab_size=8, dim=2, rank=1, layers=1, steps=1, batch_size=1,
-            context_length=1, horizon=1,
+            context_length=2, horizon=1,
         )
         assert run_cli("train", "--config", cfg) == 2
         err = capsys.readouterr().err

@@ -6,9 +6,9 @@ import pytest
 from isoprobe.errors import (
     InvalidArgumentError,
     NotPositiveSemidefiniteError,
+    NumericFailureError,
 )
 from isoprobe.numerics import (
-    JitterPolicy,
     RngStream,
     cholesky_psd,
     pca,
@@ -19,8 +19,8 @@ from isoprobe.numerics import (
 
 def qr_iteration_eigenvalues(a, iterations=5000):
     """Independent oracle: eigenvalues of a symmetric matrix by plain
-    (unshifted) QR iteration.  Deliberately shares no code with the
-    Jacobi implementation under test."""
+    (unshifted) QR iteration, a different algorithm from the LAPACK
+    eigensolver under test (it uses only QR factorizations)."""
     m = np.array(a, dtype=float)
     for _ in range(iterations):
         q, r = np.linalg.qr(m)
@@ -102,6 +102,30 @@ class TestSymEigendecompose:
         gram = eig.eigenvectors.T @ eig.eigenvectors
         np.testing.assert_allclose(gram, np.eye(16), atol=1e-8)
 
+    def test_repeated_eigenvalue_conventions(self):
+        # Q diag(3, 1, 1) Q^T: a two-dimensional eigenspace for 1
+        rng = np.random.default_rng(31)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        m = (q * [3.0, 1.0, 1.0]) @ q.T
+        eig = sym_eigendecompose(m)
+        vecs = eig.eigenvectors
+        np.testing.assert_allclose(eig.eigenvalues, [3.0, 1.0, 1.0], atol=1e-14)
+        assert np.all(np.diff(eig.eigenvalues) <= 0.0)
+        assert np.all(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(3)] > 0.0)
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(3), atol=1e-14)
+        for lam, gamma in zip(eig.eigenvalues, vecs.T):
+            assert np.linalg.norm(m @ gamma - lam * gamma) <= 1e-14
+        # the top eigenvector is q's first column up to the sign convention
+        assert abs(vecs[:, 0] @ q[:, 0]) == pytest.approx(1.0, abs=1e-14)
+
+    def test_lapack_failure_is_numeric_failure(self, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(NumericFailureError, match="did not converge"):
+            sym_eigendecompose(np.eye(2))
+
     def test_rejects_nonsquare_and_asymmetric(self):
         with pytest.raises(InvalidArgumentError):
             sym_eigendecompose(np.ones((2, 3)))
@@ -135,7 +159,7 @@ class TestCholeskyPsd:
 
     def test_indefinite_fails_after_policy(self):
         with pytest.raises(NotPositiveSemidefiniteError):
-            cholesky_psd(np.diag([1.0, -1.0]), JitterPolicy(max_attempts=3))
+            cholesky_psd(np.diag([1.0, -1.0]))
 
 
 class TestPca:

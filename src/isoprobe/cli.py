@@ -92,14 +92,15 @@ class Run:
         return self.meta[key] if value is None else value
 
     def windows(self, tok_cfg, context_length, horizon=0, stride=1, limit=None):
-        """Tokenized windows of every loaded dataset, in name order."""
-        return [
-            window
-            for name in sorted(self.series)
-            for window in tokenize_windows(
-                self.series[name].values, tok_cfg, context_length, horizon, stride, limit
-            )
-        ]
+        """Tokenized windows of every loaded dataset, in name order, as
+        one (windows, context_length + horizon) array."""
+        # the empty block keeps the shape when no dataset is loaded
+        blocks = [np.empty((0, context_length + horizon), dtype=np.int64)]
+        blocks.extend(
+            tokenize_windows(series.values, tok_cfg, context_length, horizon, stride, limit)
+            for _, series in sorted(self.series.items())
+        )
+        return np.concatenate(blocks)
 
     def write_doc(self, filename, kind, **fields):
         """Write a versioned JSON document into the output directory."""
@@ -261,7 +262,7 @@ def _train(run):
     train_cfg = TrainConfig(seed=run.seed, log_every=opt["log_every"], **recorded)
     windows = run.windows(tok_cfg, train_cfg.context_length, train_cfg.horizon, opt["stride"])
     result = train(
-        np.array(windows),
+        windows,
         train_cfg,
         dim=opt["dim"],
         rank=opt["rank"],
@@ -295,7 +296,7 @@ def _embed(run):
     windows = run.windows(
         run.tok_cfg, context_length, stride=opt["stride"], limit=opt["max_windows"]
     )
-    if not windows:
+    if len(windows) == 0:
         raise ConfigError(
             f"config field context_length: no dataset holds a window of {context_length} values"
         )

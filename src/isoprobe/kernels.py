@@ -350,7 +350,10 @@ def save_series(series, csv_path):
 
 def load_series(csv_path):
     path = Path(csv_path)
-    rows = path.read_text().strip().splitlines()
+    try:
+        rows = path.read_text().strip().splitlines()
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{path} is not a dataset CSV ({exc})") from None
     if not rows or rows[0] != "index,value":
         raise InvalidArgumentError(f"{path} is not a dataset CSV (bad header)")
     values = []

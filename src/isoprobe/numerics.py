@@ -10,7 +10,6 @@ config gives the same hashes on one machine, whatever the worker count.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -38,14 +37,14 @@ def as_matrix(m, name="matrix"):
 def _require_symmetric(a, name):
     if a.shape[0] != a.shape[1]:
         raise InvalidArgumentError(f"{name} must be square, got {a.shape}")
-    amax = float(np.max(np.abs(a))) if a.size else 0.0
-    if amax > 0.0:
-        asym = float(np.max(np.abs(a - a.T)))
-        if asym > 1e-10 * amax:
-            raise InvalidArgumentError(
-                f"{name} is asymmetric: max |a - a.T| = {asym:g} "
-                f"exceeds 1e-10 relative tolerance"
-            )
+    if np.array_equal(a, a.T):
+        return a  # 0.5 * (a + a.T) would equal it bit for bit
+    asym = float(np.max(np.abs(a - a.T)))
+    if asym > 1e-10 * float(np.max(np.abs(a))):
+        raise InvalidArgumentError(
+            f"{name} is asymmetric: max |a - a.T| = {asym:g} "
+            f"exceeds 1e-10 relative tolerance"
+        )
     return 0.5 * (a + a.T)
 
 
@@ -85,13 +84,6 @@ def sym_eigendecompose(m):
     return EigenDecomposition(vals, vecs)
 
 
-# Cholesky jitter ladder: no jitter first, then 1e-9 * mean(diag) grown
-# tenfold per retry, six retries.
-_JITTER_INITIAL = 1e-9
-_JITTER_GROWTH = 10.0
-_JITTER_ATTEMPTS = 6
-
-
 @dataclass(frozen=True)
 class CholeskyResult:
     lower: np.ndarray
@@ -99,44 +91,36 @@ class CholeskyResult:
 
 
 def _cholesky_lower(a):
-    """Column Cholesky; returns None when a pivot is non-positive."""
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    # Diagonal matrices (e.g. white-noise Gram) factor elementwise.
-    if np.count_nonzero(a) == np.count_nonzero(np.diag(a)) and np.all(
-        a == np.diag(np.diag(a))
-    ):
-        d = np.diag(a)
-        if np.any(d < 0.0):
-            return None
-        return np.diag(np.sqrt(d))
-    lower = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if not (d > 0.0) or not np.isfinite(d):
-            return None
-        ljj = math.sqrt(d)
-        lower[j, j] = ljj
-        if j + 1 < n:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / ljj
-    return lower
+    """LAPACK Cholesky (``potrf``); returns None when a pivot is not positive."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def cholesky_psd(m):
     """Lower-triangular factor of a (nearly) PSD symmetric matrix.
 
-    Returns a CholeskyResult reporting the jitter actually added to the
-    diagonal.  Raises NotPositiveSemidefiniteError once the jitter
-    ladder is exhausted.
+    Each attempt is one LAPACK ``potrf`` call.  The jitter ladder: no
+    jitter first, then 1e-9 * mean(diag) added to the diagonal, growing
+    tenfold per retry, six retries.  A zero pivot fails an attempt like
+    a negative one, so a singular PSD matrix, diagonal or not, factors
+    only with jitter.  Returns a CholeskyResult reporting the jitter
+    added; the input is left unchanged.  Raises
+    NotPositiveSemidefiniteError once the ladder is exhausted.
     """
     a = _require_symmetric(as_matrix(m), "matrix")
-    n = a.shape[0]
-    mean_diag = float(np.mean(np.diag(a))) if n else 0.0
-    base = _JITTER_INITIAL * (mean_diag if mean_diag > 0.0 else 1.0)
-    jitters = [0.0] + [base * _JITTER_GROWTH**k for k in range(_JITTER_ATTEMPTS)]
+    lower = _cholesky_lower(a)
+    if lower is not None:
+        return CholeskyResult(lower, 0.0)
+    diag = np.diag(a)
+    mean_diag = float(np.mean(diag))
+    base = 1e-9 * (mean_diag if mean_diag > 0.0 else 1.0)
+    jitters = [base * 10.0**k for k in range(6)]
+    jittered = a.copy()  # one copy, its diagonal rewritten per rung
     for jit in jitters:
-        lower = _cholesky_lower(a + jit * np.eye(n) if jit else a)
+        np.fill_diagonal(jittered, diag + jit)
+        lower = _cholesky_lower(jittered)
         if lower is not None:
             return CholeskyResult(lower, jit)
     raise NotPositiveSemidefiniteError(

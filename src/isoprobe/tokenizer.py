@@ -18,28 +18,19 @@ from .errors import InvalidArgumentError
 
 @dataclass
 class TokenizerConfig:
-    """Vocabulary layout: N bins spanning [low, high] in scaled space."""
+    """Vocabulary layout: N equal bins spanning [low, high] in scaled space."""
 
     vocab_size: int = 512
     low: float = -15.0
     high: float = 15.0
-    bin_edges: np.ndarray = field(default=None, repr=False)
+    bin_edges: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.vocab_size < 2:
             raise InvalidArgumentError(f"vocab_size must be >= 2, got {self.vocab_size}")
         if not self.low < self.high:
             raise InvalidArgumentError("clip range must satisfy low < high")
-        if self.bin_edges is None:
-            self.bin_edges = np.linspace(self.low, self.high, self.vocab_size + 1)
-        else:
-            self.bin_edges = np.asarray(self.bin_edges, dtype=np.float64)
-            if self.bin_edges.shape != (self.vocab_size + 1,):
-                raise InvalidArgumentError("bin_edges must have vocab_size + 1 entries")
-            if self.bin_edges[0] != self.low or self.bin_edges[-1] != self.high:
-                raise InvalidArgumentError("bin_edges must start at low and end at high")
-            if np.any(np.diff(self.bin_edges) <= 0):
-                raise InvalidArgumentError("bin_edges must be strictly increasing")
+        self.bin_edges = np.linspace(self.low, self.high, self.vocab_size + 1)
 
     @property
     def bin_centers(self):
@@ -90,6 +81,14 @@ def fit_scale(context):
     return scale if scale > 0.0 else 1.0
 
 
+def _bin(scaled, cfg):
+    """Token ids of scaled values, any shape; clips ``scaled`` in place."""
+    np.clip(scaled, cfg.low, cfg.high, out=scaled)
+    ids = np.searchsorted(cfg.bin_edges, scaled, side="right")
+    ids -= 1
+    return np.clip(ids, 0, cfg.vocab_size - 1, out=ids)
+
+
 def tokenize(series, cfg, scale):
     """Map values to token ids at the given scale."""
     if scale <= 0:
@@ -98,25 +97,33 @@ def tokenize(series, cfg, scale):
     if x.size and not np.all(np.isfinite(x)):
         bad = int(np.flatnonzero(~np.isfinite(x))[0])
         raise InvalidArgumentError(f"non-finite series value at index {bad}")
-    scaled = np.clip(x / scale, cfg.low, cfg.high)
-    ids = np.searchsorted(cfg.bin_edges, scaled, side="right") - 1
-    ids = np.clip(ids, 0, cfg.vocab_size - 1)
-    return TokenSequence(ids, float(scale))
+    return TokenSequence(_bin(x / scale, cfg), float(scale))
 
 
 def tokenize_windows(values, cfg, context_length, horizon=0, stride=1, limit=None):
     """Token ids of the sliding windows of ``context_length + horizon``
-    values, one every ``stride`` steps, the first ``limit`` only when given.
+    values, one every ``stride`` steps, the first ``limit`` only when
+    given, as one (windows, span) int64 array.
 
-    Each window is scaled by the mean-absolute scale of its first
-    ``context_length`` values, its context.
+    Each window is scaled by ``fit_scale`` of its first ``context_length``
+    values, its context, and binned as ``tokenize`` bins it, in one array
+    pass over all windows.  A non-finite value in a window raises
+    InvalidArgumentError naming its index in ``values``.
     """
+    if context_length < 1:
+        raise InvalidArgumentError(f"context_length must be >= 1, got {context_length}")
+    x = np.asarray(values, dtype=np.float64)
     span = context_length + horizon
-    starts = range(0, len(values) - span + 1, stride)[:limit]
-    return [
-        tokenize(values[s : s + span], cfg, fit_scale(values[s : s + context_length])).tokens
-        for s in starts
-    ]
+    if x.size < span:
+        return np.empty((0, span), dtype=np.int64)
+    windows = np.lib.stride_tricks.sliding_window_view(x, span)[::stride][:limit]
+    bad = ~np.isfinite(windows)
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), span)
+        raise InvalidArgumentError(f"non-finite series value at index {row * stride + col}")
+    scales = np.mean(np.abs(windows[:, :context_length]), axis=1)
+    scales[scales == 0.0] = 1.0
+    return _bin(windows / scales[:, None], cfg).astype(np.int64, copy=False)
 
 
 def detokenize(tokens, cfg):

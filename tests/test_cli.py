@@ -8,10 +8,13 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoprobe import cli, theory
 from isoprobe.cli import main
-from isoprobe.manifest import RunManifest, sha256_file
+from isoprobe.errors import IsoprobeError
+from isoprobe.manifest import RunManifest, parse_config, sha256_file
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "isoprobe" / "report_schema.json"
 
@@ -500,6 +503,23 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "'length'" in err and f"{cfg}:3" in err
 
+    def test_undecodable_config_exits_2_naming_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xffseed = 1\n")
+        assert run_cli("analyze", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "Traceback" not in err
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(raw=st.binary(max_size=64) | st.binary(max_size=32).map(lambda b: b"seed = 1\n" + b))
+    def test_arbitrary_bytes_parse_or_raise_typed(self, tmp_path_factory, raw):
+        cfg = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+        cfg.write_bytes(raw)
+        try:
+            parse_config(cfg)
+        except IsoprobeError as exc:
+            assert str(cfg) in str(exc)
+
     def test_non_integer_workers_env_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ISOPROBE_WORKERS", "abc")
         cfg = write_config(tmp_path / "s.cfg", out=str(tmp_path / "s"), length=16)
@@ -538,9 +558,10 @@ class TestMalformedArtifacts:
             ({"datasets/x.csv": SERIES + "3\n"}, "datasets/x.csv:5"),
             ({"datasets/x.csv": SERIES + "3,abc\n"}, "datasets/x.csv:5"),
             ({"datasets/x.json": "{oops"}, "datasets/x.json"),
+            ({"datasets/x.csv": b"\xff" + SERIES.encode()}, "datasets/x.csv"),
         ],
         ids=["unparsable_manifest", "manifest_without_seed", "row_without_value",
-             "non_numeric_value", "unparsable_dataset_sidecar"],
+             "non_numeric_value", "unparsable_dataset_sidecar", "undecodable_dataset"],
     )
     def test_malformed_data_run_exits_2(self, tmp_path, capsys, files, culprit):
         data_dir = forge_run(tmp_path / "d", {"datasets/x.csv": SERIES, **files})

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isoprobe.errors import GenerationFailureError, InvalidArgumentError
+from isoprobe.errors import GenerationFailureError, InvalidArgumentError, IsoprobeError
 from isoprobe.kernels import (
     RBF,
     CompositeKernel,
@@ -237,6 +239,19 @@ class TestNoiseAndIO:
         loaded = load_series(csv_path)
         np.testing.assert_array_equal(loaded.values, series.values)
         assert loaded.origin == series.origin
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        raw=st.binary(max_size=64)
+        | st.binary(max_size=32).map(lambda b: b"index,value\n0,1.5\n" + b)
+    )
+    def test_load_arbitrary_bytes_parses_or_raises_typed(self, tmp_path_factory, raw):
+        csv_path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        csv_path.write_bytes(raw)
+        try:
+            load_series(csv_path)
+        except IsoprobeError as exc:
+            assert str(csv_path) in str(exc) or "time series" in str(exc)
 
     def test_table_specs_cover_ten_datasets(self):
         specs = table_dataset_specs()

@@ -1,5 +1,8 @@
 """Tests for the dense linear algebra and RNG primitives."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,14 @@ from isoprobe.errors import (
     InvalidArgumentError,
     NotPositiveSemidefiniteError,
     NumericFailureError,
+)
+from isoprobe.kernels import (
+    CompositeKernel,
+    default_bank,
+    gram_matrix,
+    sample_kernel_tree,
+    table_dataset_specs,
+    uniform_grid,
 )
 from isoprobe.numerics import (
     RngStream,
@@ -133,7 +144,93 @@ class TestSymEigendecompose:
             sym_eigendecompose([[1.0, 2.0], [0.5, 1.0]])
 
 
+def cholesky_oracle(a):
+    """Column Cholesky; returns None when a pivot is non-positive.
+
+    The pure-Python factorization that LAPACK's ``potrf`` replaced in
+    ``cholesky_psd``, kept unchanged as the reference."""
+    n = a.shape[0]
+    if n == 0:
+        return np.zeros((0, 0))
+    # Diagonal matrices (e.g. white-noise Gram) factor elementwise.
+    if np.count_nonzero(a) == np.count_nonzero(np.diag(a)) and np.all(
+        a == np.diag(np.diag(a))
+    ):
+        d = np.diag(a)
+        if np.any(d < 0.0):
+            return None
+        return np.diag(np.sqrt(d))
+    lower = np.zeros_like(a)
+    for j in range(n):
+        d = a[j, j] - lower[j, :j] @ lower[j, :j]
+        if not (d > 0.0) or not np.isfinite(d):
+            return None
+        ljj = math.sqrt(d)
+        lower[j, j] = ljj
+        if j + 1 < n:
+            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / ljj
+    return lower
+
+
+def oracle_jitter(a):
+    """The jitter rung at which the column oracle first factors ``a``."""
+    mean_diag = float(np.mean(np.diag(a)))
+    base = 1e-9 * (mean_diag if mean_diag > 0.0 else 1.0)
+    for jit in [0.0] + [base * 10.0**k for k in range(6)]:
+        if cholesky_oracle(a + jit * np.eye(len(a)) if jit else a) is not None:
+            return jit
+    return None
+
+
+def dense_grams(length=256, trees=20):
+    """Gram matrices of the non-diagonal table kernels and of the first
+    ``trees`` non-diagonal random KernelSynth trees."""
+    table = (CompositeKernel.leaf(spec) for _, spec in table_dataset_specs())
+    sampled = (sample_kernel_tree(default_bank(), 5, RngStream(s, 0)) for s in itertools.count())
+    dense = (k for k in itertools.chain(table, sampled) if not k.is_diagonal)
+    return [gram_matrix(k, uniform_grid(length)) for k in itertools.islice(dense, 8 + trees)]
+
+
 class TestCholeskyPsd:
+    def test_matches_column_oracle_on_kernel_grams(self):
+        grams = dense_grams()
+        assert len(grams) == 28
+        for gram in grams:
+            before = gram.copy()
+            res = cholesky_psd(gram)
+            assert gram.tobytes() == before.tobytes()
+            assert res.jitter == oracle_jitter(gram)
+            assert np.array_equal(res.lower, np.tril(res.lower))
+            target = gram + res.jitter * np.eye(len(gram))
+            err = np.linalg.norm(res.lower @ res.lower.T - target)
+            assert err <= 1e-12 * np.linalg.norm(gram)
+            sym_eigendecompose(gram)
+            assert gram.tobytes() == before.tobytes()
+
+    def test_empty_matrix(self):
+        res = cholesky_psd(np.zeros((0, 0)))
+        assert res.lower.shape == (0, 0) and res.jitter == 0.0
+
+    def test_nearly_symmetric_input_is_symmetrized(self):
+        gram = dense_grams(length=32, trees=0)[0]
+        a = gram.copy()
+        a[1, 0] += 1e-11 * np.max(np.abs(a))  # within the 1e-10 tolerance
+        sym = 0.5 * (a + a.T)
+        res = cholesky_psd(a)
+        want = cholesky_psd(sym)
+        assert res.jitter == want.jitter
+        assert np.array_equal(res.lower, want.lower)
+        assert not np.array_equal(sym, a)
+        eig = sym_eigendecompose(a)
+        assert np.array_equal(eig.eigenvalues, sym_eigendecompose(sym).eigenvalues)
+
+    def test_zero_pivot_takes_the_ladder(self):
+        # PSD but singular: LAPACK rejects the zero pivot, jitter fixes it
+        res = cholesky_psd(np.diag([1.0, 0.0]))
+        assert res.jitter == 0.5e-9
+        want = np.diag([math.sqrt(1.0 + 0.5e-9), math.sqrt(0.5e-9)])
+        np.testing.assert_allclose(res.lower, want, rtol=1e-15)
+
     def test_identity(self):
         res = cholesky_psd(np.eye(3))
         np.testing.assert_allclose(res.lower, np.eye(3))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoprobe.errors import InvalidArgumentError
 from isoprobe.kernels import RBF, kernelsynth_sample
@@ -14,6 +16,7 @@ from isoprobe.tokenizer import (
     detokenize,
     fit_scale,
     tokenize,
+    tokenize_windows,
 )
 
 
@@ -115,3 +118,56 @@ class TestDetokenize:
         binwidth = (cfg.high - cfg.low) / cfg.vocab_size * scale
         floor = binwidth**2 / 12.0 / x.var()
         assert 0.8 * floor <= nmse <= 1.2 * floor
+
+
+def windows_oracle(values, cfg, context_length, horizon, stride, limit):
+    """Per-window tokenization: each window scaled by its own context."""
+    span = context_length + horizon
+    starts = range(0, len(values) - span + 1, stride)[:limit]
+    rows = [
+        tokenize(values[s : s + span], cfg, fit_scale(values[s : s + context_length])).tokens
+        for s in starts
+    ]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), span)
+
+
+# all-zero contexts, exact bin edges at scale 1, values far beyond
+# +-15 * scale, and ordinary floats
+WINDOW_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e6, -1e6]),
+    st.sampled_from(np.linspace(-15.0, 15.0, 9).tolist()),
+    st.floats(-1e3, 1e3),
+)
+
+
+class TestTokenizeWindows:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        values=st.lists(WINDOW_VALUES, max_size=40),
+        vocab_size=st.sampled_from([2, 8, 13]),
+        context_length=st.integers(1, 6),
+        horizon=st.integers(0, 3),
+        stride=st.integers(1, 12),
+        limit=st.none() | st.integers(0, 8),
+    )
+    def test_matches_per_window_oracle(
+        self, values, vocab_size, context_length, horizon, stride, limit
+    ):
+        cfg = TokenizerConfig(vocab_size=vocab_size)
+        x = np.array(values, dtype=np.float64)
+        got = tokenize_windows(x, cfg, context_length, horizon, stride, limit)
+        want = windows_oracle(x, cfg, context_length, horizon, stride, limit)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_non_finite_value_names_its_index(self):
+        cfg = TokenizerConfig(vocab_size=8)
+        x = np.arange(12.0)
+        x[7] = np.nan
+        with pytest.raises(InvalidArgumentError, match="index 7"):
+            tokenize_windows(x, cfg, 3, 1, stride=2)
+        # span 3 every 5 steps takes values 0-2 and 5-7: 7 is used
+        with pytest.raises(InvalidArgumentError, match="index 7"):
+            tokenize_windows(x, cfg, 2, 1, stride=5)
+        # span 2 takes 0-1, 5-6 and 10-11, skipping the NaN
+        assert tokenize_windows(x, cfg, 2, 0, stride=5).shape == (3, 2)

@@ -27,9 +27,7 @@ from .errors import (
     CheckFailureError, ConfigError, InvalidArgumentError, IsoprobeError, MergeRefusedError,
     MissingInputError,
 )
-from .evalharness import (
-    SweepConfig, context_length_sweep, noise_sweep, sweep_rows_to_csv, sweep_verdicts
-)
+from .evalharness import SweepConfig, run_sweep, sweep_rows_to_csv, sweep_verdicts
 from .isotropy import layer_report, pca_plot_rows
 from .kernels import (
     CompositeKernel,
@@ -251,6 +249,8 @@ def _synth(run):
 def _train(run):
     """Train the forecaster on tokenized windows from synth datasets."""
     opt = run.opts
+    if opt["rank"] > opt["dim"]:
+        raise ConfigError(f"config field rank: {opt['rank']} exceeds dim {opt['dim']}")
     tok_cfg = TokenizerConfig(
         vocab_size=opt["vocab_size"], low=opt["clip_low"], high=opt["clip_high"]
     )
@@ -373,9 +373,8 @@ def _eval(run):
         context_length=run.model_default("context_length"),
         **{key: opt[key] for key in ("windows", "sample_count", "pair_budget", "k_max")},
     )
-    runner = context_length_sweep if opt["variable"] == "context_length" else noise_sweep
     datasets = {name: s.values for name, s in run.series.items()}
-    rows = runner(run.params, run.tok_cfg, datasets, sweep_cfg, workers=run.workers)
+    rows = run_sweep(run.params, run.tok_cfg, datasets, sweep_cfg, workers=run.workers)
 
     csv_path = run.out_dir / "sweep.csv"
     atomic_write_text(csv_path, sweep_rows_to_csv(rows))

@@ -70,15 +70,6 @@ class EmbeddingDump:
     def layer_token_ids(self, layer):
         return self.token_ids[self.layers == layer].astype(np.int64)
 
-    def instances_by_token(self, layer):
-        """token_id -> (m, D) array of that token's embedding instances."""
-        mask = self.layers == layer
-        toks = self.token_ids[mask]
-        vecs = self.vectors[mask]
-        return {
-            int(t): vecs[toks == t] for t in np.unique(toks)
-        }
-
     def write(self, path):
         path = Path(path)
         n = self.record_count
@@ -114,7 +105,11 @@ class EmbeddingDump:
         dim = int(np.frombuffer(raw, "<u4", count=1, offset=off + 8)[0])
         n = int(np.frombuffer(raw, "<u8", count=1, offset=off + 12)[0])
         body = raw[HEADER_SIZE:]
-        dtype = _record_dtype(dim)
+        try:
+            dtype = _record_dtype(dim)
+        except ValueError:
+            # numpy caps a record at a C int of bytes
+            raise InvalidArgumentError(f"{path}: dim {dim} is too large for a record") from None
         if len(body) != n * dtype.itemsize:
             raise InvalidArgumentError(
                 f"{path}: payload is {len(body)} bytes, expected {n * dtype.itemsize}"

@@ -21,7 +21,7 @@ from .isotropy import (
     select_cluster_count,
 )
 from .kernels import add_noise
-from .model import dump_embeddings, forecast
+from .model import causal_pass, forecast
 from .numerics import RngStream, ordered_map
 from .theory import isotropy_partition
 from .tokenizer import fit_scale, tokenize
@@ -112,8 +112,9 @@ def evaluate_point(
     forecast region and drawn from ``window_stream`` when given, so
     paired sweep values forecast the same targets (common random
     numbers); ``anchor_floor`` reserves room for the largest context
-    length in the sweep.  Embeddings come from the final attention layer
-    over the evaluation contexts.
+    length in the sweep.  The isotropy metrics read the final attention
+    layer's rows from one causal pass over the evaluation contexts, one
+    row per context position, with the position's token id.
     """
     if context_length < 2:
         raise InvalidArgumentError(f"context_length must be >= 2, got {context_length}")
@@ -144,12 +145,11 @@ def evaluate_point(
         truths.append(truth)
         token_windows.append(toks.tokens)
     error = nmse(np.concatenate(preds), np.concatenate(truths))
-    dump = dump_embeddings(params, token_windows, layer_ids=[params.layer_count])
-    matrix = dump.layer_matrix(params.layer_count)
+    matrix = causal_pass(params, token_windows)[0][-1].reshape(-1, params.dim)
     k_range = range(2, min(k_max, matrix.shape[0] - 1) + 1)
     selection = select_cluster_count(matrix, k_range, stream)
     adjusted = adjusted_inter_token_cos(
-        dump, params.layer_count, selection.clustering, pair_budget, stream
+        matrix, np.ravel(token_windows), selection.clustering, pair_budget, stream
     )
     d08 = effective_dimension(matrix, 0.8)
     iso = isotropy_partition(matrix)
@@ -157,23 +157,38 @@ def evaluate_point(
 
 
 def _sweep_row_task(task):
-    """One sweep row; top-level so a process pool can run it."""
-    params, tok_cfg, series, variable, value, name, seed, common, extra = task
-    stream = _row_stream(variable, value, name, seed)
+    """One sweep row; top-level so a process pool can run it.
+
+    A context-length row evaluates clean inputs, with anchors that leave
+    room for the sweep's longest context; a noise row evaluates a noisy
+    copy of the dataset (one noise draw per row, applied to the whole
+    series) at the config's fixed context length.  Targets stay clean."""
+    params, tok_cfg, series, cfg, value, name, seed = task
+    if cfg.variable == "context_length":
+        context_length, noise_sigma, floor = int(value), 0.0, int(max(cfg.values))
+    else:
+        context_length, noise_sigma, floor = cfg.context_length, float(value), None
+    stream = _row_stream(cfg.variable, value, name, seed)
     # window starts are shared across the sweep values of a
     # (dataset, seed) pair for a paired comparison
-    window_stream = _row_stream(variable, "windows", name, seed)
+    window_stream = _row_stream(cfg.variable, "windows", name, seed)
     error, zeta_prime, d08, iso_i = evaluate_point(
         params,
         tok_cfg,
         series,
+        context_length=context_length,
+        noise_sigma=noise_sigma,
+        horizon=cfg.horizon,
+        windows=cfg.windows,
+        sample_count=cfg.sample_count,
         stream=stream,
         window_stream=window_stream,
-        **common,
-        **extra,
+        anchor_floor=floor,
+        pair_budget=cfg.pair_budget,
+        k_max=cfg.k_max,
     )
     return SweepRow(
-        variable=variable,
+        variable=cfg.variable,
         value=float(value),
         dataset=name,
         seed=int(seed),
@@ -184,16 +199,10 @@ def _sweep_row_task(task):
     )
 
 
-def _run_sweep(params, tok_cfg, datasets, cfg, value_to_kwargs, workers=1):
-    common = {
-        "horizon": cfg.horizon,
-        "windows": cfg.windows,
-        "sample_count": cfg.sample_count,
-        "pair_budget": cfg.pair_budget,
-        "k_max": cfg.k_max,
-    }
+def run_sweep(params, tok_cfg, datasets, cfg, workers=1):
+    """Evaluate every (value, dataset, seed) of a sweep, in that order."""
     tasks = [
-        (params, tok_cfg, series, cfg.variable, value, name, seed, common, value_to_kwargs(value))
+        (params, tok_cfg, series, cfg, value, name, seed)
         for value in cfg.values
         for name, series in datasets.items()
         for seed in cfg.seeds
@@ -201,42 +210,6 @@ def _run_sweep(params, tok_cfg, datasets, cfg, value_to_kwargs, workers=1):
     # rows are keyed by (variable, value, dataset, seed), so the pool
     # cannot change any result, only the wall time
     return ordered_map(_sweep_row_task, tasks, workers)
-
-
-def context_length_sweep(params, tok_cfg, datasets, cfg, workers=1):
-    """Evaluate across input context lengths (clean inputs)."""
-    if cfg.variable != "context_length":
-        raise InvalidArgumentError("config variable must be context_length")
-    floor = int(max(cfg.values))
-    return _run_sweep(
-        params,
-        tok_cfg,
-        datasets,
-        cfg,
-        lambda v: {
-            "context_length": int(v),
-            "noise_sigma": 0.0,
-            "anchor_floor": floor,
-        },
-        workers,
-    )
-
-
-def noise_sweep(params, tok_cfg, datasets, cfg, workers=1):
-    """Evaluate across noise levels at a fixed context length.
-
-    Each row evaluates a noisy copy of the dataset (one noise draw per
-    row, applied to the whole series); targets stay clean."""
-    if cfg.variable != "noise_sigma":
-        raise InvalidArgumentError("config variable must be noise_sigma")
-    return _run_sweep(
-        params,
-        tok_cfg,
-        datasets,
-        cfg,
-        lambda v: {"context_length": cfg.context_length, "noise_sigma": float(v)},
-        workers,
-    )
 
 
 def _pair_up(rows):

@@ -50,16 +50,24 @@ class CosineStat:
     zero_vectors_excluded: int
 
 
-def _nonzero_instances(instances):
-    """Drop zero vectors (cosine undefined); returns (clean dict, dropped)."""
-    clean, dropped = {}, 0
-    for token, vecs in instances.items():
-        norms = np.linalg.norm(vecs, axis=1)
-        keep = vecs[norms > 0.0]
-        dropped += int(vecs.shape[0] - keep.shape[0])
-        if keep.shape[0]:
-            clean[token] = keep
-    return clean, dropped
+def _token_rows(vectors, tokens):
+    """One layer's rows and their token ids, one id per row."""
+    vectors = as_matrix(vectors, "vectors")
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.shape != (vectors.shape[0],):
+        raise InvalidArgumentError(
+            f"{tokens.size} token ids for {vectors.shape[0]} embedding rows"
+        )
+    return vectors, tokens
+
+
+def _instances(vectors, tokens):
+    """token id -> that token's nonzero rows in record order, plus the
+    number of zero rows dropped (their cosine is undefined)."""
+    nonzero = np.linalg.norm(vectors, axis=1) > 0.0
+    rows, kept = vectors[nonzero], tokens[nonzero]
+    instances = {int(t): rows[kept == t] for t in np.unique(kept)}
+    return instances, int(nonzero.size - np.count_nonzero(nonzero))
 
 
 def _pair_expectation(instances, pair_budget, stream):
@@ -96,16 +104,15 @@ def _pair_expectation(instances, pair_budget, stream):
     return float(cos.mean()), len(cos), exhaustive
 
 
-def inter_token_cos(dump, layer, pair_budget=10000, stream=None):
+def inter_token_cos(vectors, tokens, pair_budget=10000, stream=None):
     """Expected cosine similarity between distinct tokens' embedding
-    instances for one layer."""
+    instances, given one layer's rows and their token ids."""
     if stream is None:
         stream = RngStream(0, 0)
-    instances, dropped = _nonzero_instances(dump.instances_by_token(layer))
+    instances, dropped = _instances(*_token_rows(vectors, tokens))
     if len(instances) < 2:
         raise InvalidArgumentError(
-            f"layer {layer} has {len(instances)} distinct tokens with nonzero "
-            f"vectors; need at least 2"
+            f"{len(instances)} distinct tokens with nonzero vectors; need at least 2"
         )
     value, count, exhaustive = _pair_expectation(instances, pair_budget, stream)
     return CosineStat(value, count, exhaustive, dropped)
@@ -297,16 +304,16 @@ class AdjustedCosineStat:
     zero_vectors_excluded: int
 
 
-def adjusted_inter_token_cos(dump, layer, clustering, pair_budget=10000, stream=None):
+def adjusted_inter_token_cos(vectors, tokens, clustering, pair_budget=10000, stream=None):
     """Expected inter-token cosine after subtracting each cluster's mean.
 
     Clusters with fewer than two distinct tokens are skipped (and
     counted); the result is the unweighted mean over the remaining
-    clusters.  Values near 0 indicate isotropy within clusters."""
+    clusters.  Values near 0 indicate isotropy within clusters.  Takes
+    one layer's rows and their token ids, like inter_token_cos."""
     if stream is None:
         stream = RngStream(0, 0)
-    vectors = dump.layer_matrix(layer)
-    tokens = dump.layer_token_ids(layer)
+    vectors, tokens = _token_rows(vectors, tokens)
     assignment = np.asarray(clustering.assignment)
     if assignment.shape[0] != vectors.shape[0]:
         raise InvalidArgumentError(
@@ -322,11 +329,7 @@ def adjusted_inter_token_cos(dump, layer, clustering, pair_budget=10000, stream=
             skipped += 1
             continue
         centered = vectors[members] - vectors[members].mean(axis=0)
-        member_tokens = tokens[members]
-        instances = {
-            int(t): centered[member_tokens == t] for t in np.unique(member_tokens)
-        }
-        instances, zeros = _nonzero_instances(instances)
+        instances, zeros = _instances(centered, tokens[members])
         dropped += zeros
         if len(instances) < 2:
             skipped += 1
@@ -388,20 +391,19 @@ def layer_report(
 ):
     """Assemble the full diagnostic row for one layer of a dump."""
     matrix = dump.layer_matrix(layer)
+    tokens = dump.layer_token_ids(layer)
     if matrix.shape[0] < 2:
         raise InvalidArgumentError(f"layer {layer} has fewer than 2 records")
     res = pca(matrix)
     eff = {f"{eps:g}": _captured_dimension(res, eps).value for eps in eps_values}
-    zeta = inter_token_cos(dump, layer, pair_budget, stream)
+    zeta = inter_token_cos(matrix, tokens, pair_budget, stream)
     selection = select_cluster_count(matrix, k_range, stream)
-    adjusted = adjusted_inter_token_cos(
-        dump, layer, selection.clustering, pair_budget, stream
-    )
+    adjusted = adjusted_inter_token_cos(matrix, tokens, selection.clustering, pair_budget, stream)
     iso = isotropy_partition(matrix)
     return LayerIsotropyReport(
         layer=int(layer),
         record_count=int(matrix.shape[0]),
-        distinct_tokens=int(np.unique(dump.layer_token_ids(layer)).size),
+        distinct_tokens=int(np.unique(tokens).size),
         effective_dim=eff,
         zeta_cos=zeta.value,
         chosen_k=selection.best_k,

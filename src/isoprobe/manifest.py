@@ -60,6 +60,8 @@ def read_json(path):
         return json.loads(Path(path).read_text())
     except ValueError as exc:
         raise InvalidArgumentError(f"{path}: malformed JSON ({exc})") from None
+    except RecursionError:
+        raise InvalidArgumentError(f"{path}: JSON nested too deeply to parse") from None
 
 
 def canonical_json(obj):
@@ -173,6 +175,8 @@ def parse_config(path):
             config[key] = json.loads(value)
         except json.JSONDecodeError:
             config[key] = value
+        except RecursionError:
+            raise ConfigError(f"{path}:{lineno}: value of {key!r} nested too deeply") from None
     return config
 
 

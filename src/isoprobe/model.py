@@ -463,6 +463,11 @@ def load_checkpoint(path):
     n, d, m, n_layers = (
         int(v) for v in np.frombuffer(raw, "<u4", count=4, offset=8)
     )
+    if min(n, d, m) < 1:
+        # a zero dim would make any layer count fit an empty payload
+        raise InvalidArgumentError(
+            f"{path}: header declares vocab {n}, dim {d}, rank {m}; each must be positive"
+        )
     expected = 8 * (n * d + n_layers * 2 * d * m)
     if len(raw) - off != expected:
         raise InvalidArgumentError(

@@ -10,12 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from isoprobe.evalharness import (
-    SweepConfig,
-    context_length_sweep,
-    noise_sweep,
-    sweep_verdicts,
-)
+from isoprobe.evalharness import SweepConfig, run_sweep, sweep_verdicts
 from isoprobe.isotropy import (
     Clustering,
     adjusted_inter_token_cos,
@@ -202,11 +197,8 @@ def test_criterion_6_effective_dimension():
 
 
 def test_criterion_7_isotropy_calibration():
-    from test_isotropy import make_dump
-
     stream = RngStream(2031, 0)
     vectors = stream.gaussians(2000, 64)
-    dump = make_dump(vectors, np.arange(2000) % 100)
     single = Clustering(
         k=1,
         assignment=np.zeros(2000, dtype=np.int64),
@@ -215,7 +207,9 @@ def test_criterion_7_isotropy_calibration():
         iterations=0,
         inertia_history=np.array([0.0]),
     )
-    gauss = adjusted_inter_token_cos(dump, 1, single, stream=RngStream(2032, 0))
+    gauss = adjusted_inter_token_cos(
+        vectors, np.arange(2000) % 100, single, stream=RngStream(2032, 0)
+    )
     gauss_ok = abs(gauss.value) < 0.05
 
     n, dim = 400, 16
@@ -223,7 +217,6 @@ def test_criterion_7_isotropy_calibration():
     direction[0] = 1.0
     signs = np.where(stream.uniforms(n) < 0.9, 1.0, -1.0)
     aniso_vectors = 3.0 * signs[:, None] * direction + 0.05 * stream.gaussians(n, dim)
-    aniso_dump = make_dump(aniso_vectors, np.arange(n) % 50)
     aniso_cluster = Clustering(
         k=1,
         assignment=np.zeros(n, dtype=np.int64),
@@ -232,7 +225,9 @@ def test_criterion_7_isotropy_calibration():
         iterations=0,
         inertia_history=np.array([0.0]),
     )
-    aniso = adjusted_inter_token_cos(aniso_dump, 1, aniso_cluster, stream=RngStream(2033, 0))
+    aniso = adjusted_inter_token_cos(
+        aniso_vectors, np.arange(n) % 50, aniso_cluster, stream=RngStream(2033, 0)
+    )
     aniso_ok = abs(aniso.value) > 0.5
 
     rng = np.random.default_rng(2034)
@@ -299,7 +294,7 @@ def test_criterion_8_directional_sweeps(sweep_model, seasonality_series):
         sample_count=20,
         context_length=16,
     )
-    noise_verdict = sweep_verdicts(noise_sweep(params, tok_cfg, datasets, noise_cfg))
+    noise_verdict = sweep_verdicts(run_sweep(params, tok_cfg, datasets, noise_cfg))
     ctx_cfg = SweepConfig(
         variable="context_length",
         values=(4, 16),
@@ -308,7 +303,7 @@ def test_criterion_8_directional_sweeps(sweep_model, seasonality_series):
         windows=64,
         sample_count=20,
     )
-    ctx_verdict = sweep_verdicts(context_length_sweep(params, tok_cfg, datasets, ctx_cfg))
+    ctx_verdict = sweep_verdicts(run_sweep(params, tok_cfg, datasets, ctx_cfg))
     elapsed = time.time() - started
     passed = (
         noise_verdict["anisotropy_increase_fraction"] >= 0.6

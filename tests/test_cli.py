@@ -473,6 +473,7 @@ class TestConfigErrors:
             ("train", "dim", 0),
             ("train", "rank", 0),
             ("train", "layers", 0),
+            ("train", "rank", 65),  # above the default dim 64
             ("embed", "context_length", 1),
             ("embed", "max_windows", 0),
             pytest.param("embed", "layers", [], id="embed-layers-empty"),
@@ -519,6 +520,13 @@ class TestConfigErrors:
             parse_config(cfg)
         except IsoprobeError as exc:
             assert str(cfg) in str(exc)
+
+    def test_deeply_nested_value_exits_2_naming_line(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text("seed = 1\nout = " + "[" * 100_000 + "\n")
+        assert run_cli("synth", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:2" in err and "Traceback" not in err
 
     def test_non_integer_workers_env_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ISOPROBE_WORKERS", "abc")
@@ -573,6 +581,15 @@ class TestMalformedArtifacts:
         assert run_cli("train", "--config", cfg) == 2
         err = capsys.readouterr().err
         assert str(data_dir / culprit) in err and "Traceback" not in err
+
+    def test_deeply_nested_manifest_exits_2_naming_file(self, tmp_path, capsys):
+        run_dir = tmp_path / "deep"
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_text("[" * 100_000)
+        cfg = write_config(tmp_path / "r.cfg", out=str(tmp_path / "r"), runs=[str(run_dir)])
+        assert run_cli("report", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert str(run_dir / "manifest.json") in err and "Traceback" not in err
 
     @pytest.mark.parametrize("key", ["tokenizer", "context_length", "horizon"])
     def test_model_sidecar_without_key_exits_2(self, pipeline, tmp_path, capsys, key):

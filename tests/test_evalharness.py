@@ -7,10 +7,9 @@ from isoprobe.errors import InvalidArgumentError, UndefinedMetricError
 from isoprobe.evalharness import (
     SWEEP_CSV_HEADER,
     SweepConfig,
-    context_length_sweep,
     evaluate_point,
     nmse,
-    noise_sweep,
+    run_sweep,
     sweep_rows_to_csv,
     sweep_verdicts,
 )
@@ -107,9 +106,7 @@ class TestSweeps:
             sample_count=5,
             k_max=4,
         )
-        rows = context_length_sweep(
-            params, tok_cfg, {"seasonality_2": seasonality_series.values}, cfg
-        )
+        rows = run_sweep(params, tok_cfg, {"seasonality_2": seasonality_series.values}, cfg)
         assert len(rows) == 4  # 2 values x 1 dataset x 2 seeds
         assert {r.value for r in rows} == {8.0, 16.0}
         assert {r.seed for r in rows} == {0, 1}
@@ -131,7 +128,7 @@ class TestSweeps:
             context_length=16,
             k_max=4,
         )
-        rows = noise_sweep(params, tok_cfg, {"seasonality_2": x}, cfg)
+        rows = run_sweep(params, tok_cfg, {"seasonality_2": x}, cfg)
         zero_row = next(r for r in rows if r.value == 0.0)
         # the sigma=0 row must be bit-identical to a direct clean evaluation
         # under the same streams
@@ -172,8 +169,8 @@ class TestSweeps:
             k_max=3,
         )
         datasets = {"seasonality_2": seasonality_series.values}
-        a = noise_sweep(params, tok_cfg, datasets, cfg)
-        b = noise_sweep(params, tok_cfg, datasets, cfg)
+        a = run_sweep(params, tok_cfg, datasets, cfg)
+        b = run_sweep(params, tok_cfg, datasets, cfg)
         assert a == b
         assert sweep_rows_to_csv(a) == sweep_rows_to_csv(b)
 
@@ -189,8 +186,8 @@ class TestSweeps:
             k_max=3,
         )
         datasets = {"seasonality_2": seasonality_series.values}
-        serial = noise_sweep(params, tok_cfg, datasets, cfg, workers=1)
-        pooled = noise_sweep(params, tok_cfg, datasets, cfg, workers=2)
+        serial = run_sweep(params, tok_cfg, datasets, cfg, workers=1)
+        pooled = run_sweep(params, tok_cfg, datasets, cfg, workers=2)
         assert serial == pooled
 
     def test_csv_header_and_shape(self, smoke_model, seasonality_series):
@@ -204,7 +201,7 @@ class TestSweeps:
             context_length=16,
             k_max=3,
         )
-        rows = noise_sweep(params, tok_cfg, {"seasonality_2": seasonality_series.values}, cfg)
+        rows = run_sweep(params, tok_cfg, {"seasonality_2": seasonality_series.values}, cfg)
         text = sweep_rows_to_csv(rows)
         lines = text.strip().splitlines()
         assert lines[0] == SWEEP_CSV_HEADER

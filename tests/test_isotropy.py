@@ -88,56 +88,101 @@ class TestEffectiveDimension:
 
 class TestInterTokenCos:
     def test_orthogonal_tokens(self):
-        dump = make_dump([[1.0, 0.0], [0.0, 1.0]], [0, 1])
-        assert inter_token_cos(dump, 1).value == pytest.approx(0.0, abs=1e-15)
+        stat = inter_token_cos(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 1])
+        assert stat.value == pytest.approx(0.0, abs=1e-15)
 
     def test_identical_vectors(self):
-        dump = make_dump(np.tile([2.0, 1.0], (6, 1)), np.arange(6))
-        assert inter_token_cos(dump, 1).value == pytest.approx(1.0, rel=1e-12)
+        stat = inter_token_cos(np.tile([2.0, 1.0], (6, 1)), np.arange(6))
+        assert stat.value == pytest.approx(1.0, rel=1e-12)
 
     def test_monte_carlo_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(3)
         n = 60  # 1770 distinct pairs
         vectors = rng.normal(size=(n, 8))
-        dump = make_dump(vectors, np.arange(n))
+        tokens = np.arange(n)
         # exhaustive oracle over all pairs (single instance per token)
         unit = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
         gram = unit @ unit.T
         exact = (gram.sum() - n) / (n * (n - 1))
-        mc = inter_token_cos(dump, 1, pair_budget=800, stream=RngStream(4, 0))
+        mc = inter_token_cos(vectors, tokens, pair_budget=800, stream=RngStream(4, 0))
         assert not mc.exhaustive
         pair_vals = gram[np.triu_indices(n, k=1)]
         se = pair_vals.std() / np.sqrt(mc.pair_count)
         assert abs(mc.value - exact) <= 2.0 * se
-        full = inter_token_cos(dump, 1, pair_budget=2000, stream=RngStream(4, 0))
+        full = inter_token_cos(vectors, tokens, pair_budget=2000, stream=RngStream(4, 0))
         assert full.exhaustive
         assert full.value == pytest.approx(exact, abs=1e-12)
 
     def test_zero_vectors_excluded_and_counted(self):
-        dump = make_dump([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], [0, 0, 1])
-        stat = inter_token_cos(dump, 1)
+        stat = inter_token_cos(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]), [0, 0, 1])
         assert stat.zero_vectors_excluded == 1
         assert stat.value == pytest.approx(0.0, abs=1e-15)
 
     def test_needs_two_tokens(self):
-        dump = make_dump([[1.0, 0.0]], [0])
         with pytest.raises(InvalidArgumentError):
-            inter_token_cos(dump, 1)
+            inter_token_cos(np.array([[1.0, 0.0]]), [0])
 
     def test_rotation_and_scale_invariance(self):
         rng = np.random.default_rng(5)
         vectors = rng.normal(size=(20, 4))
-        dump = make_dump(vectors, np.arange(20))
-        base = inter_token_cos(dump, 1, stream=RngStream(6, 0)).value
+        tokens = np.arange(20)
+        base = inter_token_cos(vectors, tokens, stream=RngStream(6, 0)).value
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        rotated = make_dump(vectors @ q, np.arange(20))
-        assert inter_token_cos(rotated, 1, stream=RngStream(6, 0)).value == pytest.approx(
+        rotated = vectors @ q
+        assert inter_token_cos(rotated, tokens, stream=RngStream(6, 0)).value == pytest.approx(
             base, abs=1e-12
         )
-        scaled = make_dump(vectors * rng.uniform(0.1, 10.0, size=(20, 1)), np.arange(20))
-        assert inter_token_cos(scaled, 1, stream=RngStream(6, 0)).value == pytest.approx(
+        scaled = vectors * rng.uniform(0.1, 10.0, size=(20, 1))
+        assert inter_token_cos(scaled, tokens, stream=RngStream(6, 0)).value == pytest.approx(
             base, abs=1e-12
         )
+
+
+def instances_oracle(vectors, tokens):
+    """Per-token grouping as two passes: every token's rows in record
+    order, then each token's zero rows dropped, and a token left with no
+    rows dropped too."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    tokens = np.asarray(tokens)
+    grouped = {int(t): vectors[tokens == t] for t in np.unique(tokens)}
+    clean, dropped = {}, 0
+    for token, vecs in grouped.items():
+        keep = vecs[np.linalg.norm(vecs, axis=1) > 0.0]
+        dropped += int(vecs.shape[0] - keep.shape[0])
+        if keep.shape[0]:
+            clean[token] = keep
+    return clean, dropped
+
+
+class TestInstances:
+    def test_matches_two_pass_grouping_oracle(self):
+        rng = np.random.default_rng(40)
+        vectors = rng.normal(size=(30, 3))
+        tokens = rng.permutation(np.arange(30) % 7) + 3  # unsorted ids 3..9
+        vectors[[2, 11, 17]] = 0.0
+        vectors[tokens == 5] = 0.0  # every row of token 5 is zero
+        got, dropped = isotropy._instances(vectors, tokens)
+        want, want_dropped = instances_oracle(vectors, tokens)
+        assert 5 in tokens and 5 not in got
+        assert list(got) == list(want)
+        for token, rows in want.items():
+            assert got[token].tobytes() == rows.tobytes()
+        assert dropped == want_dropped > 3
+
+    def test_cosines_reject_mismatched_token_count(self):
+        vectors = np.eye(3)
+        clustering = Clustering(
+            k=1,
+            assignment=np.zeros(3, dtype=np.int64),
+            centroids=vectors.mean(axis=0, keepdims=True),
+            inertia=0.0,
+            iterations=0,
+            inertia_history=np.array([0.0]),
+        )
+        with pytest.raises(InvalidArgumentError, match="2 token ids for 3"):
+            inter_token_cos(vectors, [0, 1])
+        with pytest.raises(InvalidArgumentError, match="4 token ids for 3"):
+            adjusted_inter_token_cos(vectors, [0, 1, 2, 3], clustering)
 
 
 def pair_expectation_oracle(instances, pair_budget, stream):
@@ -429,7 +474,6 @@ class TestAdjustedInterTokenCos:
         stream = RngStream(28, 0)
         vectors = stream.gaussians(2000, 64)
         tokens = np.arange(2000) % 100
-        dump = make_dump(vectors, tokens)
         clustering = Clustering(
             k=1,
             assignment=np.zeros(2000, dtype=np.int64),
@@ -438,7 +482,7 @@ class TestAdjustedInterTokenCos:
             iterations=0,
             inertia_history=np.array([0.0]),
         )
-        stat = adjusted_inter_token_cos(dump, 1, clustering, stream=RngStream(29, 0))
+        stat = adjusted_inter_token_cos(vectors, tokens, clustering, stream=RngStream(29, 0))
         assert abs(stat.value) < 0.05
 
     def test_shared_offset_anisotropy(self):
@@ -451,7 +495,6 @@ class TestAdjustedInterTokenCos:
         direction[0] = 1.0
         signs = np.where(stream.uniforms(n) < 0.9, 1.0, -1.0)
         vectors = 3.0 * signs[:, None] * direction + 0.05 * stream.gaussians(n, dim)
-        dump = make_dump(vectors, np.arange(n) % 50)
         clustering = Clustering(
             k=1,
             assignment=np.zeros(n, dtype=np.int64),
@@ -460,7 +503,9 @@ class TestAdjustedInterTokenCos:
             iterations=0,
             inertia_history=np.array([0.0]),
         )
-        stat = adjusted_inter_token_cos(dump, 1, clustering, stream=RngStream(31, 0))
+        stat = adjusted_inter_token_cos(
+            vectors, np.arange(n) % 50, clustering, stream=RngStream(31, 0)
+        )
         assert abs(stat.value) > 0.5
 
     def test_double_centering_idempotent(self):
@@ -476,8 +521,8 @@ class TestAdjustedInterTokenCos:
             iterations=0,
             inertia_history=np.array([0.0]),
         )
-        a = adjusted_inter_token_cos(make_dump(vectors, tokens), 1, clustering, stream=RngStream(33, 0))
-        b = adjusted_inter_token_cos(make_dump(centered, tokens), 1, clustering, stream=RngStream(33, 0))
+        a = adjusted_inter_token_cos(vectors, tokens, clustering, stream=RngStream(33, 0))
+        b = adjusted_inter_token_cos(centered, tokens, clustering, stream=RngStream(33, 0))
         assert a.value == pytest.approx(b.value, abs=1e-12)
 
     def test_clusters_without_two_tokens_are_skipped(self):
@@ -491,7 +536,7 @@ class TestAdjustedInterTokenCos:
             iterations=0,
             inertia_history=np.array([0.0]),
         )
-        stat = adjusted_inter_token_cos(make_dump(vectors, tokens), 1, clustering)
+        stat = adjusted_inter_token_cos(vectors, tokens, clustering)
         assert stat.skipped_clusters == 1
 
     def test_all_clusters_skipped_is_undefined(self):
@@ -505,7 +550,7 @@ class TestAdjustedInterTokenCos:
             inertia_history=np.array([0.0]),
         )
         with pytest.raises(UndefinedMetricError):
-            adjusted_inter_token_cos(make_dump(vectors, [3, 3]), 1, clustering)
+            adjusted_inter_token_cos(vectors, [3, 3], clustering)
 
 
 class TestLayerReport:

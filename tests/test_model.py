@@ -1,13 +1,16 @@
 """Tests for attention, the forward pass, gradients, training, and dumps."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from isoprobe import model
+from isoprobe import dumps, model
 from isoprobe.dumps import EmbeddingDump
-from isoprobe.errors import InvalidArgumentError, NumericFailureError
+from isoprobe.errors import InvalidArgumentError, IsoprobeError, NumericFailureError
 from isoprobe.kernels import Periodic, kernelsynth_sample
 from isoprobe.model import (
     AttentionLayer,
@@ -565,6 +568,19 @@ class TestDumpAndCheckpoint:
         np.testing.assert_allclose(dump.vectors, [r[3] for r in records], rtol=0, atol=1e-12)
         assert dump_embeddings(params, []).record_count == 0
 
+    def test_last_layer_rows_equal_dump_layer_matrix(self):
+        # evaluate_point takes the final layer's rows and token ids from
+        # causal_pass directly, in place of a one-layer dump
+        rng = np.random.default_rng(18)
+        params = random_params(rng, 8, 3, 2, 2)
+        windows = [rng.integers(0, 8, size=6) for _ in range(4)]
+        last = params.layer_count
+        dump = dump_embeddings(params, windows, [last])
+        rows = causal_pass(params, windows)[0][-1].reshape(-1, params.dim)
+        assert rows.tobytes() == dump.layer_matrix(last).tobytes()
+        tokens = np.ravel(windows)
+        assert tokens.tobytes() == dump.layer_token_ids(last).tobytes()
+
     def test_dump_file_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(15)
         params = random_params(rng, 8, 3, 2, 2)
@@ -601,3 +617,56 @@ class TestDumpAndCheckpoint:
         with pytest.raises(InvalidArgumentError, match="truncated") as info:
             EmbeddingDump.read(path)
         assert str(path) in str(info.value)
+
+
+U32 = st.integers(0, 2**32 - 1)
+
+
+def loads_or_raises_typed(reader, path, raw):
+    path.write_bytes(raw)
+    try:
+        reader(path)
+    except IsoprobeError:
+        pass
+
+
+class TestBinaryReadersFuzz:
+    """Every input either loads or raises a typed error: the right magic
+    with arbitrary header integers and payload, or arbitrary bytes."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        raw=st.builds(
+            lambda version, layers, dim, n, payload: dumps.MAGIC
+            + struct.pack("<IIIQ", version, layers, dim, n)
+            + payload,
+            st.just(dumps.VERSION) | U32,
+            U32,
+            U32,
+            st.integers(0, 2**64 - 1),
+            st.binary(max_size=256),
+        )
+        | st.binary(max_size=64)
+    )
+    @example(raw=dumps.MAGIC + struct.pack("<IIIQ", dumps.VERSION, 0, 2**32 - 1, 0))
+    def test_embedding_dump_read(self, tmp_path_factory, raw):
+        path = tmp_path_factory.getbasetemp() / "fuzz.isoemb"
+        loads_or_raises_typed(EmbeddingDump.read, path, raw)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        raw=st.builds(
+            lambda version, dims, payload: model.CHECKPOINT_MAGIC
+            + struct.pack("<5I", version, *dims)
+            + payload,
+            st.just(model.CHECKPOINT_VERSION) | U32,
+            st.tuples(U32, U32, U32, U32),
+            st.binary(max_size=256),
+        )
+        | st.binary(max_size=64)
+    )
+    @example(raw=model.CHECKPOINT_MAGIC + struct.pack("<5I", 1, 1, 0, 1, 2**32 - 1))
+    def test_load_checkpoint(self, tmp_path_factory, raw):
+        # no sidecar sits next to the file, so only the binary is read
+        path = tmp_path_factory.getbasetemp() / "fuzz.isop"
+        loads_or_raises_typed(load_checkpoint, path, raw)

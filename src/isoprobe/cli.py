@@ -323,7 +323,7 @@ def _analyze(run):
             eps_values=tuple(opt["eps"]),
         )
         layers.append(report.to_dict())
-        for row in pca_plot_rows(run.dump, report):
+        for row in pca_plot_rows(report):
             plot_lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
 
     report_path = run.write_doc("isotropy_report.json", "isotropy_report", layers=layers)

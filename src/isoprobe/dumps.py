@@ -100,7 +100,7 @@ class EmbeddingDump:
         off = len(MAGIC)
         version = int(np.frombuffer(raw, "<u4", count=1, offset=off)[0])
         if version != VERSION:
-            raise InvalidArgumentError(f"unsupported dump version {version}")
+            raise InvalidArgumentError(f"{path}: unsupported dump version {version}")
         layer_count = int(np.frombuffer(raw, "<u4", count=1, offset=off + 4)[0])
         dim = int(np.frombuffer(raw, "<u4", count=1, offset=off + 8)[0])
         n = int(np.frombuffer(raw, "<u8", count=1, offset=off + 12)[0])

@@ -154,45 +154,75 @@ def _kmeans_pp_init(x, k, stream):
     return centroids
 
 
-def _lloyd(x, centroids, max_iter, tol):
-    """Lloyd iteration from the given centroids: row norms once per run,
-    and per iteration one one-hot product, (members.T @ x) / counts, for
-    the new centroids once any empty cluster is reseeded."""
-    n, k = x.shape[0], centroids.shape[0]
-    x_sq = np.sum(x * x, axis=1)
+def _distinct_rows(x):
+    """The byte-equal rows of x collapsed: the distinct rows in order of
+    first occurrence, and each row's index among them.  Rows are keyed
+    by their bytes, so +0.0 and -0.0 entries make different rows."""
+    x = np.ascontiguousarray(x)
+    if x.shape[1] == 0:  # zero-width rows are all the same row
+        return x[:1], np.zeros(x.shape[0], dtype=np.int64)
+    keys = x.view(np.dtype((np.void, x.dtype.itemsize * x.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return x[first[order]], rank[inverse]
+
+
+def _lloyd(rows, inverse, centroids, max_iter, tol):
+    """Lloyd iteration on the byte-equal distinct rows, each weighted by
+    its copies (full row p is rows[inverse[p]]), from centroids that the
+    caller seeded on the full rows; returns the full rows' assignment.
+
+    Per iteration: one one-hot product, (members.T @ rows) / counts,
+    whose one-hot columns carry the multiplicities.  An empty cluster is
+    reseeded with one copy of the farthest row whose cluster survives
+    losing it; later repairs may take more copies of that row.  Ties go
+    to the copy with the lowest full-row index, as on the full rows."""
+    m, k = rows.shape[0], centroids.shape[0]
+    weights = np.bincount(inverse, minlength=m)
+    rows_sq = np.sum(rows * rows, axis=1)
     history = []
     for _ in range(max_iter):
-        d2 = _dist_sq(x, x_sq, centroids)
+        d2 = _dist_sq(rows, rows_sq, centroids)
         assignment = np.argmin(d2, axis=1)
-        own = d2[np.arange(n), assignment]
-        counts = np.bincount(assignment, minlength=k)
-        for c in np.flatnonzero(counts == 0):
-            # reseed an empty cluster at the farthest point whose own
-            # cluster survives losing it
-            eligible = np.flatnonzero(counts[assignment] >= 2)
-            far = eligible[np.argmax(own[eligible])]
-            counts[assignment[far]] -= 1
-            assignment[far] = c
-            counts[c] = 1
-            own[far] = 0.0
-        history.append(float(own.sum()))
-        members = np.zeros((n, k))
-        members[np.arange(n), assignment] = 1.0
-        new_centroids = (members.T @ x) / counts[:, None]
+        own = d2[np.arange(m), assignment]
+        counts = np.bincount(assignment, weights=weights, minlength=k)
+        members = np.zeros((m, k))
+        left = weights  # copies still in their nearest cluster
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            left = weights.copy()
+            copies = np.argsort(inverse, kind="stable")  # full rows by distinct row
+            starts = np.cumsum(weights) - weights
+            for c in empty:
+                eligible = np.flatnonzero((left > 0) & (counts[assignment] >= 2))
+                tied = eligible[own[eligible] == own[eligible].max()]
+                # the next copy of each tied row, by its full-row index
+                far = tied[np.argmin(copies[starts[tied] + weights[tied] - left[tied]])]
+                counts[assignment[far]] -= 1
+                left[far] -= 1
+                counts[c] = 1
+                members[far, c] = 1.0
+        history.append(float((own * left).sum()))
+        members[np.arange(m), assignment] = left
+        new_centroids = (members.T @ rows) / counts[:, None]
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
         if shift < tol:
             break
-    d2 = _dist_sq(x, x_sq, centroids)
+    d2 = _dist_sq(rows, rows_sq, centroids)
     assignment = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(n), assignment].sum())
-    return assignment, centroids, inertia, len(history), history
+    inertia = float((d2[np.arange(m), assignment] * weights).sum())
+    return assignment[inverse], centroids, inertia, len(history), history
 
 
 def kmeans(x, k, stream=None, *, restarts=5, max_iter=300, tol=1e-8):
     """Best-of-restarts k-means++ with Lloyd iteration.
 
-    Empty clusters are repaired by reseeding to the farthest point; the
+    The k-means++ init draws on the full rows; Lloyd runs on the
+    byte-equal distinct rows weighted by their multiplicity.  Empty
+    clusters are repaired by reseeding to the farthest point; the
     winner is the restart with the lowest within-cluster sum of squares.
     """
     data = as_matrix(x, "data")
@@ -201,10 +231,13 @@ def kmeans(x, k, stream=None, *, restarts=5, max_iter=300, tol=1e-8):
         raise InvalidArgumentError(f"k must be in [1, {n}], got {k}")
     if stream is None:
         stream = RngStream(0, 0)
+    rows, inverse = _distinct_rows(data)
     best = None
     for _ in range(restarts):
         init = _kmeans_pp_init(data, k, stream)
-        assignment, centroids, inertia, iters, history = _lloyd(data, init, max_iter, tol)
+        assignment, centroids, inertia, iters, history = _lloyd(
+            rows, inverse, init, max_iter, tol
+        )
         if best is None or inertia < best.inertia:
             best = Clustering(k, assignment, centroids, inertia, iters, np.asarray(history))
     return best
@@ -221,30 +254,36 @@ def silhouette(x, clusterings):
 
     a(p): mean distance to the rest of p's cluster (singletons score 0);
     b(p): smallest mean distance to another non-empty cluster;
-    s = (b-a)/max(a,b).  Every clustering's one-hot membership columns
-    are stacked, so one blocked pass over the distances serves them all.
+    s = (b-a)/max(a,b).  The distances run over the byte-equal distinct
+    rows only: every clustering's member columns, stacked, count each
+    distinct row's copies per cluster (copies of one row may sit in
+    different clusters), so one blocked pass serves them all, and each
+    full row reads its distinct row's sums.
     """
     data = as_matrix(x, "data")
-    n, dim = data.shape
+    n = data.shape[0]
     if min((c.k for c in clusterings), default=0) < 2:
         raise InvalidArgumentError("silhouette needs at least 2 clusters")
+    rows, inverse = _distinct_rows(data)
+    m, dim = rows.shape
     assignments = [np.asarray(c.assignment) for c in clusterings]
     offsets = np.cumsum([0] + [c.k for c in clusterings])
-    members = np.zeros((n, offsets[-1]))
-    for assignment, offset in zip(assignments, offsets):
-        members[np.arange(n), offset + assignment] = 1.0
+    columns = np.stack([offset + a for a, offset in zip(assignments, offsets)], axis=1)
+    cells = (inverse[:, None] * offsets[-1] + columns).ravel()
+    members = np.bincount(cells, minlength=m * offsets[-1]).reshape(m, -1).astype(np.float64)
     # Per-cluster distance sums over the upper triangle of the distance
     # matrix in row blocks; a block also counts, mirrored, for the later
     # rows.  Difference-based distances avoid the cancellation of the
     # expanded quadratic form.
     sums = np.zeros_like(members)
-    rows = max(1, _SILHOUETTE_BLOCK_BYTES // (8 * n * max(dim, 1)))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        diff = data[start:stop, None, :] - data[None, start:, :]
+    block = max(1, _SILHOUETTE_BLOCK_BYTES // (8 * m * max(dim, 1)))
+    for start in range(0, m, block):
+        stop = min(start + block, m)
+        diff = rows[start:stop, None, :] - rows[None, start:, :]
         dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         sums[start:stop] += dist @ members[start:]
         sums[stop:] += dist[:, stop - start :].T @ members[start:stop]
+    sums = sums[inverse]
     results = []
     for assignment, lo, hi in zip(assignments, offsets, offsets[1:]):
         counts = members[:, lo:hi].sum(axis=0)
@@ -371,12 +410,14 @@ class LayerIsotropyReport:
     # not serialized; reused for the plot rows
     clustering: Clustering | None = None
     pca: PCAResult | None = None
+    rows: np.ndarray | None = None
+    token_ids: np.ndarray | None = None
 
     def to_dict(self):
         return {
             f.name: getattr(self, f.name)
             for f in fields(self)
-            if f.name not in ("clustering", "pca")
+            if f.name not in ("clustering", "pca", "rows", "token_ids")
         }
 
 
@@ -416,20 +457,20 @@ def layer_report(
         explained_ratio=[float(r) for r in res.explained_ratio],
         clustering=selection.clustering,
         pca=res,
+        rows=matrix,
+        token_ids=tokens,
     )
 
 
-def pca_plot_rows(dump, report):
+def pca_plot_rows(report):
     """Top-3 principal-component coordinates per record, for plot CSVs,
-    from the PCA and clustering a layer report already holds."""
-    matrix = dump.layer_matrix(report.layer)
-    centered = matrix - matrix.mean(axis=0)
+    from the rows, token ids, PCA and clustering a layer report holds."""
+    centered = report.rows - report.rows.mean(axis=0)
     take = min(3, report.pca.components.shape[1])
-    proj = np.zeros((matrix.shape[0], 3))
+    proj = np.zeros((report.rows.shape[0], 3))
     proj[:, :take] = centered @ report.pca.components[:, :take]
-    tokens = dump.layer_token_ids(report.layer)
     assignment = np.asarray(report.clustering.assignment)
     return [
         (report.layer, float(p[0]), float(p[1]), float(p[2]), int(c), int(t))
-        for p, c, t in zip(proj, assignment, tokens)
+        for p, c, t in zip(proj, assignment, report.token_ids)
     ]

@@ -459,7 +459,7 @@ def load_checkpoint(path):
         )
     version = int(np.frombuffer(raw, "<u4", count=1, offset=4)[0])
     if version != CHECKPOINT_VERSION:
-        raise InvalidArgumentError(f"unsupported checkpoint version {version}")
+        raise InvalidArgumentError(f"{path}: unsupported checkpoint version {version}")
     n, d, m, n_layers = (
         int(v) for v in np.frombuffer(raw, "<u4", count=4, offset=8)
     )

@@ -620,3 +620,28 @@ class TestMalformedArtifacts:
         assert run_cli("embed", "--config", cfg) == 2
         err = capsys.readouterr().err
         assert str(model_dir / "model.isop.json") in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, upstream, artifact, version_offset",
+        [("analyze", "embed", "embeddings.isoemb", 7), ("embed", "train", "model.isop", 4)],
+        ids=["dump", "checkpoint"],
+    )
+    def test_unsupported_version_exits_2_naming_file(
+        self, pipeline, tmp_path, capsys, command, upstream, artifact, version_offset
+    ):
+        dirs, _ = pipeline
+        raw = bytearray((dirs[upstream] / artifact).read_bytes())
+        raw[version_offset : version_offset + 4] = (7).to_bytes(4, "little")
+        files = {artifact: bytes(raw)}
+        if upstream == "train":
+            files["model.isop.json"] = (dirs["train"] / "model.isop.json").read_text()
+            keys = dict(model=str(tmp_path / "up"), data=str(dirs["synth"]),
+                        datasets=["seasonality_2"])
+        else:
+            keys = dict(embeddings=str(tmp_path / "up"))
+        forge_run(tmp_path / "up", files)
+        cfg = write_config(tmp_path / "c.cfg", out=str(tmp_path / "out"), **keys)
+        assert run_cli(command, "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'up' / artifact}: unsupported" in err and "version 7" in err
+        assert "Traceback" not in err

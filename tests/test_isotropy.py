@@ -368,12 +368,57 @@ class TestSilhouette:
             silhouette(x, [clustering])
 
 
+def lloyd_oracle(x, centroids, max_iter, tol):
+    """Lloyd iteration on every full row (no deduplication)."""
+    n, k = x.shape[0], centroids.shape[0]
+    x_sq = np.sum(x * x, axis=1)
+    history = []
+    for _ in range(max_iter):
+        d2 = isotropy._dist_sq(x, x_sq, centroids)
+        assignment = np.argmin(d2, axis=1)
+        own = d2[np.arange(n), assignment]
+        counts = np.bincount(assignment, minlength=k)
+        for c in np.flatnonzero(counts == 0):
+            # reseed an empty cluster at the farthest point whose own
+            # cluster survives losing it
+            eligible = np.flatnonzero(counts[assignment] >= 2)
+            far = eligible[np.argmax(own[eligible])]
+            counts[assignment[far]] -= 1
+            assignment[far] = c
+            counts[c] = 1
+            own[far] = 0.0
+        history.append(float(own.sum()))
+        members = np.zeros((n, k))
+        members[np.arange(n), assignment] = 1.0
+        new_centroids = (members.T @ x) / counts[:, None]
+        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+        centroids = new_centroids
+        if shift < tol:
+            break
+    d2 = isotropy._dist_sq(x, x_sq, centroids)
+    assignment = np.argmin(d2, axis=1)
+    inertia = float(d2[np.arange(n), assignment].sum())
+    return assignment, centroids, inertia, len(history), history
+
+
+def kmeans_oracle(x, k, stream, *, restarts=5, max_iter=300, tol=1e-8):
+    """kmeans with lloyd_oracle in place of the distinct-row Lloyd."""
+    x = np.asarray(x, dtype=np.float64)
+    best = None
+    for _ in range(restarts):
+        init = isotropy._kmeans_pp_init(x, k, stream)
+        assignment, centroids, inertia, iters, history = lloyd_oracle(x, init, max_iter, tol)
+        if best is None or inertia < best.inertia:
+            best = Clustering(k, assignment, centroids, inertia, iters, np.asarray(history))
+    return best
+
+
 def select_oracle(x, k_range, stream):
-    """The per-k selection loop: k-means, then a one-pair-at-a-time
-    silhouette, for each k in turn."""
+    """The per-k selection loop: full-row k-means, then a one-pair-at-a-
+    time silhouette, for each k in turn."""
     clusterings, scores = {}, {}
     for k in k_range:
-        clusterings[k] = kmeans(x, k, stream)
+        clusterings[k] = kmeans_oracle(x, k, stream)
         scores[k] = float(silhouette_oracle(x, clusterings[k]).mean())
     best_k = max(scores, key=lambda k: (scores[k], -k))
     return best_k, clusterings, scores
@@ -393,6 +438,20 @@ def repeated_rows():
     return np.repeat(np.random.default_rng(42).normal(size=(4, 3)), 3, axis=0)
 
 
+def interleaved_rows():
+    # repeated_rows' 4 distinct rows, copies spread apart: a second repair
+    # in one iteration must take the copy with the lowest row index
+    return np.tile(np.random.default_rng(42).normal(size=(4, 3)), (3, 1))
+
+
+def signed_zero_rows():
+    # equal values, different bytes: -0.0 copies are distinct rows
+    x = repeated_rows()
+    x[:, 1] = 0.0
+    x[[1, 5, 10], 1] = -0.0
+    return x
+
+
 def blob_rows():
     rng = np.random.default_rng(44)
     centers = np.array([[0.0, 0.0, 0.0], [6.0, 0.0, 1.0], [0.0, 6.0, -1.0]])
@@ -402,8 +461,14 @@ def blob_rows():
 class TestFusedSelection:
     @pytest.mark.parametrize(
         "rows, k_range",
-        [(blob_rows, range(2, 11)), (near_tie_rows, range(2, 7)), (repeated_rows, range(2, 12))],
-        ids=["blobs", "near_tie", "k_near_n"],
+        [
+            (blob_rows, range(2, 11)),
+            (near_tie_rows, range(2, 7)),
+            (repeated_rows, range(2, 12)),
+            (interleaved_rows, range(2, 12)),
+            (signed_zero_rows, range(2, 12)),
+        ],
+        ids=["blobs", "near_tie", "k_near_n", "interleaved_copies", "signed_zeros"],
     )
     def test_matches_per_k_oracle(self, rows, k_range):
         x = rows()
@@ -416,6 +481,9 @@ class TestFusedSelection:
             assert sel.scores[k] == pytest.approx(score, abs=1e-12)
         np.testing.assert_array_equal(sel.clustering.assignment, clusterings[best_k].assignment)
         assert sel.clustering.iterations == clusterings[best_k].iterations
+        np.testing.assert_allclose(
+            sel.clustering.centroids, clusterings[best_k].centroids, rtol=0, atol=1e-12
+        )
         assert rng_state(fused_stream) == rng_state(oracle_stream)
 
     def test_near_tie_is_near(self):
@@ -434,14 +502,85 @@ class TestFusedSelection:
             assert mean_score == pytest.approx(direct.mean(), abs=1e-12)
 
     def test_one_hot_centroids_match_mask_means(self):
+        # 100 distinct rows, each one to five times: the weighted one-hot
+        # product over distinct rows gives the full rows' cluster means
         rng = np.random.default_rng(48)
-        x = rng.normal(size=(300, 6)) + 3.0
-        init = x[rng.choice(300, size=7, replace=False)]
-        _, centroids, _, _, _ = isotropy._lloyd(x, init, 1, 0.0)
+        base = rng.normal(size=(100, 6)) + 3.0
+        x = base[rng.permutation(np.repeat(np.arange(100), rng.integers(1, 6, size=100)))]
+        init = base[rng.choice(100, size=7, replace=False)]
+        rows, inverse = isotropy._distinct_rows(x)
+        assert rows.shape[0] == 100 < x.shape[0]
+        _, centroids, _, _, _ = isotropy._lloyd(rows, inverse, init, 1, 0.0)
         d2 = ((x[:, None, :] - init[None, :, :]) ** 2).sum(axis=2)
         first = np.argmin(d2, axis=1)
         means = np.array([x[first == c].mean(axis=0) for c in range(7)])
         np.testing.assert_allclose(centroids, means, rtol=0, atol=1e-12)
+
+
+def assert_same_clustering(got, want, exact):
+    np.testing.assert_array_equal(got.assignment, want.assignment)
+    assert got.iterations == want.iterations
+    if exact:
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert got.inertia_history.tobytes() == want.inertia_history.tobytes()
+        assert got.inertia == want.inertia
+    else:
+        np.testing.assert_allclose(got.centroids, want.centroids, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.inertia_history, want.inertia_history, rtol=0, atol=1e-12)
+
+
+class TestDistinctRows:
+    def test_byte_keys_in_first_occurrence_order(self):
+        x = signed_zero_rows()[[5, 0, 1, 6, 0, 5]]
+        rows, inverse = isotropy._distinct_rows(x)
+        assert rows[inverse].tobytes() == x.tobytes()
+        # x[0] and x[2] differ only in the sign of a zero
+        assert inverse.tolist() == [0, 1, 2, 3, 1, 0]
+
+    @pytest.mark.parametrize("k", [2, 5, 9])
+    def test_no_repeats_bit_identical_to_full_rows(self, k):
+        x = np.random.default_rng(60).normal(size=(200, 4))
+        stream, oracle_stream = RngStream(61, 0), RngStream(61, 0)
+        assert_same_clustering(kmeans(x, k, stream), kmeans_oracle(x, k, oracle_stream), True)
+        assert rng_state(stream) == rng_state(oracle_stream)
+
+    def test_no_repeats_repair_bit_identical_to_full_rows(self):
+        # two far-off initial centroids start empty and are reseeded
+        rng = np.random.default_rng(62)
+        x = rng.normal(size=(120, 3))
+        init = np.vstack([x[:4], np.full((2, 3), 50.0)])
+        got = isotropy._lloyd(x, np.arange(120), init, 300, 1e-8)
+        want = lloyd_oracle(x, init, 300, 1e-8)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2:] == want[2:]
+
+    @pytest.mark.parametrize("rows", [repeated_rows, interleaved_rows, signed_zero_rows])
+    @pytest.mark.parametrize("k", [5, 7, 9, 12])
+    def test_split_copies_match_full_rows(self, rows, k):
+        # k >= 5 over 4 distinct values: repairs split copies of one row
+        x = rows()
+        stream, oracle_stream = RngStream(63, 0), RngStream(63, 0)
+        got, want = kmeans(x, k, stream), kmeans_oracle(x, k, oracle_stream)
+        assert_same_clustering(got, want, False)
+        assert rng_state(stream) == rng_state(oracle_stream)
+
+    def test_silhouette_copies_split_across_clusters(self):
+        x = interleaved_rows()
+        # copies of distinct row 0 (records 0, 4, 8) sit in clusters 0 and 2
+        assignment = np.array([0, 1, 1, 2, 2, 1, 1, 2, 0, 1, 1, 2])
+        clustering = Clustering(
+            k=3,
+            assignment=assignment,
+            centroids=np.zeros((3, 3)),
+            inertia=0.0,
+            iterations=0,
+            inertia_history=np.array([0.0]),
+        )
+        scores, mean_score = silhouette(x, [clustering])[0]
+        direct = silhouette_oracle(x, clustering)
+        np.testing.assert_allclose(scores, direct, rtol=0, atol=1e-12)
+        assert mean_score == pytest.approx(direct.mean(), abs=1e-12)
 
 
 class TestSelectClusterCount:
@@ -571,7 +710,7 @@ class TestLayerReport:
         assert -1.0 <= d["zeta_prime_cos"] <= 1.0
         assert 0.0 < d["partition_isotropy"] <= 1.0
         assert abs(sum(d["explained_ratio"]) - 1.0) < 1e-10
-        rows = pca_plot_rows(dump, report)
+        rows = pca_plot_rows(report)
         assert len(rows) == 120
         assert all(len(r) == 6 for r in rows)
 
@@ -590,6 +729,6 @@ class TestLayerReport:
         stream = RngStream(37, 0)
         dump = make_dump(stream.gaussians(80, 6), np.arange(80) % 20)
         report = layer_report(dump, 1, RngStream(38, 0), k_range=range(2, 4))
-        rows = pca_plot_rows(dump, report)
+        rows = pca_plot_rows(report)
         assert len(rows) == 80
         assert calls == [(6, 6), (6, 6)]

@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .dumps import EmbeddingDump
 from .errors import (
-    CheckFailureError, ConfigError, InvalidArgumentError, IsoprobeError, MergeRefusedError,
-    MissingInputError,
+    CheckFailureError, ConfigError, GenerationFailureError, InvalidArgumentError, IsoprobeError,
+    MergeRefusedError, MissingInputError,
 )
 from .evalharness import SweepConfig, run_sweep, sweep_rows_to_csv, sweep_verdicts
 from .isotropy import layer_report, pca_plot_rows
@@ -201,18 +201,21 @@ def run_stage(stage, config_path, overrides, workers):
 def _synth_task(task):
     mode, payload, length, seed, index, standardize = task
     stream = RngStream(seed, index)
-    if mode == "table":
-        name, spec_dict = payload
-        spec = CompositeKernel.from_dict(spec_dict).spec
-        return name, single_kernel_series(
-            spec, length, stream, standardize_output=standardize, name=name
-        )
-    bank_dicts, max_kernels = payload
-    bank = tuple(CompositeKernel.from_dict(d).spec for d in bank_dicts)
-    name = f"synth_{index:03d}"
-    series = kernelsynth_sample(
-        bank, max_kernels=max_kernels, length=length, stream=stream, standardize_output=standardize
-    )
+    name = payload[0] if mode == "table" else f"synth_{index:03d}"
+    try:
+        if mode == "table":
+            spec = CompositeKernel.from_dict(payload[1]).spec
+            series = single_kernel_series(spec, length, stream, standardize_output=standardize)
+        else:
+            bank_dicts, max_kernels = payload
+            bank = tuple(CompositeKernel.from_dict(d).spec for d in bank_dicts)
+            series = kernelsynth_sample(
+                bank, max_kernels=max_kernels, length=length, stream=stream,
+                standardize_output=standardize,
+            )
+    except GenerationFailureError as exc:
+        exc.add_context(f"dataset {name} (seed {seed}, stream id {index})")
+        raise
     series.origin["name"] = name
     return name, series
 

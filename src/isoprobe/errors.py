@@ -10,6 +10,12 @@ class IsoprobeError(Exception):
 
     exit_code = 1
 
+    def add_context(self, context):
+        """Prefix ``context`` to the message, e.g. the dataset or sweep row
+        being processed; the type, attributes and exit code stay."""
+        self.args = (f"{context}: {self}",)
+        return self
+
 
 class InvalidArgumentError(IsoprobeError, ValueError):
     """An operation was called with input violating its preconditions."""

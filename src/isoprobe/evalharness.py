@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UndefinedMetricError
+from .errors import InvalidArgumentError, IsoprobeError, UndefinedMetricError
 from .isotropy import (
     adjusted_inter_token_cos,
     effective_dimension,
@@ -162,7 +162,9 @@ def _sweep_row_task(task):
     A context-length row evaluates clean inputs, with anchors that leave
     room for the sweep's longest context; a noise row evaluates a noisy
     copy of the dataset (one noise draw per row, applied to the whole
-    series) at the config's fixed context length.  Targets stay clean."""
+    series) at the config's fixed context length.  Targets stay clean.
+    An IsoprobeError raised by the point names the row's variable, value,
+    dataset and seed."""
     params, tok_cfg, series, cfg, value, name, seed = task
     if cfg.variable == "context_length":
         context_length, noise_sigma, floor = int(value), 0.0, int(max(cfg.values))
@@ -172,21 +174,25 @@ def _sweep_row_task(task):
     # window starts are shared across the sweep values of a
     # (dataset, seed) pair for a paired comparison
     window_stream = _row_stream(cfg.variable, "windows", name, seed)
-    error, zeta_prime, d08, iso_i = evaluate_point(
-        params,
-        tok_cfg,
-        series,
-        context_length=context_length,
-        noise_sigma=noise_sigma,
-        horizon=cfg.horizon,
-        windows=cfg.windows,
-        sample_count=cfg.sample_count,
-        stream=stream,
-        window_stream=window_stream,
-        anchor_floor=floor,
-        pair_budget=cfg.pair_budget,
-        k_max=cfg.k_max,
-    )
+    try:
+        error, zeta_prime, d08, iso_i = evaluate_point(
+            params,
+            tok_cfg,
+            series,
+            context_length=context_length,
+            noise_sigma=noise_sigma,
+            horizon=cfg.horizon,
+            windows=cfg.windows,
+            sample_count=cfg.sample_count,
+            stream=stream,
+            window_stream=window_stream,
+            anchor_floor=floor,
+            pair_budget=cfg.pair_budget,
+            k_max=cfg.k_max,
+        )
+    except IsoprobeError as exc:
+        exc.add_context(f"{cfg.variable} = {value}, dataset {name}, seed {seed}")
+        raise
     return SweepRow(
         variable=cfg.variable,
         value=float(value),

@@ -22,6 +22,7 @@ from .numerics import RngStream, cholesky_psd
 DEFAULT_MAX_KERNELS = 5
 DEFAULT_LENGTH = 1024
 DEFAULT_NOISE_SIGMA = 0.05
+_GRAM_BLOCK = 128  # rows of the upper triangle evaluated per kernel call
 
 
 def _require_positive(value, name):
@@ -199,14 +200,27 @@ def uniform_grid(length):
 
 
 def gram_matrix(kernel, grid):
-    """Covariance matrix of a (composite) kernel on a grid in [0, 1]."""
+    """Covariance matrix of a (composite) kernel on a grid in [0, 1].
+
+    The kernel is evaluated on the upper triangle only, one block of
+    128 rows at a time, and each block is mirrored into the lower
+    triangle.  The mirror is exact: every kernel in the bank is
+    symmetric in IEEE arithmetic (``s - t == -(t - s)``, ``|s - t| ==
+    |t - s|``, sums and products commute), so ``k(s, t)`` and
+    ``k(t, s)`` are the same bits and the result equals the full
+    evaluation, and its symmetrization, bit for bit.
+    """
     g = np.asarray(grid, dtype=np.float64)
     if g.ndim != 1 or g.size < 2:
         raise InvalidArgumentError("grid must be 1-D with >= 2 points")
     if g[0] < 0.0 or g[-1] > 1.0 or np.any(np.diff(g) <= 0.0):
         raise InvalidArgumentError("grid must be strictly increasing within [0, 1]")
-    gram = kernel(g[:, None], g[None, :])
-    return 0.5 * (gram + gram.T)
+    gram = np.empty((g.size, g.size))
+    for i in range(0, g.size, _GRAM_BLOCK):
+        block = kernel(g[i : i + _GRAM_BLOCK, None], g[None, i:])
+        gram[i : i + _GRAM_BLOCK, i:] = block
+        gram[i:, i : i + _GRAM_BLOCK] = block.T
+    return gram
 
 
 def sample_kernel_tree(bank, max_kernels, stream):
@@ -229,7 +243,11 @@ def sample_gp(kernel, length, stream):
     """One zero-mean GP sample of the kernel on the uniform grid.
 
     Returns (values, jitter_used).  Diagonal kernels skip the dense
-    factorization; both paths consume the stream identically.
+    factorization; both paths consume the stream identically.  A dense
+    kernel's Gram matrix is its mirrored upper triangle, equal bit for
+    bit to the full evaluation (see ``gram_matrix``), and ``cholesky_psd``
+    factors it after a leading-block probe that only skips jitter rungs
+    bound to fail, so the factor and jitter are those of the full ladder.
     """
     grid = uniform_grid(length)
     z = stream.gaussians(length)

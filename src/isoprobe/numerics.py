@@ -90,10 +90,19 @@ class CholeskyResult:
     jitter: float
 
 
+_PROBE = 64  # order of the leading block factored before the full matrix
+
+
 def _cholesky_lower(a):
-    """LAPACK Cholesky (``potrf``); returns None when a pivot is not positive."""
+    """LAPACK Cholesky (``potrf``) of an exactly symmetric matrix, after
+    the leading-block probe ``cholesky_psd`` describes; returns None when
+    a pivot is not positive.  Both calls take the transposed view: the
+    same values, since the matrix is symmetric, in the column order numpy
+    copies to LAPACK contiguously, which gives the same factor bytes."""
     try:
-        return np.linalg.cholesky(a)
+        if len(a) > _PROBE:
+            np.linalg.cholesky(a[:_PROBE, :_PROBE].T)
+        return np.linalg.cholesky(a.T)
     except np.linalg.LinAlgError:
         return None
 
@@ -101,13 +110,22 @@ def _cholesky_lower(a):
 def cholesky_psd(m):
     """Lower-triangular factor of a (nearly) PSD symmetric matrix.
 
-    Each attempt is one LAPACK ``potrf`` call.  The jitter ladder: no
-    jitter first, then 1e-9 * mean(diag) added to the diagonal, growing
-    tenfold per retry, six retries.  A zero pivot fails an attempt like
-    a negative one, so a singular PSD matrix, diagonal or not, factors
-    only with jitter.  Returns a CholeskyResult reporting the jitter
-    added; the input is left unchanged.  Raises
-    NotPositiveSemidefiniteError once the ladder is exhausted.
+    Each attempt is one LAPACK ``potrf`` call of the full matrix,
+    preceded on matrices larger than 64 x 64 by a ``potrf`` probe of the
+    leading 64 x 64 block.  A failed probe fails the attempt without the
+    full call, and the factor of an attempt that runs is the full call's
+    own.  The probe skips only attempts bound to fail: a matrix whose
+    leading principal submatrix is not positive definite is not positive
+    definite either (Sylvester's criterion).  LAPACK may order the
+    probe's operations differently from the full call's leading columns,
+    so the tests hold every rung to a probe-free ladder on the kernel
+    Gram matrices.  The jitter ladder: no jitter first, then 1e-9 *
+    mean(diag) added to the diagonal, growing tenfold per retry, six
+    retries.  A zero pivot fails an attempt like a negative one, so a
+    singular PSD matrix, diagonal or not, factors only with jitter.
+    Returns a CholeskyResult reporting the jitter added; the input is
+    left unchanged.  Raises NotPositiveSemidefiniteError once the ladder
+    is exhausted.
     """
     a = _require_symmetric(as_matrix(m), "matrix")
     lower = _cholesky_lower(a)

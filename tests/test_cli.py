@@ -1,6 +1,7 @@
 """End-to-end pipeline tests: artifacts, manifests, determinism, exits."""
 
 import csv
+import itertools
 import json
 import math
 import time
@@ -13,8 +14,10 @@ from hypothesis import strategies as st
 
 from isoprobe import cli, theory
 from isoprobe.cli import main
-from isoprobe.errors import IsoprobeError
+from isoprobe.errors import IsoprobeError, NotPositiveSemidefiniteError
+from isoprobe.kernels import default_bank, sample_kernel_tree
 from isoprobe.manifest import RunManifest, parse_config, sha256_file
+from isoprobe.numerics import RngStream
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "isoprobe" / "report_schema.json"
 
@@ -184,6 +187,29 @@ class TestSynth:
         )
         assert run_cli("synth", "--config", cfg) == 0
         assert len(list((tmp_path / "k" / "datasets").glob("*.csv"))) == 3
+
+    @pytest.mark.parametrize("mode", ["table", "kernelsynth"])
+    def test_generation_failure_names_dataset_seed_and_stream(
+        self, tmp_path, capsys, monkeypatch, mode
+    ):
+        def refuse(_):
+            raise NotPositiveSemidefiniteError("forced refusal")
+
+        monkeypatch.setattr("isoprobe.kernels.cholesky_psd", refuse)
+        if mode == "table":
+            index, name = 0, "linear_1"
+        else:  # the first tree with a dense Gram matrix is the first to fail
+            index = next(
+                i for i in itertools.count()
+                if not sample_kernel_tree(default_bank(), 5, RngStream(7, i)).is_diagonal
+            )
+            name = f"synth_{index:03d}"
+        cfg = write_config(tmp_path / "s.cfg", out=str(tmp_path / "s"), seed=7, length=64,
+                           mode=mode, count=index + 1)
+        assert run_cli("synth", "--config", cfg) == 5
+        err = capsys.readouterr().err
+        assert f"dataset {name} (seed 7, stream id {index}): " in err
+        assert "forced refusal" in err
 
     def test_bad_mode_exits_2_with_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "bad.cfg", out=str(tmp_path / "x"), mode="nope")

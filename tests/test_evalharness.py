@@ -190,6 +190,32 @@ class TestSweeps:
         pooled = run_sweep(params, tok_cfg, datasets, cfg, workers=2)
         assert serial == pooled
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_row_names_variable_value_dataset_and_seed(
+        self, smoke_model, seasonality_series, monkeypatch, workers
+    ):
+        def undefined(*args, **kwargs):
+            raise UndefinedMetricError("every cluster lacks two distinct tokens")
+
+        monkeypatch.setattr("isoprobe.evalharness.adjusted_inter_token_cos", undefined)
+        params, tok_cfg, _ = smoke_model
+        cfg = SweepConfig(
+            variable="context_length",
+            values=(4, 16),
+            seeds=(14,),
+            windows=4,
+            sample_count=2,
+            k_max=3,
+        )
+        datasets = {"nonlinear_2": seasonality_series.values}
+        with pytest.raises(UndefinedMetricError) as err:
+            run_sweep(params, tok_cfg, datasets, cfg, workers=workers)
+        assert str(err.value) == (
+            "context_length = 4, dataset nonlinear_2, seed 14: "
+            "every cluster lacks two distinct tokens"
+        )
+        assert err.value.exit_code == 4
+
     def test_csv_header_and_shape(self, smoke_model, seasonality_series):
         params, tok_cfg, _ = smoke_model
         cfg = SweepConfig(

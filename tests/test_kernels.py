@@ -1,6 +1,7 @@
 """Tests for GP kernel evaluation, composition, and series generation."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -90,6 +91,32 @@ class TestGramMatrix:
             gram_matrix(k, [0.0, 0.5, 0.5])
         with pytest.raises(InvalidArgumentError):
             gram_matrix(k, [0.0, 1.5])
+
+    def test_mirror_equals_symmetrized_full_evaluation(self):
+        stream = RngStream(12, 0)
+        kernels = [CompositeKernel.leaf(spec) for _, spec in table_dataset_specs()]
+        kernels += [sample_kernel_tree(default_bank(), 5, stream) for _ in range(20)]
+        for length in (2, 3, 127, 128, 129, 256, 1024):
+            grid = uniform_grid(length)
+            for kernel in kernels:
+                full = kernel(grid[:, None], grid[None, :])
+                want = 0.5 * (full + full.T)
+                assert gram_matrix(kernel, grid).tobytes() == want.tobytes()
+
+    def test_table_datasets_factor_each_dense_gram_once(self, monkeypatch):
+        orders = []
+        potrf = np.linalg.cholesky
+
+        def recording(m):
+            orders.append(len(m))
+            return potrf(m)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recording)
+        for i, (name, spec) in enumerate(table_dataset_specs()):
+            single_kernel_series(spec, 1024, RngStream(0, i), name=name)
+        # each dense kernel fails the rung-0 probe and factors at rung 1:
+        # 8 full-size factorizations, where a full-matrix ladder makes 16
+        assert orders == [64, 64, 1024] * 8
 
     def test_composition_preserves_symmetry_and_sampleability(self):
         stream = RngStream(5, 0)
@@ -218,6 +245,15 @@ class TestKernelSynthSample:
         with pytest.raises(GenerationFailureError) as err:
             kernelsynth_sample((RBF(1.0),), max_kernels=1, length=8, stream=RngStream(0, 0))
         assert err.value.kernel_tree == {"kernel": "rbf", "length_scale": 1.0}
+
+    def test_context_keeps_type_and_attributes_across_pickling(self):
+        # a worker pool pickles the error raised in a worker
+        exc = GenerationFailureError("forced", kernel_tree={"kernel": "rbf"})
+        exc.add_context("dataset nonlinear_1 (seed 3, stream id 6)")
+        clone = pickle.loads(pickle.dumps(exc))
+        assert type(clone) is GenerationFailureError and clone.exit_code == 5
+        assert str(clone) == "dataset nonlinear_1 (seed 3, stream id 6): forced"
+        assert clone.kernel_tree == {"kernel": "rbf"}
 
 
 class TestNoiseAndIO:

@@ -191,6 +191,103 @@ def dense_grams(length=256, trees=20):
     return [gram_matrix(k, uniform_grid(length)) for k in itertools.islice(dense, 8 + trees)]
 
 
+def potrf_ladder_oracle(a):
+    """The ladder ``cholesky_psd`` ran before its leading-block probe, kept
+    unchanged as the reference: one full-matrix ``np.linalg.cholesky``
+    per rung.  Returns (lower, jitter), or (None, None) once the ladder
+    is exhausted."""
+
+    def attempt(m):
+        try:
+            return np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            return None
+
+    lower = attempt(a)
+    if lower is not None:
+        return lower, 0.0
+    diag = np.diag(a)
+    mean_diag = float(np.mean(diag))
+    base = 1e-9 * (mean_diag if mean_diag > 0.0 else 1.0)
+    jittered = a.copy()
+    for jit in [base * 10.0**k for k in range(6)]:
+        np.fill_diagonal(jittered, diag + jit)
+        lower = attempt(jittered)
+        if lower is not None:
+            return lower, jit
+    return None, None
+
+
+def dense_table_grams(length):
+    return [
+        gram_matrix(k, uniform_grid(length))
+        for k in (CompositeKernel.leaf(spec) for _, spec in table_dataset_specs())
+        if not k.is_diagonal
+    ]
+
+
+class TestLeadingBlockProbe:
+    """``cholesky_psd`` against the full-matrix ladder it replaced: the
+    probe may skip attempts, never change a factor or a rung."""
+
+    @staticmethod
+    def assert_matches_ladder(a):
+        lower, jitter = potrf_ladder_oracle(a)
+        res = cholesky_psd(a)
+        assert res.jitter == jitter
+        assert res.lower.shape == lower.shape
+        assert res.lower.tobytes() == lower.tobytes()
+        return res
+
+    def test_kernel_grams(self):
+        for gram in dense_grams():
+            self.assert_matches_ladder(gram)
+
+    def test_table_kernels_at_paper_length(self):
+        grams = dense_table_grams(1024)
+        assert len(grams) == 8
+        for gram in grams:
+            assert self.assert_matches_ladder(gram).jitter > 0.0
+
+    @pytest.mark.parametrize("n", [64, 65, 129])
+    def test_sizes_around_the_probe(self, n):
+        x = np.random.default_rng(n).normal(size=(n, n))
+        spd = x @ x.T + n * np.eye(n)
+        spd = 0.5 * (spd + spd.T)
+        assert self.assert_matches_ladder(spd).jitter == 0.0
+        for gram in dense_table_grams(n):
+            self.assert_matches_ladder(gram)
+
+    def test_leading_block_factors_but_full_matrix_does_not(self, monkeypatch):
+        v = np.arange(1.0, 9.0)
+        a = np.zeros((72, 72))
+        a[:64, :64] = np.eye(64)
+        a[64:, 64:] = np.outer(v, v)  # rank one: singular
+        orders = []
+        potrf = np.linalg.cholesky
+
+        def recording(m):
+            orders.append(len(m))
+            return potrf(m)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recording)
+        res = cholesky_psd(a)
+        monkeypatch.undo()
+        # the identity block passes the probe, so the full call runs and fails
+        assert orders[:2] == [64, 72]
+        assert res.jitter > 0.0
+        self.assert_matches_ladder(a)
+
+    @pytest.mark.parametrize("a", [np.zeros((0, 0)), [[4.0]], [[0.0]], [[1e-300]]])
+    def test_empty_and_one_by_one(self, a):
+        self.assert_matches_ladder(np.array(a, dtype=np.float64))
+
+    def test_negative_one_by_one_exhausts_both(self):
+        assert potrf_ladder_oracle(np.array([[-1.0]])) == (None, None)
+        with pytest.raises(NotPositiveSemidefiniteError):
+            cholesky_psd([[-1.0]])
+
+
 class TestCholeskyPsd:
     def test_matches_column_oracle_on_kernel_grams(self):
         grams = dense_grams()

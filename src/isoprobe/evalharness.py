@@ -21,10 +21,10 @@ from .isotropy import (
     select_cluster_count,
 )
 from .kernels import add_noise
-from .model import causal_pass, forecast
+from .model import forecast, forward
 from .numerics import RngStream, ordered_map
 from .theory import isotropy_partition
-from .tokenizer import fit_scale, tokenize
+from .tokenizer import _scaled_windows
 
 SWEEP_CSV_HEADER = "sweep_var,value,dataset,seed,nmse,zeta_prime,d08,iso_I"
 
@@ -112,15 +112,24 @@ def evaluate_point(
     forecast region and drawn from ``window_stream`` when given, so
     paired sweep values forecast the same targets (common random
     numbers); ``anchor_floor`` reserves room for the largest context
-    length in the sweep.  The isotropy metrics read the final attention
-    layer's rows from one causal pass over the evaluation contexts, one
-    row per context position, with the position's token id.
+    length in the sweep.
+
+    The contexts are one (C, n) batch: one array pass scales and bins
+    them, and one causal pass over them (`forward`) gives both the
+    decoder's starting rows and head logits and the isotropy matrix,
+    the final attention layer's rows, one per context position, with
+    the position's token id.  All C * sample_count paths then decode as
+    one batch.  Every batched product is a stacked matmul whose slices
+    have the shapes of one context's own products, so the point equals
+    C forecasts run one after another, bit for bit.
     """
     if context_length < 2:
         raise InvalidArgumentError(f"context_length must be >= 2, got {context_length}")
     x = np.asarray(series_values, dtype=np.float64)
     noisy = add_noise(x, noise_sigma, stream)
     floor = context_length if anchor_floor is None else int(anchor_floor)
+    if floor < context_length:
+        raise InvalidArgumentError(f"anchor_floor {floor} is below context_length {context_length}")
     n_anchors = x.size - horizon - floor + 1
     if n_anchors < 1:
         raise InvalidArgumentError(
@@ -132,24 +141,19 @@ def evaluate_point(
     anchors = floor + np.sort(
         picker.generator.choice(n_anchors, size=n_windows, replace=False)
     )
-    preds, truths, token_windows = [], [], []
-    for anchor in anchors:
-        ctx = noisy[anchor - context_length : anchor]
-        scale = fit_scale(ctx)
-        toks = tokenize(ctx, tok_cfg, scale)
-        truth = x[anchor : anchor + horizon]
-        _, point = forecast(
-            params, toks, horizon, sample_count, stream=stream, tok_cfg=tok_cfg, scale=scale
-        )
-        preds.append(point)
-        truths.append(truth)
-        token_windows.append(toks.tokens)
-    error = nmse(np.concatenate(preds), np.concatenate(truths))
-    matrix = causal_pass(params, token_windows)[0][-1].reshape(-1, params.dim)
+    starts = anchors - context_length
+    contexts = noisy[starts[:, None] + np.arange(context_length)]
+    tokens, scales = _scaled_windows(contexts, starts, tok_cfg, context_length)
+    trace = forward(tokens, params)
+    _, points = forecast(
+        params, trace, horizon, sample_count, stream=stream, tok_cfg=tok_cfg, scale=scales
+    )
+    error = nmse(points.ravel(), x[anchors[:, None] + np.arange(horizon)].ravel())
+    matrix = trace.activations[-1].reshape(-1, params.dim)
     k_range = range(2, min(k_max, matrix.shape[0] - 1) + 1)
     selection = select_cluster_count(matrix, k_range, stream)
     adjusted = adjusted_inter_token_cos(
-        matrix, np.ravel(token_windows), selection.clustering, pair_budget, stream
+        matrix, tokens.ravel(), selection.clustering, pair_budget, stream
     )
     d08 = effective_dimension(matrix, 0.8)
     iso = isotropy_partition(matrix)

@@ -132,8 +132,12 @@ class Clustering:
 
 
 def _dist_sq(x, x_sq, centroids):
-    d2 = x_sq[:, None] - 2.0 * x @ centroids.T + np.sum(centroids * centroids, axis=1)[None, :]
-    return np.maximum(d2, 0.0)
+    """Squared distances of the rows x to one (k, D) set of centroids, or
+    to each set of an (R, k, D) stack, as (n, k) or (R, n, k)."""
+    d2 = 2.0 * x @ np.swapaxes(centroids, -1, -2)
+    np.subtract(x_sq[:, None], d2, out=d2)
+    d2 += np.sum(centroids * centroids, axis=-1)[..., None, :]
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _kmeans_pp_init(x, k, stream):
@@ -169,77 +173,104 @@ def _distinct_rows(x):
     return x[first[order]], rank[inverse]
 
 
-def _lloyd(rows, inverse, centroids, max_iter, tol):
-    """Lloyd iteration on the byte-equal distinct rows, each weighted by
-    its copies (full row p is rows[inverse[p]]), from centroids that the
-    caller seeded on the full rows; returns the full rows' assignment.
+def _lloyd(rows, inverse, inits, max_iter, tol):
+    """Lloyd iteration of every restart at once, on the byte-equal
+    distinct rows, each weighted by its copies (full row p is
+    rows[inverse[p]]), from an (R, k, D) stack of centroids that the
+    caller seeded on the full rows.  Returns one Clustering per restart,
+    with the full rows' assignment.
 
     Per iteration: one one-hot product, (members.T @ rows) / counts,
     whose one-hot columns carry the multiplicities.  An empty cluster is
     reseeded with one copy of the farthest row whose cluster survives
     losing it; later repairs may take more copies of that row.  Ties go
-    to the copy with the lowest full-row index, as on the full rows."""
-    m, k = rows.shape[0], centroids.shape[0]
+    to the copy with the lowest full-row index, as on the full rows.  A
+    restart leaves the active stack once its centroids move less than
+    tol, or after max_iter iterations.
+
+    Every product is a stacked matmul whose slices have the shapes of
+    one restart's own products, (m, D) @ (D, k) and (k, m) @ (m, D),
+    so each restart's bits are those of a run on its own: BLAS may
+    round a row differently inside one wide concatenated product."""
+    restarts, k = inits.shape[:2]
+    m = rows.shape[0]
     weights = np.bincount(inverse, minlength=m)
     rows_sq = np.sum(rows * rows, axis=1)
-    history = []
+    copies = np.argsort(inverse, kind="stable")  # full rows by distinct row
+    starts = np.cumsum(weights) - weights
+    final = inits.copy()
+    histories = [[] for _ in range(restarts)]
+    active = np.arange(restarts)
+    centroids = inits
     for _ in range(max_iter):
         d2 = _dist_sq(rows, rows_sq, centroids)
-        assignment = np.argmin(d2, axis=1)
-        own = d2[np.arange(m), assignment]
-        counts = np.bincount(assignment, weights=weights, minlength=k)
-        members = np.zeros((m, k))
-        left = weights  # copies still in their nearest cluster
-        empty = np.flatnonzero(counts == 0)
-        if empty.size:
-            left = weights.copy()
-            copies = np.argsort(inverse, kind="stable")  # full rows by distinct row
-            starts = np.cumsum(weights) - weights
-            for c in empty:
-                eligible = np.flatnonzero((left > 0) & (counts[assignment] >= 2))
-                tied = eligible[own[eligible] == own[eligible].max()]
+        assignment = np.argmin(d2, axis=2)
+        stack = np.arange(active.size)[:, None]
+        own = d2[stack, np.arange(m), assignment]
+        left = np.repeat(weights[None], active.size, axis=0)  # copies still in their nearest cluster
+        counts = np.bincount(
+            (stack * k + assignment).ravel(), weights=left.ravel(), minlength=active.size * k
+        ).reshape(-1, k)
+        members = np.zeros((active.size, m, k))
+        # each restart with an empty cluster repairs it on its own
+        empty = [] if counts.all() else np.flatnonzero((counts == 0).any(axis=1))
+        for a in empty:
+            r_own, r_assign, r_counts, r_left = own[a], assignment[a], counts[a], left[a]
+            for c in np.flatnonzero(r_counts == 0):
+                eligible = np.flatnonzero((r_left > 0) & (r_counts[r_assign] >= 2))
+                tied = eligible[r_own[eligible] == r_own[eligible].max()]
                 # the next copy of each tied row, by its full-row index
-                far = tied[np.argmin(copies[starts[tied] + weights[tied] - left[tied]])]
-                counts[assignment[far]] -= 1
-                left[far] -= 1
-                counts[c] = 1
-                members[far, c] = 1.0
-        history.append(float((own * left).sum()))
-        members[np.arange(m), assignment] = left
-        new_centroids = (members.T @ rows) / counts[:, None]
-        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
-        centroids = new_centroids
-        if shift < tol:
+                far = tied[np.argmin(copies[starts[tied] + weights[tied] - r_left[tied]])]
+                r_counts[r_assign[far]] -= 1
+                r_left[far] -= 1
+                r_counts[c] = 1
+                members[a, far, c] = 1.0
+        for a, inertia in zip(active, (own * left).sum(axis=1)):
+            histories[a].append(float(inertia))
+        members[stack, np.arange(m), assignment] = left
+        new_centroids = (np.swapaxes(members, 1, 2) @ rows) / counts[:, :, None]
+        shift = np.max(np.linalg.norm(new_centroids - centroids, axis=2), axis=1)
+        final[active] = new_centroids
+        moving = ~(shift < tol)  # a NaN shift keeps iterating, as one restart alone would
+        active, centroids = active[moving], new_centroids[moving]
+        if not active.size:
             break
-    d2 = _dist_sq(rows, rows_sq, centroids)
-    assignment = np.argmin(d2, axis=1)
-    inertia = float((d2[np.arange(m), assignment] * weights).sum())
-    return assignment[inverse], centroids, inertia, len(history), history
+    d2 = _dist_sq(rows, rows_sq, final)
+    assignment = np.argmin(d2, axis=2)
+    own = d2[np.arange(restarts)[:, None], np.arange(m), assignment]
+    inertias = (own * weights).sum(axis=1)
+    return [
+        Clustering(
+            k, assignment[r][inverse], final[r], float(inertias[r]), len(history), np.asarray(history)
+        )
+        for r, history in enumerate(histories)
+    ]
 
 
 def kmeans(x, k, stream=None, *, restarts=5, max_iter=300, tol=1e-8):
     """Best-of-restarts k-means++ with Lloyd iteration.
 
-    The k-means++ init draws on the full rows; Lloyd runs on the
-    byte-equal distinct rows weighted by their multiplicity.  Empty
-    clusters are repaired by reseeding to the farthest point; the
-    winner is the restart with the lowest within-cluster sum of squares.
+    Every restart's k-means++ init is drawn first, on the full rows and
+    in restart order (Lloyd draws nothing); then one Lloyd runs them all
+    on the byte-equal distinct rows weighted by their multiplicity.
+    Empty clusters are repaired by reseeding to the farthest point; the
+    winner is the restart with the lowest within-cluster sum of squares,
+    the first one on ties.
     """
     data = as_matrix(x, "data")
     n = data.shape[0]
     if not 1 <= k <= n:
         raise InvalidArgumentError(f"k must be in [1, {n}], got {k}")
+    if restarts < 1:
+        raise InvalidArgumentError(f"restarts must be >= 1, got {restarts}")
     if stream is None:
         stream = RngStream(0, 0)
     rows, inverse = _distinct_rows(data)
+    inits = np.stack([_kmeans_pp_init(data, k, stream) for _ in range(restarts)])
     best = None
-    for _ in range(restarts):
-        init = _kmeans_pp_init(data, k, stream)
-        assignment, centroids, inertia, iters, history = _lloyd(
-            rows, inverse, init, max_iter, tol
-        )
-        if best is None or inertia < best.inertia:
-            best = Clustering(k, assignment, centroids, inertia, iters, np.asarray(history))
+    for clustering in _lloyd(rows, inverse, inits, max_iter, tol):
+        if best is None or clustering.inertia < best.inertia:
+            best = clustering
     return best
 
 

@@ -221,13 +221,22 @@ def causal_pass(params, windows):
 
 
 def forward(tokens, params):
-    """Next-token prediction after the last position of one token sequence."""
-    ids = tokens.tokens if isinstance(tokens, TokenSequence) else tokens
-    if np.ndim(ids) != 1:
-        raise InvalidArgumentError("token sequence must be non-empty and 1-D")
-    activations, _ = causal_pass(params, np.asarray(ids)[None])
-    activations = [a[0] for a in activations]
-    logits = activations[-1][-1] @ params.embed.T
+    """Next-token prediction after the last position of one token
+    sequence, or of each sequence of a (C, n) stack.
+
+    A stack gives (C, n, D) activations and (C, N) logits.  Each
+    context's head logits are its own (1, D) @ (D, N) product, a stacked
+    matmul, so they carry the bits a forward over that context alone
+    gives: BLAS rounds a one-row product differently from the same row
+    inside a wider one.
+    """
+    ids = np.asarray(tokens.tokens if isinstance(tokens, TokenSequence) else tokens)
+    if ids.ndim not in (1, 2):
+        raise InvalidArgumentError("token sequence must be non-empty and 1-D, or a (C, n) stack")
+    activations, _ = causal_pass(params, ids[None] if ids.ndim == 1 else ids)
+    logits = (activations[-1][:, -1:] @ params.embed.T)[:, 0]
+    if ids.ndim == 1:
+        activations, logits = [a[0] for a in activations], logits[0]
     return ForwardTrace(activations, logits, softmax(logits))
 
 
@@ -338,9 +347,9 @@ def train(windows, cfg, *, dim=64, rank=16, layer_count=2, vocab_size=512):
 
 def _sample_tokens(probabilities, uniforms):
     """Inverse-CDF draw of one token per probability row."""
-    cdf = np.cumsum(probabilities, axis=1)
-    idx = np.sum(cdf <= (uniforms * cdf[:, -1])[:, None], axis=1)
-    return np.minimum(idx, cdf.shape[1] - 1)
+    cdf = np.cumsum(probabilities, axis=-1)
+    idx = np.sum(cdf <= (uniforms * cdf[..., -1])[..., None], axis=-1)
+    return np.minimum(idx, cdf.shape[-1] - 1)
 
 
 def forecast(params, context_tokens, horizon, sample_count=20, *, stream, tok_cfg, scale):
@@ -352,35 +361,54 @@ def forecast(params, context_tokens, horizon, sample_count=20, *, stream, tok_cf
     uniforms s * horizon .. (s + 1) * horizon - 1 of `stream`, in step
     order.
 
-    One `forward` covers the context; the paths then decode as one batch,
-    each step adding one row per layer from the cached input rows of that
-    layer (exact, see the module docstring).
+    `context_tokens` is one context, a (C, n) stack of them with one
+    scale per context, or the ForwardTrace of `forward` over either.  A
+    stack gives (C, sample_count, horizon) paths and (C, horizon) point
+    forecasts, and draws context c's uniforms after those of contexts
+    0..c-1, as C forecasts one after another would.
+
+    One `forward` covers the contexts; all C * sample_count paths then
+    decode as one batch, each step adding one row per layer from the
+    cached input rows of that layer (exact, see the module docstring).
+    Every product is a stacked matmul with one context's shapes, so a
+    stack decodes each context as a forecast of it alone would.
     """
     if horizon < 1 or sample_count < 1:
         raise InvalidArgumentError("horizon and sample_count must be >= 1")
-    trace = forward(context_tokens, params)
-    uniforms = stream.uniforms(sample_count, horizon)
-    n = trace.activations[0].shape[0]
+    trace = (
+        context_tokens
+        if isinstance(context_tokens, ForwardTrace)
+        else forward(context_tokens, params)
+    )
+    single = trace.probabilities.ndim == 1
+    probs = trace.probabilities.reshape(-1, 1, params.vocab_size)
+    contexts = probs.shape[0]
+    uniforms = stream.uniforms(contexts, sample_count, horizon)
+    n = trace.activations[0].shape[-2]
     # cache[l]: the input rows of attention layer l, one stack per path
-    cache = [np.empty((sample_count, n + horizon - 1, params.dim)) for _ in params.layers]
+    cache = [
+        np.empty((contexts, sample_count, n + horizon - 1, params.dim)) for _ in params.layers
+    ]
     for rows, context_rows in zip(cache, trace.activations):
-        rows[:, :n] = context_rows
-    probs = np.broadcast_to(trace.probabilities, (sample_count, params.vocab_size))
-    trajectories = np.empty((sample_count, horizon), dtype=np.int64)
+        rows[:, :, :n] = context_rows.reshape(contexts, 1, n, params.dim)
+    probs = np.broadcast_to(probs, (contexts, sample_count, params.vocab_size))
+    trajectories = np.empty((contexts, sample_count, horizon), dtype=np.int64)
     for step in range(horizon):
-        trajectories[:, step] = _sample_tokens(probs, uniforms[:, step])
+        trajectories[..., step] = _sample_tokens(probs, uniforms[..., step])
         if step + 1 == horizon:
             break
-        row = params.embed[trajectories[:, step]]
+        row = params.embed[trajectories[..., step]]
         seen = n + step + 1
         for layer, rows in zip(params.layers, cache):
-            rows[:, seen - 1] = row
+            rows[:, :, seen - 1] = row
             query = row @ layer.score_matrix
-            weights = _attention_softmax((rows[:, :seen] @ query[:, :, None])[:, :, 0])
-            row = (weights[:, None, :] @ rows[:, :seen])[:, 0]
+            weights = _attention_softmax((rows[:, :, :seen] @ query[..., None])[..., 0])
+            row = (weights[..., None, :] @ rows[:, :, :seen])[..., 0, :]
         probs = softmax(row @ params.embed.T)
-    values = detokenize(TokenSequence(trajectories, scale), tok_cfg)
-    return trajectories, values.mean(axis=0)
+    scales = np.reshape(scale, (-1, 1, 1))
+    values = detokenize(TokenSequence(trajectories, scales), tok_cfg)
+    points = values.mean(axis=1)
+    return (trajectories[0], points[0]) if single else (trajectories, points)
 
 
 def context_hash(tokens):

@@ -34,10 +34,25 @@ def as_matrix(m, name="matrix"):
     return a
 
 
+# Rows per strip of the exact symmetry test: a strip's transposed side
+# is a column block this wide, read a short contiguous run per row.
+_SYMMETRY_STRIP = 128
+
+
+def _exactly_symmetric(a):
+    """Whether a == a.T entry for entry, compared in row strips:
+    a[i:i+b, i:] against a[i:, i:i+b].T, which together compare every
+    entry with its mirror.  A NaN is unequal to itself, so it fails."""
+    return all(
+        np.array_equal(a[i : i + _SYMMETRY_STRIP, i:], a[i:, i : i + _SYMMETRY_STRIP].T)
+        for i in range(0, a.shape[0], _SYMMETRY_STRIP)
+    )
+
+
 def _require_symmetric(a, name):
     if a.shape[0] != a.shape[1]:
         raise InvalidArgumentError(f"{name} must be square, got {a.shape}")
-    if np.array_equal(a, a.T):
+    if _exactly_symmetric(a):
         return a  # 0.5 * (a + a.T) would equal it bit for bit
     asym = float(np.max(np.abs(a - a.T)))
     if asym > 1e-10 * float(np.max(np.abs(a))):

@@ -50,16 +50,17 @@ class TokenizerConfig:
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """Token ids plus the scale used to produce them."""
+    """Token ids plus the scale used to produce them: one float, or an
+    array of scales that broadcasts against the ids (one per context)."""
 
     tokens: np.ndarray
-    scale: float
+    scale: float | np.ndarray
 
     def __post_init__(self):
         object.__setattr__(
             self, "tokens", np.asarray(self.tokens, dtype=np.int64)
         )
-        if self.scale <= 0:
+        if np.any(np.asarray(self.scale) <= 0):
             raise InvalidArgumentError(f"scale must be positive, got {self.scale}")
 
     def __len__(self):
@@ -117,13 +118,22 @@ def tokenize_windows(values, cfg, context_length, horizon=0, stride=1, limit=Non
     if x.size < span:
         return np.empty((0, span), dtype=np.int64)
     windows = np.lib.stride_tricks.sliding_window_view(x, span)[::stride][:limit]
+    return _scaled_windows(windows, range(0, x.size, stride), cfg, context_length)[0]
+
+
+def _scaled_windows(windows, starts, cfg, context_length):
+    """Token ids and scales of a (B, span) stack of series windows, row
+    b starting at index starts[b] of the series: each row is divided by
+    ``fit_scale`` of its first ``context_length`` values and binned as
+    ``tokenize`` bins it, in one array pass.  A non-finite value raises
+    InvalidArgumentError naming its index in the series."""
     bad = ~np.isfinite(windows)
     if bad.any():
-        row, col = divmod(int(np.argmax(bad)), span)
-        raise InvalidArgumentError(f"non-finite series value at index {row * stride + col}")
+        row, col = divmod(int(np.argmax(bad)), windows.shape[1])
+        raise InvalidArgumentError(f"non-finite series value at index {starts[row] + col}")
     scales = np.mean(np.abs(windows[:, :context_length]), axis=1)
     scales[scales == 0.0] = 1.0
-    return _bin(windows / scales[:, None], cfg).astype(np.int64, copy=False)
+    return _bin(windows / scales[:, None], cfg).astype(np.int64, copy=False), scales
 
 
 def detokenize(tokens, cfg):

@@ -13,8 +13,119 @@ from isoprobe.evalharness import (
     sweep_rows_to_csv,
     sweep_verdicts,
 )
+from isoprobe.isotropy import adjusted_inter_token_cos, effective_dimension, select_cluster_count
+from isoprobe.kernels import add_noise
+from isoprobe.model import causal_pass, forecast, init_params
 from isoprobe.numerics import RngStream
+from isoprobe.theory import isotropy_partition
 from isoprobe.tokenizer import TokenizerConfig, detokenize, fit_scale, tokenize
+
+
+def evaluate_point_oracle(
+    params,
+    tok_cfg,
+    series_values,
+    *,
+    context_length,
+    noise_sigma,
+    horizon,
+    windows,
+    sample_count,
+    stream,
+    window_stream=None,
+    anchor_floor=None,
+    pair_budget=10000,
+    k_max=10,
+):
+    """evaluate_point one context at a time: fit_scale, tokenize and a
+    forecast per anchor, then a causal pass over the contexts for the
+    isotropy matrix.  The reference for the batched point."""
+    x = np.asarray(series_values, dtype=np.float64)
+    noisy = add_noise(x, noise_sigma, stream)
+    floor = context_length if anchor_floor is None else int(anchor_floor)
+    n_anchors = x.size - horizon - floor + 1
+    picker = window_stream if window_stream is not None else stream
+    anchors = floor + np.sort(
+        picker.generator.choice(n_anchors, size=min(windows, n_anchors), replace=False)
+    )
+    preds, truths, token_windows = [], [], []
+    for anchor in anchors:
+        ctx = noisy[anchor - context_length : anchor]
+        scale = fit_scale(ctx)
+        toks = tokenize(ctx, tok_cfg, scale)
+        _, point = forecast(
+            params, toks, horizon, sample_count, stream=stream, tok_cfg=tok_cfg, scale=scale
+        )
+        preds.append(point)
+        truths.append(x[anchor : anchor + horizon])
+        token_windows.append(toks.tokens)
+    error = nmse(np.concatenate(preds), np.concatenate(truths))
+    matrix = causal_pass(params, token_windows)[0][-1].reshape(-1, params.dim)
+    k_range = range(2, min(k_max, matrix.shape[0] - 1) + 1)
+    selection = select_cluster_count(matrix, k_range, stream)
+    adjusted = adjusted_inter_token_cos(
+        matrix, np.ravel(token_windows), selection.clustering, pair_budget, stream
+    )
+    d08 = effective_dimension(matrix, 0.8)
+    iso = isotropy_partition(matrix)
+    return error, adjusted.value, d08.value, iso.value
+
+
+class TestBatchedPoint:
+    @pytest.mark.parametrize("shape", ["readme_smoke", "paper_shape"])
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.05])
+    @pytest.mark.parametrize("context_length", [2, 4, 16])
+    def test_matches_per_context_oracle(
+        self, smoke_model, seasonality_series, shape, noise_sigma, context_length
+    ):
+        if shape == "readme_smoke":
+            params, tok_cfg, _ = smoke_model
+        else:  # the paper's V512/D64/m16 model at its initial parameters
+            params = init_params(512, 64, 16, 2, RngStream(0, 0))
+            tok_cfg = TokenizerConfig(vocab_size=512)
+        streams = [(RngStream(9, 1), RngStream(9, 2)) for _ in range(2)]
+        got, want = (
+            point(
+                params,
+                tok_cfg,
+                seasonality_series.values,
+                context_length=context_length,
+                noise_sigma=noise_sigma,
+                horizon=4,
+                windows=32,
+                sample_count=20,
+                stream=stream,
+                window_stream=window_stream,
+                anchor_floor=16,
+                k_max=4,
+            )
+            for point, (stream, window_stream) in zip(
+                (evaluate_point, evaluate_point_oracle), streams
+            )
+        )
+        assert got == want
+        for batched, oracle in zip(*streams):
+            assert batched.uniform() == oracle.uniform()
+
+    def test_anchor_floor_below_context_length_rejected(self, smoke_model):
+        # the contexts are gathered by index: a start before the series
+        # must be an error, not a wrap to its end
+        params, tok_cfg, _ = smoke_model
+        with pytest.raises(InvalidArgumentError, match="anchor_floor"):
+            evaluate_point(
+                params, tok_cfg, np.sin(np.arange(64.0)), context_length=16, noise_sigma=0.0,
+                horizon=4, windows=8, sample_count=2, stream=RngStream(0, 0), anchor_floor=4,
+            )
+
+    def test_non_finite_context_names_its_series_index(self, smoke_model):
+        params, tok_cfg, _ = smoke_model
+        x = np.sin(np.arange(64.0))
+        x[10] = np.nan
+        with pytest.raises(InvalidArgumentError, match="index 10"):
+            evaluate_point(
+                params, tok_cfg, x, context_length=16, noise_sigma=0.0, horizon=4,
+                windows=48, sample_count=2, stream=RngStream(0, 0),
+            )
 
 
 class TestNmse:

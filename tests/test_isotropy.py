@@ -276,6 +276,11 @@ class TestKmeans:
         with pytest.raises(InvalidArgumentError):
             kmeans(np.eye(3), 4, RngStream(0, 0))
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_restarts_validation(self, restarts):
+        with pytest.raises(InvalidArgumentError, match="restarts"):
+            kmeans(np.eye(3), 2, RngStream(0, 0), restarts=restarts)
+
 
 def silhouette_oracle(x, clustering):
     """Silhouette scores straight from the definition, one pair at a time."""
@@ -401,6 +406,49 @@ def lloyd_oracle(x, centroids, max_iter, tol):
     return assignment, centroids, inertia, len(history), history
 
 
+def lloyd_restart_oracle(rows, inverse, centroids, max_iter, tol):
+    """One restart's distinct-row Lloyd run on its own, the loop that the
+    stacked `_lloyd` runs for every restart at once: its reference, bit
+    for bit.  Returns (assignment, centroids, inertia, iterations,
+    inertia history)."""
+    m, k = rows.shape[0], centroids.shape[0]
+    weights = np.bincount(inverse, minlength=m)
+    rows_sq = np.sum(rows * rows, axis=1)
+    history = []
+    for _ in range(max_iter):
+        d2 = isotropy._dist_sq(rows, rows_sq, centroids)
+        assignment = np.argmin(d2, axis=1)
+        own = d2[np.arange(m), assignment]
+        counts = np.bincount(assignment, weights=weights, minlength=k)
+        members = np.zeros((m, k))
+        left = weights  # copies still in their nearest cluster
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            left = weights.copy()
+            copies = np.argsort(inverse, kind="stable")  # full rows by distinct row
+            starts = np.cumsum(weights) - weights
+            for c in empty:
+                eligible = np.flatnonzero((left > 0) & (counts[assignment] >= 2))
+                tied = eligible[own[eligible] == own[eligible].max()]
+                # the next copy of each tied row, by its full-row index
+                far = tied[np.argmin(copies[starts[tied] + weights[tied] - left[tied]])]
+                counts[assignment[far]] -= 1
+                left[far] -= 1
+                counts[c] = 1
+                members[far, c] = 1.0
+        history.append(float((own * left).sum()))
+        members[np.arange(m), assignment] = left
+        new_centroids = (members.T @ rows) / counts[:, None]
+        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+        centroids = new_centroids
+        if shift < tol:
+            break
+    d2 = isotropy._dist_sq(rows, rows_sq, centroids)
+    assignment = np.argmin(d2, axis=1)
+    inertia = float((d2[np.arange(m), assignment] * weights).sum())
+    return assignment[inverse], centroids, inertia, len(history), history
+
+
 def kmeans_oracle(x, k, stream, *, restarts=5, max_iter=300, tol=1e-8):
     """kmeans with lloyd_oracle in place of the distinct-row Lloyd."""
     x = np.asarray(x, dtype=np.float64)
@@ -510,7 +558,7 @@ class TestFusedSelection:
         init = base[rng.choice(100, size=7, replace=False)]
         rows, inverse = isotropy._distinct_rows(x)
         assert rows.shape[0] == 100 < x.shape[0]
-        _, centroids, _, _, _ = isotropy._lloyd(rows, inverse, init, 1, 0.0)
+        centroids = isotropy._lloyd(rows, inverse, init[None], 1, 0.0)[0].centroids
         d2 = ((x[:, None, :] - init[None, :, :]) ** 2).sum(axis=2)
         first = np.argmin(d2, axis=1)
         means = np.array([x[first == c].mean(axis=0) for c in range(7)])
@@ -527,6 +575,70 @@ def assert_same_clustering(got, want, exact):
     else:
         np.testing.assert_allclose(got.centroids, want.centroids, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got.inertia_history, want.inertia_history, rtol=0, atol=1e-12)
+
+
+def wide_rows():
+    # D = 64, the paper's embedding width: at k 2 and 3 a concatenated
+    # (m, R * k) product rounds many entries differently from the
+    # restarts' own (m, k) products
+    rng = np.random.default_rng(64)
+    return np.vstack([rng.normal(size=(64, 64)) + 3.0 * c for c in range(4)])
+
+
+def far_off_rows():
+    # no repeats; a stack whose second init holds two far-off centroids
+    # that start empty, so only that restart runs the repair
+    return np.random.default_rng(62).normal(size=(120, 3))
+
+
+class TestStackedLloyd:
+    @pytest.mark.parametrize(
+        "rows",
+        [blob_rows, repeated_rows, interleaved_rows, signed_zero_rows, wide_rows, far_off_rows],
+    )
+    @pytest.mark.parametrize("k", [2, 3, 6, 9])
+    @pytest.mark.parametrize("max_iter, tol", [(300, 1e-8), (1, 0.0), (2, 0.0), (3, 0.0), (300, 0.0)])
+    def test_every_restart_matches_its_own_run_bit_for_bit(self, rows, k, max_iter, tol):
+        x = rows()
+        stream = RngStream(70, k)
+        inits = np.stack([isotropy._kmeans_pp_init(x, k, stream) for _ in range(5)])
+        if rows is far_off_rows:
+            inits[1, :2] = 50.0 + np.arange(2)[:, None]
+        distinct, inverse = isotropy._distinct_rows(x)
+        stacked = isotropy._lloyd(distinct, inverse, inits, max_iter, tol)
+        assert len(stacked) == 5
+        for init, got in zip(inits, stacked):
+            want = lloyd_restart_oracle(distinct, inverse, init, max_iter, tol)
+            np.testing.assert_array_equal(got.assignment, want[0])
+            assert got.centroids.tobytes() == want[1].tobytes()
+            assert (got.inertia, got.iterations) == want[2:4]
+            assert got.inertia_history.tobytes() == np.asarray(want[4]).tobytes()
+
+    def test_restarts_leave_the_stack_at_their_own_iteration(self):
+        # the restarts converge after different iteration counts, so the
+        # active stack shrinks while the rest keep iterating
+        x = np.random.default_rng(71).normal(size=(300, 4))
+        stream = RngStream(72, 0)
+        inits = np.stack([isotropy._kmeans_pp_init(x, 7, stream) for _ in range(5)])
+        stacked = isotropy._lloyd(x, np.arange(300), inits, 300, 1e-8)
+        assert len({c.iterations for c in stacked}) > 1
+        for init, got in zip(inits, stacked):
+            want = lloyd_restart_oracle(x, np.arange(300), init, 300, 1e-8)
+            assert got.centroids.tobytes() == want[1].tobytes()
+            assert got.iterations == want[3]
+
+    def test_winner_is_first_lowest_inertia(self, monkeypatch):
+        # restarts 1 and 3 tie at the lowest inertia: the first one wins
+        real = isotropy._lloyd
+
+        def tied(rows, inverse, inits, max_iter, tol):
+            out = real(rows, inverse, inits, max_iter, tol)
+            for r, inertia in enumerate([3.0, 1.0, 2.0, 1.0, 1.5]):
+                out[r].inertia, out[r].iterations = inertia, r
+            return out
+
+        monkeypatch.setattr(isotropy, "_lloyd", tied)
+        assert kmeans(blob_rows(), 3, RngStream(73, 0)).iterations == 1
 
 
 class TestDistinctRows:
@@ -549,11 +661,11 @@ class TestDistinctRows:
         rng = np.random.default_rng(62)
         x = rng.normal(size=(120, 3))
         init = np.vstack([x[:4], np.full((2, 3), 50.0)])
-        got = isotropy._lloyd(x, np.arange(120), init, 300, 1e-8)
+        (got,) = isotropy._lloyd(x, np.arange(120), init[None], 300, 1e-8)
         want = lloyd_oracle(x, init, 300, 1e-8)
-        np.testing.assert_array_equal(got[0], want[0])
-        assert got[1].tobytes() == want[1].tobytes()
-        assert got[2:] == want[2:]
+        np.testing.assert_array_equal(got.assignment, want[0])
+        assert got.centroids.tobytes() == want[1].tobytes()
+        assert (got.inertia, got.iterations, got.inertia_history.tolist()) == want[2:]
 
     @pytest.mark.parametrize("rows", [repeated_rows, interleaved_rows, signed_zero_rows])
     @pytest.mark.parametrize("k", [5, 7, 9, 12])

@@ -248,6 +248,23 @@ class TestForward:
             for layer, rows in enumerate(forward(w, params).activations):
                 np.testing.assert_allclose(batched[layer][b], rows, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("vocab, dim, rank", [s[:3] for s in BENCHMARK_SHAPES] + [(512, 16, 8)])
+    @pytest.mark.parametrize("n", [2, 4, 16, 64])
+    def test_stacked_forward_matches_each_context_bit_for_bit(self, vocab, dim, rank, n):
+        params = init_params(vocab, dim, rank, 2, RngStream(dim, 1))
+        contexts = np.random.default_rng(n).integers(0, vocab, size=(32, n))
+        stacked = forward(contexts, params)
+        assert stacked.activations[-1].shape == (32, n, dim)
+        assert stacked.logits.shape == stacked.probabilities.shape == (32, vocab)
+        for c, context in enumerate(contexts):
+            single = forward(context, params)
+            # a context's head logits are its own one-row product
+            assert single.logits.tobytes() == (single.activations[-1][-1] @ params.embed.T).tobytes()
+            for got, want in zip(stacked.activations, single.activations):
+                assert got[c].tobytes() == want.tobytes()
+            assert stacked.logits[c].tobytes() == single.logits.tobytes()
+            assert stacked.probabilities[c].tobytes() == single.probabilities.tobytes()
+
     def test_out_of_range_token_rejected(self):
         params = random_params(np.random.default_rng(0), 4, 2, 1, 1)
         with pytest.raises(InvalidArgumentError, match="out of range"):
@@ -501,6 +518,29 @@ class TestForecast:
             # both consumed sample_count * horizon uniforms
             assert cached.uniform() == oracle.uniform()
         assert calls == [16] * 64  # one forward over the context per forecast
+
+
+    @pytest.mark.parametrize("vocab, dim, rank", [s[:3] for s in BENCHMARK_SHAPES])
+    def test_stacked_forecast_matches_consecutive_forecasts(self, vocab, dim, rank):
+        params = init_params(vocab, dim, rank, 2, RngStream(dim, 2))
+        tok_cfg = TokenizerConfig(vocab_size=vocab)
+        rng = np.random.default_rng(vocab)
+        contexts = rng.integers(0, vocab, size=(8, 16))
+        scales = rng.uniform(0.5, 2.0, size=8)
+        for stacked_input in (contexts, forward(contexts, params)):
+            stacked, looped = RngStream(5, 1), RngStream(5, 1)
+            traj, points = forecast(
+                params, stacked_input, 4, 20, stream=stacked, tok_cfg=tok_cfg, scale=scales
+            )
+            assert traj.shape == (8, 20, 4) and points.shape == (8, 4)
+            # context c draws its uniforms after contexts 0..c-1
+            for c in range(8):
+                want_traj, want_point = forecast(
+                    params, contexts[c], 4, 20, stream=looped, tok_cfg=tok_cfg, scale=scales[c]
+                )
+                np.testing.assert_array_equal(traj[c], want_traj)
+                assert points[c].tobytes() == want_point.tobytes()
+            assert stacked.uniform() == looped.uniform()
 
 
 class TestInvariants:

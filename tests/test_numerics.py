@@ -19,6 +19,7 @@ from isoprobe.kernels import (
     table_dataset_specs,
     uniform_grid,
 )
+from isoprobe import numerics
 from isoprobe.numerics import (
     RngStream,
     cholesky_psd,
@@ -142,6 +143,44 @@ class TestSymEigendecompose:
             sym_eigendecompose(np.ones((2, 3)))
         with pytest.raises(InvalidArgumentError):
             sym_eigendecompose([[1.0, 2.0], [0.5, 1.0]])
+
+
+STRIP = numerics._SYMMETRY_STRIP
+STRIPPED_ORDER = 2 * STRIP + 44  # two full strips and a short last one
+
+
+class TestSymmetryStrips:
+    @pytest.mark.parametrize(
+        "row, col",
+        [
+            (3, STRIP // 2),  # first strip
+            (STRIPPED_ORDER - 1, STRIPPED_ORDER - 30),  # last strip
+            (STRIP - 1, STRIP),  # across a strip boundary, above the diagonal
+            (STRIP, STRIP - 1),  # and its mirror below it
+            (2 * STRIP + 10, 5),  # far below the diagonal
+        ],
+    )
+    def test_one_flipped_entry_is_caught_in_any_strip(self, row, col):
+        g = np.random.default_rng(80).normal(size=(STRIPPED_ORDER, STRIPPED_ORDER))
+        a = g + g.T
+        assert numerics._require_symmetric(a, "matrix") is a
+        flipped = a.copy()
+        flipped[row, col] += 1.0
+        assert not numerics._exactly_symmetric(flipped)
+        with pytest.raises(InvalidArgumentError, match="asymmetric"):
+            numerics._require_symmetric(flipped, "matrix")
+        # within the 1e-10 tolerance: a symmetrized copy comes back
+        nudged = a.copy()
+        nudged[row, col] += 1e-12 * np.max(np.abs(a))
+        out = numerics._require_symmetric(nudged, "matrix")
+        assert out.tobytes() == (0.5 * (nudged + nudged.T)).tobytes()
+        assert numerics._exactly_symmetric(out)
+
+    def test_nan_is_not_symmetric(self):
+        a = np.eye(STRIPPED_ORDER)
+        a[STRIP + 3, STRIP + 3] = np.nan
+        assert not numerics._exactly_symmetric(a)
+        assert numerics._exactly_symmetric(np.zeros((0, 0)))
 
 
 def cholesky_oracle(a):

@@ -30,7 +30,6 @@ from .errors import (
 from .evalharness import SweepConfig, run_sweep, sweep_rows_to_csv, sweep_verdicts
 from .isotropy import layer_report, pca_plot_rows
 from .kernels import (
-    CompositeKernel,
     default_bank,
     kernelsynth_sample,
     load_series,
@@ -54,14 +53,18 @@ from .theory import run_checks
 from .tokenizer import TokenizerConfig, tokenize_windows
 
 # A stage declares each config key it reads as (type, default) or
-# (type, default, minimum); a key whose default is REQUIRED must be set.
+# (type, default, minimum); a key whose default is REQUIRED must be set,
+# and a list[T] key holds elements of type T.
 REQUIRED = object()
 # the config keys each kind of upstream run adds to a stage that reads it
 UPSTREAM_KEYS = {
     "model": {"model": (str, REQUIRED)},
-    "data": {"data": (str, REQUIRED), "datasets": (list, None)},
+    "data": {"data": (str, REQUIRED), "datasets": (list[str], None)},
     "embeddings": {"embeddings": (str, REQUIRED)},
 }
+# the model sidecar fields that embed, verify and eval read, with their types
+SIDECAR_FIELDS = {"tokenizer": dict, "context_length": int, "horizon": int}
+TOKENIZER_FIELDS = {"vocab_size": int, "low": float, "high": float}
 
 
 @dataclass
@@ -141,10 +144,18 @@ def _load_upstream(run, kind):
     if kind == "model":
         path = run_dir / "model.isop"
         run.params, run.meta = load_checkpoint(path)
-        missing = [key for key in ("tokenizer", "context_length", "horizon") if key not in run.meta]
-        if missing:
-            raise InvalidArgumentError(f"{path}.json: model sidecar lacks {', '.join(missing)}")
-        run.tok_cfg = TokenizerConfig.from_dict(run.meta["tokenizer"])
+        try:
+            if not isinstance(run.meta, dict):
+                raise InvalidArgumentError(f"expected a JSON object, got {type(run.meta).__name__}")
+            for key, type_ in SIDECAR_FIELDS.items():
+                take_config(run.meta, key, required=True, kind=type_)
+            tok = {f"tokenizer.{key}": value for key, value in run.meta["tokenizer"].items()}
+            run.tok_cfg = TokenizerConfig(*(
+                take_config(tok, f"tokenizer.{key}", required=True, kind=type_)
+                for key, type_ in TOKENIZER_FIELDS.items()
+            ))
+        except IsoprobeError as exc:
+            raise exc.add_context(f"{path}.json: model sidecar")
         run.inputs.append(path)
     elif kind == "embeddings":
         path = run_dir / "embeddings.isoemb"
@@ -204,14 +215,12 @@ def _synth_task(task):
     name = payload[0] if mode == "table" else f"synth_{index:03d}"
     try:
         if mode == "table":
-            spec = CompositeKernel.from_dict(payload[1]).spec
+            spec = payload[1]
             series = single_kernel_series(spec, length, stream, standardize_output=standardize)
         else:
-            bank_dicts, max_kernels = payload
-            bank = tuple(CompositeKernel.from_dict(d).spec for d in bank_dicts)
+            bank, max_kernels = payload
             series = kernelsynth_sample(
-                bank, max_kernels=max_kernels, length=length, stream=stream,
-                standardize_output=standardize,
+                bank, max_kernels, length, stream, standardize_output=standardize
             )
     except GenerationFailureError as exc:
         exc.add_context(f"dataset {name} (seed {seed}, stream id {index})")
@@ -227,13 +236,12 @@ def _synth(run):
     (run.out_dir / "datasets").mkdir(exist_ok=True)
     if opt["mode"] == "table":
         tasks = [
-            ("table", (name, CompositeKernel.leaf(spec).to_dict()), length, seed, i, standardize)
+            ("table", (name, spec), length, seed, i, standardize)
             for i, (name, spec) in enumerate(table_dataset_specs())
         ]
     elif opt["mode"] == "kernelsynth":
-        bank_dicts = [CompositeKernel.leaf(s).to_dict() for s in default_bank()]
         tasks = [
-            ("kernelsynth", (bank_dicts, opt["max_kernels"]), length, seed, i, standardize)
+            ("kernelsynth", (default_bank(), opt["max_kernels"]), length, seed, i, standardize)
             for i in range(opt["count"])
         ]
     else:
@@ -341,7 +349,8 @@ def _verify(run):
     opt = run.opts
     # the first `keep` windows of each dataset hold the first `keep` of all
     keep = opt["trace_windows"]
-    windows = run.windows(run.tok_cfg, opt["context_length"], opt["horizon"], 16, keep)[:keep]
+    context_length, horizon = run.model_default("context_length"), run.model_default("horizon")
+    windows = run.windows(run.tok_cfg, context_length, horizon, 16, keep)[:keep]
     sizes = ("heads", "bound_instances", "score_matrix_instances", "descent_starts",
              "descent_iters")
     checks = run_checks(
@@ -387,8 +396,9 @@ def _eval(run):
         variable=opt["variable"],
         verdicts=sweep_verdicts(rows) if len(opt["values"]) == 2 else {},
         note="directional comparison only; absolute levels depend on the trained model scale",
+        **({"skipped_rows": rows.skipped} if rows.skipped else {}),
     )
-    click.echo(f"eval: {len(rows)} rows -> {csv_path}")
+    click.echo(f"eval: {len(rows)} rows, {len(rows.skipped)} skipped -> {csv_path}")
     return [csv_path, verdict_path]
 
 
@@ -454,20 +464,21 @@ STAGES = (
         _embed,
         # context_length defaults to the model's
         {"context_length": (int, None, 2), "stride": (int, 4, 1), "max_windows": (int, 64, 1),
-         "layers": (list, None)},
+         "layers": (list[int], None)},
         inputs=("model", "data"),
     ),
     Stage(
         "analyze",
         _analyze,
         {"pair_budget": (int, 10000, 1), "k_min": (int, 2, 2), "k_max": (int, 10),
-         "eps": (list, [0.8, 0.9])},
+         "eps": (list[float], [0.8, 0.9])},
         inputs=("embeddings",),
     ),
     Stage(
         "verify",
         _verify,
-        {"context_length": (int, 16, 2), "horizon": (int, 4, 1), "trace_windows": (int, 8, 1),
+        # context_length and horizon default to the model's
+        {"context_length": (int, None, 2), "horizon": (int, None, 1), "trace_windows": (int, 8, 1),
          "heads": (int, 50, 1), "bound_instances": (int, 200, 1),
          "score_matrix_instances": (int, 100, 1), "descent_starts": (int, 20, 1),
          "descent_iters": (int, 300, 1)},
@@ -477,13 +488,13 @@ STAGES = (
         "eval",
         _eval,
         # horizon and context_length default to the model's
-        {"variable": (str, REQUIRED), "values": (list, REQUIRED), "seeds": (int, 20, 1),
+        {"variable": (str, REQUIRED), "values": (list[float], REQUIRED), "seeds": (int, 20, 1),
          "horizon": (int, None, 1), "windows": (int, 32, 1), "sample_count": (int, 20, 1),
          "context_length": (int, None, 2), "pair_budget": (int, 10000, 1),
          "k_max": (int, 10, 2)},
         inputs=("model", "data"),
     ),
-    Stage("report", _report, {"runs": (list, REQUIRED)}, manifest=False),
+    Stage("report", _report, {"runs": (list[str], REQUIRED)}, manifest=False),
 )
 
 

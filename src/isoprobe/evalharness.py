@@ -99,7 +99,7 @@ def evaluate_point(
     windows,
     sample_count,
     stream,
-    window_stream=None,
+    window_stream,
     anchor_floor=None,
     pair_budget=10000,
     k_max=10,
@@ -109,10 +109,10 @@ def evaluate_point(
     Noise (if any) corrupts the evaluation series once, before windows
     are cut and tokenized; forecasts are always scored against the clean
     series.  Evaluation windows are anchored at the start of the
-    forecast region and drawn from ``window_stream`` when given, so
-    paired sweep values forecast the same targets (common random
-    numbers); ``anchor_floor`` reserves room for the largest context
-    length in the sweep.
+    forecast region and drawn from ``window_stream``, so paired sweep
+    values forecast the same targets (common random numbers);
+    ``anchor_floor`` reserves room for the largest context length in
+    the sweep.
 
     The contexts are one (C, n) batch: one array pass scales and bins
     them, and one causal pass over them (`forward`) gives both the
@@ -137,9 +137,8 @@ def evaluate_point(
             f"+ horizon {horizon}"
         )
     n_windows = min(windows, n_anchors)
-    picker = window_stream if window_stream is not None else stream
     anchors = floor + np.sort(
-        picker.generator.choice(n_anchors, size=n_windows, replace=False)
+        window_stream.generator.choice(n_anchors, size=n_windows, replace=False)
     )
     starts = anchors - context_length
     contexts = noisy[starts[:, None] + np.arange(context_length)]
@@ -167,8 +166,10 @@ def _sweep_row_task(task):
     room for the sweep's longest context; a noise row evaluates a noisy
     copy of the dataset (one noise draw per row, applied to the whole
     series) at the config's fixed context length.  Targets stay clean.
-    An IsoprobeError raised by the point names the row's variable, value,
-    dataset and seed."""
+    A point whose metric is undefined gives its skip record (value,
+    dataset, seed and message) in place of a row; any other
+    IsoprobeError it raises names the row's variable, value, dataset and
+    seed."""
     params, tok_cfg, series, cfg, value, name, seed = task
     if cfg.variable == "context_length":
         context_length, noise_sigma, floor = int(value), 0.0, int(max(cfg.values))
@@ -194,6 +195,8 @@ def _sweep_row_task(task):
             pair_budget=cfg.pair_budget,
             k_max=cfg.k_max,
         )
+    except UndefinedMetricError as exc:
+        return {"value": float(value), "dataset": name, "seed": int(seed), "message": str(exc)}
     except IsoprobeError as exc:
         exc.add_context(f"{cfg.variable} = {value}, dataset {name}, seed {seed}")
         raise
@@ -209,8 +212,18 @@ def _sweep_row_task(task):
     )
 
 
+class SweepRows(list):
+    """A sweep's rows, plus ``skipped``: the skip records of the points
+    left out because a metric is undefined on them."""
+
+    skipped: list
+
+
 def run_sweep(params, tok_cfg, datasets, cfg, workers=1):
-    """Evaluate every (value, dataset, seed) of a sweep, in that order."""
+    """Evaluate every (value, dataset, seed) of a sweep, in that order.
+
+    A skipped point leaves its (dataset, seed) pair incomplete, and
+    verdicts count complete pairs only."""
     tasks = [
         (params, tok_cfg, series, cfg, value, name, seed)
         for value in cfg.values
@@ -219,15 +232,10 @@ def run_sweep(params, tok_cfg, datasets, cfg, workers=1):
     ]
     # rows are keyed by (variable, value, dataset, seed), so the pool
     # cannot change any result, only the wall time
-    return ordered_map(_sweep_row_task, tasks, workers)
-
-
-def _pair_up(rows):
-    """Group a two-value sweep into {(dataset, seed): {value: row}}."""
-    grouped = {}
-    for row in rows:
-        grouped.setdefault((row.dataset, row.seed), {})[row.value] = row
-    return grouped
+    results = ordered_map(_sweep_row_task, tasks, workers)
+    rows = SweepRows(r for r in results if isinstance(r, SweepRow))
+    rows.skipped = [r for r in results if not isinstance(r, SweepRow)]
+    return rows
 
 
 def sweep_verdicts(rows):
@@ -244,7 +252,9 @@ def sweep_verdicts(rows):
     if len(values) != 2:
         raise InvalidArgumentError("verdicts need exactly 2 sweep values")
     lo, hi = values
-    grouped = _pair_up(rows)
+    grouped = {}
+    for row in rows:
+        grouped.setdefault((row.dataset, row.seed), {})[row.value] = row
     pairs = [g for g in grouped.values() if len(g) == 2]
     n = len(pairs)
     if n == 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InvalidArgumentError, UndefinedMetricError
-from .numerics import PCAResult, RngStream, as_matrix, pca
+from .numerics import PCAResult, as_matrix, pca
 from .theory import isotropy_partition
 
 
@@ -104,11 +104,9 @@ def _pair_expectation(instances, pair_budget, stream):
     return float(cos.mean()), len(cos), exhaustive
 
 
-def inter_token_cos(vectors, tokens, pair_budget=10000, stream=None):
+def inter_token_cos(vectors, tokens, pair_budget, stream):
     """Expected cosine similarity between distinct tokens' embedding
     instances, given one layer's rows and their token ids."""
-    if stream is None:
-        stream = RngStream(0, 0)
     instances, dropped = _instances(*_token_rows(vectors, tokens))
     if len(instances) < 2:
         raise InvalidArgumentError(
@@ -247,7 +245,7 @@ def _lloyd(rows, inverse, inits, max_iter, tol):
     ]
 
 
-def kmeans(x, k, stream=None, *, restarts=5, max_iter=300, tol=1e-8):
+def kmeans(x, k, stream, *, restarts=5, max_iter=300, tol=1e-8):
     """Best-of-restarts k-means++ with Lloyd iteration.
 
     Every restart's k-means++ init is drawn first, on the full rows and
@@ -263,8 +261,6 @@ def kmeans(x, k, stream=None, *, restarts=5, max_iter=300, tol=1e-8):
         raise InvalidArgumentError(f"k must be in [1, {n}], got {k}")
     if restarts < 1:
         raise InvalidArgumentError(f"restarts must be >= 1, got {restarts}")
-    if stream is None:
-        stream = RngStream(0, 0)
     rows, inverse = _distinct_rows(data)
     inits = np.stack([_kmeans_pp_init(data, k, stream) for _ in range(restarts)])
     best = None
@@ -340,7 +336,7 @@ class ClusterSelection:
     low_silhouette: bool
 
 
-def select_cluster_count(x, k_range=range(2, 11), stream=None):
+def select_cluster_count(x, k_range, stream):
     """Pick the cluster count with the highest mean silhouette.
 
     k-means runs for every feasible k first, in k order on the stream;
@@ -348,8 +344,6 @@ def select_cluster_count(x, k_range=range(2, 11), stream=None):
     smallest k; a winning silhouette below 0.3 sets the low_silhouette
     flag (weak cluster structure)."""
     data = as_matrix(x, "data")
-    if stream is None:
-        stream = RngStream(0, 0)
     candidates = [k for k in k_range if 2 <= k <= data.shape[0]]
     if not candidates:
         raise InvalidArgumentError("no feasible cluster counts in range")
@@ -374,15 +368,13 @@ class AdjustedCosineStat:
     zero_vectors_excluded: int
 
 
-def adjusted_inter_token_cos(vectors, tokens, clustering, pair_budget=10000, stream=None):
+def adjusted_inter_token_cos(vectors, tokens, clustering, pair_budget, stream):
     """Expected inter-token cosine after subtracting each cluster's mean.
 
     Clusters with fewer than two distinct tokens are skipped (and
     counted); the result is the unweighted mean over the remaining
     clusters.  Values near 0 indicate isotropy within clusters.  Takes
     one layer's rows and their token ids, like inter_token_cos."""
-    if stream is None:
-        stream = RngStream(0, 0)
     vectors, tokens = _token_rows(vectors, tokens)
     assignment = np.asarray(clustering.assignment)
     if assignment.shape[0] != vectors.shape[0]:

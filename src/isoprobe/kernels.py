@@ -17,11 +17,8 @@ import numpy as np
 
 from .errors import GenerationFailureError, InvalidArgumentError
 from .manifest import read_json
-from .numerics import RngStream, cholesky_psd
+from .numerics import cholesky_psd
 
-DEFAULT_MAX_KERNELS = 5
-DEFAULT_LENGTH = 1024
-DEFAULT_NOISE_SIGMA = 0.05
 _GRAM_BLOCK = 128  # rows of the upper triangle evaluated per kernel call
 
 
@@ -115,7 +112,6 @@ KERNEL_NAMES = {
     RationalQuadratic: "rational_quadratic",
     White: "white",
 }
-_NAME_TO_KERNEL = {name: cls for cls, name in KERNEL_NAMES.items()}
 
 
 @dataclass(frozen=True)
@@ -144,12 +140,6 @@ class CompositeKernel:
         return lhs + rhs if self.op == "add" else lhs * rhs
 
     @property
-    def leaf_count(self):
-        if self.op is None:
-            return 1
-        return self.left.leaf_count + self.right.leaf_count
-
-    @property
     def is_diagonal(self):
         """True when k(s, t) = 0 for every s != t, so the Gram matrix is
         diagonal and sampling never needs a dense factorization."""
@@ -165,15 +155,6 @@ class CompositeKernel:
             d.update(vars(self.spec))
             return d
         return {"op": self.op, "left": self.left.to_dict(), "right": self.right.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d):
-        if "op" in d:
-            return cls.combine(
-                d["op"], cls.from_dict(d["left"]), cls.from_dict(d["right"])
-            )
-        params = {k: v for k, v in d.items() if k != "kernel"}
-        return cls.leaf(_NAME_TO_KERNEL[d["kernel"]](**params))
 
 
 @dataclass(frozen=True)
@@ -272,14 +253,7 @@ def standardize(values):
     return centered / std if std > 1e-12 else centered
 
 
-def kernelsynth_sample(
-    bank,
-    max_kernels=DEFAULT_MAX_KERNELS,
-    length=DEFAULT_LENGTH,
-    stream=None,
-    *,
-    standardize_output=True,
-):
+def kernelsynth_sample(bank, max_kernels, length, stream, *, standardize_output=True):
     """Generate one synthetic series via random kernel composition.
 
     Stream consumption order is frozen: kernel count, leaf picks and
@@ -288,18 +262,13 @@ def kernelsynth_sample(
     """
     if length < 2:
         raise InvalidArgumentError(f"length must be >= 2, got {length}")
-    if stream is None:
-        stream = RngStream(0, 0)
     tree = sample_kernel_tree(bank, max_kernels, stream)
     return _gp_series(tree, length, stream, standardize_output, max_kernels)
 
 
-def single_kernel_series(spec, length, stream, *, standardize_output=True, name=None):
+def single_kernel_series(spec, length, stream, *, standardize_output=True):
     """GP sample of one fixed kernel (the named-dataset generation path)."""
-    series = _gp_series(CompositeKernel.leaf(spec), length, stream, standardize_output, 1)
-    if name is not None:
-        series.origin["name"] = name
-    return series
+    return _gp_series(CompositeKernel.leaf(spec), length, stream, standardize_output, 1)
 
 
 def _gp_series(tree, length, stream, standardize_output, max_kernels):

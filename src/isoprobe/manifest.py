@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_args, get_origin
 
 from . import __version__
 from .errors import ConfigError, InvalidArgumentError, MissingInputError, StaleArtifactError
@@ -144,11 +146,20 @@ def verify_outputs(manifest, base_dir):
             )
 
 
+def _finite(text):
+    """JSON number hook that refuses NaN, Infinity and overflowing floats."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise OverflowError(text)
+    return value
+
+
 def parse_config(path):
     """Parse a flat `key = value` config file.
 
     Values use JSON syntax (numbers, strings, booleans, lists); bare
-    words parse as strings.  Full-line comments start with '#'.
+    words parse as strings.  Numbers must be finite.  Full-line comments
+    start with '#'.
     """
     path = Path(path)
     if not path.is_file():
@@ -172,28 +183,35 @@ def parse_config(path):
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         value = value.strip()
         try:
-            config[key] = json.loads(value)
+            config[key] = json.loads(value, parse_float=_finite, parse_constant=_finite)
         except json.JSONDecodeError:
             config[key] = value
+        except OverflowError:
+            raise ConfigError(f"{path}:{lineno}: value of {key!r} is not a finite number") from None
         except RecursionError:
             raise ConfigError(f"{path}:{lineno}: value of {key!r} nested too deeply") from None
     return config
 
 
-def take_config(config, key, default=None, *, required=False, kind=None):
-    """Fetch a config value with type checking; errors name the field."""
+def take_config(config, key, default=None, *, required=False, kind):
+    """Fetch a config value with type checking; errors name the field.
+    A ``list[T]`` kind also checks each element against T, unconverted."""
     if key not in config:
         if required:
             raise ConfigError(f"missing required config field: {key}")
         return default
-    value = config[key]
-    if kind is int and isinstance(value, bool):
-        raise ConfigError(f"config field {key}: expected int, got bool")
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if kind is not None and not isinstance(value, kind):
+    value = _typed(key, config[key], get_origin(kind) or kind)
+    for index, item in enumerate(value if get_args(kind) else ()):
+        _typed(f"{key}[{index}]", item, get_args(kind)[0])
+    return value
+
+
+def _typed(key, value, kind):
+    """An int passes as a float (and becomes one); a bool passes only as a bool."""
+    if kind is float and type(value) is int:
+        return float(value)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
         raise ConfigError(
-            f"config field {key}: expected {getattr(kind, '__name__', kind)}, "
-            f"got {type(value).__name__}"
+            f"config field {key}: expected {kind.__name__}, got {type(value).__name__}"
         )
     return value

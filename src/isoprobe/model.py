@@ -35,7 +35,7 @@ from .errors import (
 )
 from .manifest import read_json
 from .numerics import RngStream
-from .tokenizer import TokenSequence, detokenize
+from .tokenizer import detokenize
 
 CHECKPOINT_MAGIC = b"ISOP"
 CHECKPOINT_VERSION = 1
@@ -104,12 +104,6 @@ class ModelParams:
     def layer_count(self):
         return len(self.layers)
 
-    def copy(self):
-        return ModelParams(
-            self.embed.copy(),
-            [AttentionLayer(l.w_q.copy(), l.w_k.copy()) for l in self.layers],
-        )
-
 
 @dataclass
 class TrainConfig:
@@ -135,11 +129,11 @@ class TrainConfig:
 
 @dataclass
 class ForwardTrace:
-    """Activations and the next-token head output for one sequence."""
+    """Activations and the next-token head output for a (C, n) stack."""
 
-    activations: list  # [(n, D)] embedding input plus each layer output
-    logits: np.ndarray  # (N,)
-    probabilities: np.ndarray  # (N,)
+    activations: list  # [(C, n, D)] embedding input plus each layer output
+    logits: np.ndarray  # (C, N)
+    probabilities: np.ndarray  # (C, N)
 
 
 @dataclass
@@ -187,16 +181,6 @@ def attention_weights(rows, score_matrix, causal):
     return _attention_softmax(scores)
 
 
-def self_attention(rows, score_matrix, causal=False):
-    """One attention application: convex recombination of input rows."""
-    x = np.asarray(rows, dtype=np.float64)
-    if x.ndim != 2 or score_matrix.shape != (x.shape[1], x.shape[1]):
-        raise InvalidArgumentError(
-            f"shape mismatch: rows {x.shape} vs score matrix {np.shape(score_matrix)}"
-        )
-    return attention_weights(x, score_matrix, causal) @ x
-
-
 def causal_pass(params, windows):
     """One causal pass over a (B, n) batch of token windows.
 
@@ -221,27 +205,21 @@ def causal_pass(params, windows):
 
 
 def forward(tokens, params):
-    """Next-token prediction after the last position of one token
-    sequence, or of each sequence of a (C, n) stack.
+    """Next-token prediction after the last position of each context of
+    a (C, n) stack: (C, n, D) activations and (C, N) logits.
 
-    A stack gives (C, n, D) activations and (C, N) logits.  Each
-    context's head logits are its own (1, D) @ (D, N) product, a stacked
-    matmul, so they carry the bits a forward over that context alone
-    gives: BLAS rounds a one-row product differently from the same row
-    inside a wider one.
+    Each context's head logits are its own (1, D) @ (D, N) product, a
+    stacked matmul, so they carry the bits a forward over that context
+    alone gives: BLAS rounds a one-row product differently from the same
+    row inside a wider one.
     """
-    ids = np.asarray(tokens.tokens if isinstance(tokens, TokenSequence) else tokens)
-    if ids.ndim not in (1, 2):
-        raise InvalidArgumentError("token sequence must be non-empty and 1-D, or a (C, n) stack")
-    activations, _ = causal_pass(params, ids[None] if ids.ndim == 1 else ids)
+    activations, _ = causal_pass(params, tokens)
     logits = (activations[-1][:, -1:] @ params.embed.T)[:, 0]
-    if ids.ndim == 1:
-        activations, logits = [a[0] for a in activations], logits[0]
     return ForwardTrace(activations, logits, softmax(logits))
 
 
 def grad(params, windows, context_length, horizon):
-    """Exact gradients of the mean window loss.
+    """Exact gradients of the mean window loss over a (B, n) batch.
 
     Each window of length context_length + horizon contributes `horizon`
     prediction positions; the tied embedding accumulates both its head
@@ -249,11 +227,9 @@ def grad(params, windows, context_length, horizon):
     whole batch.
     """
     windows = np.asarray(windows, dtype=np.int64)
-    if windows.ndim == 1:
-        windows = windows[None, :]
-    if windows.shape[1] != context_length + horizon:
+    if windows.shape[-1] != context_length + horizon:
         raise InvalidArgumentError(
-            f"window length {windows.shape[1]} != context {context_length} + horizon {horizon}"
+            f"window length {windows.shape[-1]} != context {context_length} + horizon {horizon}"
         )
     acts, weights = causal_pass(params, windows)
     embed = params.embed
@@ -352,46 +328,37 @@ def _sample_tokens(probabilities, uniforms):
     return np.minimum(idx, cdf.shape[-1] - 1)
 
 
-def forecast(params, context_tokens, horizon, sample_count=20, *, stream, tok_cfg, scale):
-    """Autoregressive sampling of `horizon` future tokens.
+def forecast(params, trace, horizon, sample_count=20, *, stream, tok_cfg, scale):
+    """Autoregressive sampling of `horizon` future tokens after each
+    context of the ForwardTrace of `forward` over a (C, n) stack, with
+    one scale per context.
 
-    Returns (trajectories, point_forecast): sample_count token paths and
-    the mean of their detokenized values.  The default of 20 paths sits
-    on the flat part of the point-forecast variance curve.  Path s draws
-    uniforms s * horizon .. (s + 1) * horizon - 1 of `stream`, in step
-    order.
+    Returns (trajectories, point_forecast): (C, sample_count, horizon)
+    token paths and the (C, horizon) means of their detokenized values.
+    The default of 20 paths sits on the flat part of the point-forecast
+    variance curve.  Path s of context c draws its uniforms in step
+    order, after those of contexts 0..c-1 and of paths 0..s-1, as C
+    forecasts one after another would.
 
-    `context_tokens` is one context, a (C, n) stack of them with one
-    scale per context, or the ForwardTrace of `forward` over either.  A
-    stack gives (C, sample_count, horizon) paths and (C, horizon) point
-    forecasts, and draws context c's uniforms after those of contexts
-    0..c-1, as C forecasts one after another would.
-
-    One `forward` covers the contexts; all C * sample_count paths then
-    decode as one batch, each step adding one row per layer from the
-    cached input rows of that layer (exact, see the module docstring).
-    Every product is a stacked matmul with one context's shapes, so a
-    stack decodes each context as a forecast of it alone would.
+    All C * sample_count paths decode as one batch, each step adding one
+    row per layer from the cached input rows of that layer (exact, see
+    the module docstring).  Every product is a stacked matmul with one
+    context's shapes, so a stack decodes each context as a forecast of
+    it alone would.
     """
     if horizon < 1 or sample_count < 1:
         raise InvalidArgumentError("horizon and sample_count must be >= 1")
-    trace = (
-        context_tokens
-        if isinstance(context_tokens, ForwardTrace)
-        else forward(context_tokens, params)
-    )
-    single = trace.probabilities.ndim == 1
-    probs = trace.probabilities.reshape(-1, 1, params.vocab_size)
-    contexts = probs.shape[0]
+    contexts, n = trace.activations[0].shape[:2]
     uniforms = stream.uniforms(contexts, sample_count, horizon)
-    n = trace.activations[0].shape[-2]
     # cache[l]: the input rows of attention layer l, one stack per path
     cache = [
         np.empty((contexts, sample_count, n + horizon - 1, params.dim)) for _ in params.layers
     ]
     for rows, context_rows in zip(cache, trace.activations):
-        rows[:, :, :n] = context_rows.reshape(contexts, 1, n, params.dim)
-    probs = np.broadcast_to(probs, (contexts, sample_count, params.vocab_size))
+        rows[:, :, :n] = context_rows[:, None]
+    probs = np.broadcast_to(
+        trace.probabilities[:, None], (contexts, sample_count, params.vocab_size)
+    )
     trajectories = np.empty((contexts, sample_count, horizon), dtype=np.int64)
     for step in range(horizon):
         trajectories[..., step] = _sample_tokens(probs, uniforms[..., step])
@@ -405,10 +372,8 @@ def forecast(params, context_tokens, horizon, sample_count=20, *, stream, tok_cf
             weights = _attention_softmax((rows[:, :, :seen] @ query[..., None])[..., 0])
             row = (weights[..., None, :] @ rows[:, :, :seen])[..., 0, :]
         probs = softmax(row @ params.embed.T)
-    scales = np.reshape(scale, (-1, 1, 1))
-    values = detokenize(TokenSequence(trajectories, scales), tok_cfg)
-    points = values.mean(axis=1)
-    return (trajectories[0], points[0]) if single else (trajectories, points)
+    values = detokenize(trajectories, np.reshape(scale, (-1, 1, 1)), tok_cfg)
+    return trajectories, values.mean(axis=1)
 
 
 def context_hash(tokens):

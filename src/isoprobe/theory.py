@@ -28,8 +28,8 @@ from .errors import (
     InvalidArgumentError,
     RankDeficiencyError,
 )
-from .model import attention_weights, causal_pass, mean_nll, self_attention, softmax
-from .numerics import RngStream, as_matrix, spectral_norm, sym_eigendecompose
+from .model import attention_weights, causal_pass, mean_nll, softmax
+from .numerics import as_matrix, spectral_norm, sym_eigendecompose
 
 
 @dataclass(frozen=True)
@@ -160,29 +160,27 @@ def collect_window_logits(params, windows):
     return rows @ params.embed.T, ids[:, 1:].ravel()
 
 
-def fd_jacobian(fn, x0, h):
-    """Central-difference Jacobian of an (n, D) -> (n, D) map, flattened
-    row-major on both sides."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    n, d = x0.shape
-    jac = np.empty((n * d, n * d))
-    for j in range(n):
-        for e in range(d):
-            plus = x0.copy()
-            plus[j, e] += h
-            minus = x0.copy()
-            minus[j, e] -= h
-            jac[:, j * d + e] = (fn(plus) - fn(minus)).ravel() / (2.0 * h)
-    return jac
-
-
 def jacobian_fd(rows, score_matrix, h=None):
-    """Finite-difference Jacobian of unmasked attention at rows."""
+    """Central-difference Jacobian of unmasked attention at rows,
+    flattened row-major on both sides."""
     x = as_matrix(rows, "rows")
     if h is None:
         peak = float(np.max(np.abs(x))) if x.size else 0.0
         h = 1e-6 * (1.0 + peak)
-    return fd_jacobian(lambda v: self_attention(v, score_matrix, causal=False), x, h)
+    n, d = x.shape
+    jac = np.empty((n * d, n * d))
+    for j in range(n):
+        for e in range(d):
+            plus = x.copy()
+            plus[j, e] += h
+            minus = x.copy()
+            minus[j, e] -= h
+            diff = (
+                attention_weights(plus, score_matrix, False) @ plus
+                - attention_weights(minus, score_matrix, False) @ minus
+            )
+            jac[:, j * d + e] = diff.ravel() / (2.0 * h)
+    return jac
 
 
 @dataclass(frozen=True)
@@ -315,7 +313,7 @@ def _project_rank_m_symmetric(score_matrix, rank):
     return (keep * vals[order]) @ keep.T
 
 
-def rank_m_descent(rows, rank, *, starts=20, iters=300, stream=None):
+def rank_m_descent(rows, rank, *, starts=20, iters=300, stream):
     """Projected gradient descent over rank-m symmetric score matrices.
 
     Independent competitor search for the closed-form optimum; returns
@@ -324,8 +322,6 @@ def rank_m_descent(rows, rank, *, starts=20, iters=300, stream=None):
     x = center_rows(rows)
     d = x.shape[1]
     m = int(rank)
-    if stream is None:
-        stream = RngStream(0, 0)
     corr = x.T @ x
     top = float(np.linalg.eigvalsh(corr)[-1])
     if top <= 0.0:

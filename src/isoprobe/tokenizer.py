@@ -43,29 +43,6 @@ class TokenizerConfig:
             "high": self.high,
         }
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(vocab_size=d["vocab_size"], low=d["low"], high=d["high"])
-
-
-@dataclass(frozen=True)
-class TokenSequence:
-    """Token ids plus the scale used to produce them: one float, or an
-    array of scales that broadcasts against the ids (one per context)."""
-
-    tokens: np.ndarray
-    scale: float | np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "tokens", np.asarray(self.tokens, dtype=np.int64)
-        )
-        if np.any(np.asarray(self.scale) <= 0):
-            raise InvalidArgumentError(f"scale must be positive, got {self.scale}")
-
-    def __len__(self):
-        return self.tokens.size
-
 
 def fit_scale(context):
     """Mean absolute value of the context; falls back to 1 for all zeros.
@@ -98,7 +75,7 @@ def tokenize(series, cfg, scale):
     if x.size and not np.all(np.isfinite(x)):
         bad = int(np.flatnonzero(~np.isfinite(x))[0])
         raise InvalidArgumentError(f"non-finite series value at index {bad}")
-    return TokenSequence(_bin(x / scale, cfg), float(scale))
+    return _bin(x / scale, cfg)
 
 
 def tokenize_windows(values, cfg, context_length, horizon=0, stride=1, limit=None):
@@ -136,12 +113,15 @@ def _scaled_windows(windows, starts, cfg, context_length):
     return _bin(windows / scales[:, None], cfg).astype(np.int64, copy=False), scales
 
 
-def detokenize(tokens, cfg):
-    """Map token ids back to real values (bin centers times the scale)."""
-    ids = np.asarray(tokens.tokens, dtype=np.int64)
+def detokenize(ids, scale, cfg):
+    """Map token ids back to real values: bin centers times the scale,
+    one float or an array of them that broadcasts against the ids."""
+    if np.any(np.asarray(scale) <= 0):
+        raise InvalidArgumentError(f"scale must be positive, got {scale}")
+    ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
         raise InvalidArgumentError(
             f"token id out of range [0, {cfg.vocab_size}): "
             f"{int(ids.min())}..{int(ids.max())}"
         )
-    return cfg.bin_centers[ids] * tokens.scale
+    return cfg.bin_centers[ids] * scale

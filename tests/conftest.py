@@ -18,9 +18,7 @@ SEASONALITY_SEED = 42
 @pytest.fixture(scope="session")
 def seasonality_series():
     spec = dict(table_dataset_specs())["seasonality_2"]
-    return single_kernel_series(
-        spec, 1024, RngStream(SEASONALITY_SEED, 0), name="seasonality_2"
-    )
+    return single_kernel_series(spec, 1024, RngStream(SEASONALITY_SEED, 0))
 
 
 @pytest.fixture(scope="session")

@@ -151,7 +151,7 @@ class TestSynth:
         names = {p.stem for p in csvs}
         assert {"linear_1", "seasonality_2", "trend_1", "nonlinear_2", "stochastic_1"} <= names
         for csv in csvs:
-            assert csv.with_suffix(".json").exists()
+            assert json.loads(csv.with_suffix(".json").read_text())["name"] == csv.stem
 
     def test_seed_repetition_reproduces_hashes(self, tmp_path):
         cfg_a = write_config(tmp_path / "a.cfg", out=str(tmp_path / "a"), seed=4, length=64)
@@ -312,6 +312,35 @@ class TestPipelineArtifacts:
             reports.append((out / "verification_report.json").read_bytes())
         assert reports[0] == reports[1]
         assert tokenized == [6] * 10
+
+    def test_verify_windows_follow_the_model(self, pipeline, tmp_path, monkeypatch):
+        dirs, _ = pipeline
+        train_cfg = write_config(
+            tmp_path / "t.cfg", out=str(tmp_path / "t"), data=str(dirs["synth"]),
+            datasets=["seasonality_2"], vocab_size=16, dim=4, rank=2, layers=1, steps=5,
+            batch_size=8, context_length=8, horizon=2,
+        )
+        assert run_cli("train", "--config", train_cfg) == 0
+        real = cli.tokenize_windows
+        spans = []
+
+        def recorded(values, cfg, context_length, horizon, *args):
+            spans.append((context_length, horizon))
+            return real(values, cfg, context_length, horizon, *args)
+
+        monkeypatch.setattr(cli, "tokenize_windows", recorded)
+        sizes = dict(heads=2, bound_instances=2, score_matrix_instances=1, descent_starts=1,
+                     descent_iters=5, trace_windows=2)
+        # the model's context 8 and horizon 2 unless the config sets them
+        for name, keys, want in (("model", {}, (8, 2)),
+                                 ("config", {"context_length": 4, "horizon": 1}, (4, 1))):
+            cfg = write_config(
+                tmp_path / f"{name}.cfg", out=str(tmp_path / name), model=str(tmp_path / "t"),
+                data=str(dirs["synth"]), datasets=["seasonality_2"], **sizes, **keys,
+            )
+            assert run_cli("verify", "--config", cfg) == 0
+            assert spans == [want]
+            spans.clear()
 
     def test_verify_report_all_passed(self, pipeline):
         dirs, _ = pipeline
@@ -504,6 +533,15 @@ class TestConfigErrors:
             ("embed", "max_windows", 0),
             pytest.param("embed", "layers", [], id="embed-layers-empty"),
             ("embed", "context_length", 4096),  # longer than every series
+            # a list-valued key checks its elements' type
+            pytest.param("embed", "layers", [1.5], id="embed-layers-float"),
+            pytest.param("embed", "layers", ["a"], id="embed-layers-str"),
+            pytest.param("embed", "layers", [True], id="embed-layers-bool"),
+            pytest.param("analyze", "eps", [0.8, "x"], id="analyze-eps-str"),
+            pytest.param("eval", "values", ["a", 2], id="eval-values-str"),
+            pytest.param("eval", "values", [False, 0.05], id="eval-values-bool"),
+            pytest.param("train", "datasets", [1], id="train-datasets-int"),
+            pytest.param("report", "runs", [3], id="report-runs-int"),
         ],
     )
     def test_out_of_range_value_exits_2_naming_key(
@@ -517,11 +555,25 @@ class TestConfigErrors:
             "analyze": {"embeddings": str(dirs["embed"]), "k_min": 4},
             "eval": {"model": str(dirs["train"]), **data, "variable": "noise",
                      "values": [0.0, 0.05]},
+            "report": {},
         }.get(command, {"model": str(dirs["train"]), **data})
         cfg = write_config(tmp_path / "c.cfg", out=str(tmp_path / "o"), **{**upstream, key: value})
         assert run_cli(command, "--config", cfg) == 2
         err = capsys.readouterr().err
         assert f"config field {key}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "line", ["learning_rate = NaN", "learning_rate = Infinity", "learning_rate = -Infinity",
+                 "learning_rate = 1e999", "clip_low = [-Infinity]"],
+    )
+    def test_non_finite_number_exits_2_naming_line_and_key(self, tmp_path, capsys, line):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f'out = "{tmp_path / "o"}"\ndata = "d"\n{line}\n')
+        assert run_cli("train", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        key = line.split(" = ")[0]
+        assert f"{cfg}:3" in err and f"'{key}'" in err and "finite" in err
+        assert "Traceback" not in err
 
     def test_duplicate_key_exits_2_naming_key_and_line(self, tmp_path, capsys):
         cfg = tmp_path / "d.cfg"
@@ -617,12 +669,28 @@ class TestMalformedArtifacts:
         err = capsys.readouterr().err
         assert str(run_dir / "manifest.json") in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("key", ["tokenizer", "context_length", "horizon"])
-    def test_model_sidecar_without_key_exits_2(self, pipeline, tmp_path, capsys, key):
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda meta: meta.pop("tokenizer"), "tokenizer"),
+            (lambda meta: meta.pop("context_length"), "context_length"),
+            (lambda meta: meta.pop("horizon"), "horizon"),
+            (lambda meta: meta["tokenizer"].pop("low"), "tokenizer.low"),
+            (lambda meta: meta["tokenizer"].update(vocab_size=64.0), "tokenizer.vocab_size"),
+            (lambda meta: meta["tokenizer"].update(high="15"), "tokenizer.high"),
+            (lambda meta: meta.update(tokenizer=[64, -15, 15]), "tokenizer"),
+            (lambda meta: meta.update(context_length="16"), "context_length"),
+            (lambda meta: meta.update(horizon=True), "horizon"),
+        ],
+        ids=["tokenizer", "context_length", "horizon", "tokenizer_without_low",
+             "float_vocab_size", "string_high", "list_tokenizer", "string_context_length",
+             "bool_horizon"],
+    )
+    def test_model_sidecar_without_key_exits_2(self, pipeline, tmp_path, capsys, edit, field):
         dirs, _ = pipeline
         model = (dirs["train"] / "model.isop").read_bytes()
         meta = json.loads((dirs["train"] / "model.isop.json").read_text())
-        del meta[key]
+        edit(meta)
         model_dir = forge_run(
             tmp_path / "m", {"model.isop": model, "model.isop.json": json.dumps(meta)}
         )
@@ -632,7 +700,21 @@ class TestMalformedArtifacts:
         )
         assert run_cli("embed", "--config", cfg) == 2
         err = capsys.readouterr().err
-        assert str(model_dir / "model.isop.json") in err and key in err
+        assert f"{model_dir / 'model.isop.json'}: model sidecar" in err and field in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sidecar", ["5", "[]", '"tokenizer"'])
+    def test_model_sidecar_not_an_object_exits_2(self, pipeline, tmp_path, capsys, sidecar):
+        dirs, _ = pipeline
+        model = (dirs["train"] / "model.isop").read_bytes()
+        model_dir = forge_run(tmp_path / "m", {"model.isop": model, "model.isop.json": sidecar})
+        cfg = write_config(
+            tmp_path / "e.cfg", out=str(tmp_path / "e"), model=str(model_dir),
+            data=str(dirs["synth"]), datasets=["seasonality_2"],
+        )
+        assert run_cli("embed", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert f"{model_dir / 'model.isop.json'}: model sidecar: expected a JSON object" in err
         assert "Traceback" not in err
 
     def test_unparsable_model_sidecar_exits_2(self, pipeline, tmp_path, capsys):

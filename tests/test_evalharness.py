@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from isoprobe.errors import InvalidArgumentError, UndefinedMetricError
+from isoprobe.errors import InvalidArgumentError, NumericFailureError, UndefinedMetricError
 from isoprobe.evalharness import (
     SWEEP_CSV_HEADER,
     SweepConfig,
@@ -15,7 +15,7 @@ from isoprobe.evalharness import (
 )
 from isoprobe.isotropy import adjusted_inter_token_cos, effective_dimension, select_cluster_count
 from isoprobe.kernels import add_noise
-from isoprobe.model import causal_pass, forecast, init_params
+from isoprobe.model import causal_pass, forecast, forward, init_params
 from isoprobe.numerics import RngStream
 from isoprobe.theory import isotropy_partition
 from isoprobe.tokenizer import TokenizerConfig, detokenize, fit_scale, tokenize
@@ -32,7 +32,7 @@ def evaluate_point_oracle(
     windows,
     sample_count,
     stream,
-    window_stream=None,
+    window_stream,
     anchor_floor=None,
     pair_budget=10000,
     k_max=10,
@@ -44,9 +44,8 @@ def evaluate_point_oracle(
     noisy = add_noise(x, noise_sigma, stream)
     floor = context_length if anchor_floor is None else int(anchor_floor)
     n_anchors = x.size - horizon - floor + 1
-    picker = window_stream if window_stream is not None else stream
     anchors = floor + np.sort(
-        picker.generator.choice(n_anchors, size=min(windows, n_anchors), replace=False)
+        window_stream.generator.choice(n_anchors, size=min(windows, n_anchors), replace=False)
     )
     preds, truths, token_windows = [], [], []
     for anchor in anchors:
@@ -54,11 +53,12 @@ def evaluate_point_oracle(
         scale = fit_scale(ctx)
         toks = tokenize(ctx, tok_cfg, scale)
         _, point = forecast(
-            params, toks, horizon, sample_count, stream=stream, tok_cfg=tok_cfg, scale=scale
+            params, forward(toks[None], params), horizon, sample_count,
+            stream=stream, tok_cfg=tok_cfg, scale=scale,
         )
-        preds.append(point)
+        preds.append(point[0])
         truths.append(x[anchor : anchor + horizon])
-        token_windows.append(toks.tokens)
+        token_windows.append(toks)
     error = nmse(np.concatenate(preds), np.concatenate(truths))
     matrix = causal_pass(params, token_windows)[0][-1].reshape(-1, params.dim)
     k_range = range(2, min(k_max, matrix.shape[0] - 1) + 1)
@@ -114,7 +114,8 @@ class TestBatchedPoint:
         with pytest.raises(InvalidArgumentError, match="anchor_floor"):
             evaluate_point(
                 params, tok_cfg, np.sin(np.arange(64.0)), context_length=16, noise_sigma=0.0,
-                horizon=4, windows=8, sample_count=2, stream=RngStream(0, 0), anchor_floor=4,
+                horizon=4, windows=8, sample_count=2, stream=RngStream(0, 0),
+                window_stream=RngStream(0, 0), anchor_floor=4,
             )
 
     def test_non_finite_context_names_its_series_index(self, smoke_model):
@@ -125,6 +126,7 @@ class TestBatchedPoint:
             evaluate_point(
                 params, tok_cfg, x, context_length=16, noise_sigma=0.0, horizon=4,
                 windows=48, sample_count=2, stream=RngStream(0, 0),
+                window_stream=RngStream(0, 0),
             )
 
 
@@ -174,6 +176,7 @@ class TestNaiveBaseline:
             windows=32,
             sample_count=20,
             stream=stream,
+            window_stream=stream,  # anchors first, then the forecasts
         )
         picker = RngStream(3, 0)
         n_anchors = x.size - horizon - t_ctx + 1
@@ -305,10 +308,10 @@ class TestSweeps:
     def test_failed_row_names_variable_value_dataset_and_seed(
         self, smoke_model, seasonality_series, monkeypatch, workers
     ):
-        def undefined(*args, **kwargs):
-            raise UndefinedMetricError("every cluster lacks two distinct tokens")
+        def failing(*args, **kwargs):
+            raise NumericFailureError("attention weights are non-finite")
 
-        monkeypatch.setattr("isoprobe.evalharness.adjusted_inter_token_cos", undefined)
+        monkeypatch.setattr("isoprobe.evalharness.adjusted_inter_token_cos", failing)
         params, tok_cfg, _ = smoke_model
         cfg = SweepConfig(
             variable="context_length",
@@ -319,13 +322,41 @@ class TestSweeps:
             k_max=3,
         )
         datasets = {"nonlinear_2": seasonality_series.values}
-        with pytest.raises(UndefinedMetricError) as err:
+        with pytest.raises(NumericFailureError) as err:
             run_sweep(params, tok_cfg, datasets, cfg, workers=workers)
         assert str(err.value) == (
             "context_length = 4, dataset nonlinear_2, seed 14: "
-            "every cluster lacks two distinct tokens"
+            "attention weights are non-finite"
         )
-        assert err.value.exit_code == 4
+        assert err.value.exit_code == 5
+
+    def test_undefined_metric_row_is_skipped_and_listed(
+        self, smoke_model, seasonality_series, monkeypatch
+    ):
+        import isoprobe.evalharness as harness
+
+        real = harness.evaluate_point
+
+        def undefined_at_4(*args, **kwargs):
+            if kwargs["context_length"] == 4 and kwargs["stream"].seed == 1:
+                raise UndefinedMetricError("every cluster lacks two distinct tokens")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "evaluate_point", undefined_at_4)
+        params, tok_cfg, _ = smoke_model
+        cfg = SweepConfig(
+            variable="context_length", values=(4, 16), seeds=(0, 1), windows=4,
+            sample_count=2, k_max=3,
+        )
+        datasets = {"nonlinear_2": seasonality_series.values}
+        rows = run_sweep(params, tok_cfg, datasets, cfg)
+        assert [(r.value, r.seed) for r in rows] == [(4.0, 0), (16.0, 0), (16.0, 1)]
+        assert rows.skipped == [{
+            "value": 4.0, "dataset": "nonlinear_2", "seed": 1,
+            "message": "every cluster lacks two distinct tokens",
+        }]
+        # the incomplete (dataset, seed) pair is left out of the verdicts
+        assert sweep_verdicts(rows)["pairs"] == 1
 
     def test_csv_header_and_shape(self, smoke_model, seasonality_series):
         params, tok_cfg, _ = smoke_model
@@ -381,6 +412,6 @@ class TestSweeps:
         for sigma in (0.0, 0.05, 0.1):
             noisy = x + sigma * RngStream(5, 0).gaussians(x.size)
             scale = fit_scale(noisy)
-            back = detokenize(tokenize(noisy, tok_cfg, scale), tok_cfg)
+            back = detokenize(tokenize(noisy, tok_cfg, scale), scale, tok_cfg)
             errs.append(nmse(back, x))
         assert errs[0] <= errs[1] <= errs[2]

@@ -88,11 +88,11 @@ class TestEffectiveDimension:
 
 class TestInterTokenCos:
     def test_orthogonal_tokens(self):
-        stat = inter_token_cos(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 1])
+        stat = inter_token_cos(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 1], 10000, RngStream(0, 0))
         assert stat.value == pytest.approx(0.0, abs=1e-15)
 
     def test_identical_vectors(self):
-        stat = inter_token_cos(np.tile([2.0, 1.0], (6, 1)), np.arange(6))
+        stat = inter_token_cos(np.tile([2.0, 1.0], (6, 1)), np.arange(6), 10000, RngStream(0, 0))
         assert stat.value == pytest.approx(1.0, rel=1e-12)
 
     def test_monte_carlo_matches_exhaustive_oracle(self):
@@ -114,26 +114,28 @@ class TestInterTokenCos:
         assert full.value == pytest.approx(exact, abs=1e-12)
 
     def test_zero_vectors_excluded_and_counted(self):
-        stat = inter_token_cos(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]), [0, 0, 1])
+        stat = inter_token_cos(
+            np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]), [0, 0, 1], 10000, RngStream(0, 0)
+        )
         assert stat.zero_vectors_excluded == 1
         assert stat.value == pytest.approx(0.0, abs=1e-15)
 
     def test_needs_two_tokens(self):
         with pytest.raises(InvalidArgumentError):
-            inter_token_cos(np.array([[1.0, 0.0]]), [0])
+            inter_token_cos(np.array([[1.0, 0.0]]), [0], 10000, RngStream(0, 0))
 
     def test_rotation_and_scale_invariance(self):
         rng = np.random.default_rng(5)
         vectors = rng.normal(size=(20, 4))
         tokens = np.arange(20)
-        base = inter_token_cos(vectors, tokens, stream=RngStream(6, 0)).value
+        base = inter_token_cos(vectors, tokens, 10000, RngStream(6, 0)).value
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         rotated = vectors @ q
-        assert inter_token_cos(rotated, tokens, stream=RngStream(6, 0)).value == pytest.approx(
+        assert inter_token_cos(rotated, tokens, 10000, RngStream(6, 0)).value == pytest.approx(
             base, abs=1e-12
         )
         scaled = vectors * rng.uniform(0.1, 10.0, size=(20, 1))
-        assert inter_token_cos(scaled, tokens, stream=RngStream(6, 0)).value == pytest.approx(
+        assert inter_token_cos(scaled, tokens, 10000, RngStream(6, 0)).value == pytest.approx(
             base, abs=1e-12
         )
 
@@ -180,9 +182,9 @@ class TestInstances:
             inertia_history=np.array([0.0]),
         )
         with pytest.raises(InvalidArgumentError, match="2 token ids for 3"):
-            inter_token_cos(vectors, [0, 1])
+            inter_token_cos(vectors, [0, 1], 10000, RngStream(0, 0))
         with pytest.raises(InvalidArgumentError, match="4 token ids for 3"):
-            adjusted_inter_token_cos(vectors, [0, 1, 2, 3], clustering)
+            adjusted_inter_token_cos(vectors, [0, 1, 2, 3], clustering, 10000, RngStream(0, 0))
 
 
 def pair_expectation_oracle(instances, pair_budget, stream):
@@ -700,21 +702,21 @@ class TestSelectClusterCount:
         rng = np.random.default_rng(22)
         centers = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
         x = np.vstack([rng.normal(size=(100, 2)) * 0.5 + c for c in centers])
-        sel = select_cluster_count(x, stream=RngStream(23, 0))
+        sel = select_cluster_count(x, range(2, 11), RngStream(23, 0))
         assert sel.best_k == 3
         assert not sel.low_silhouette
 
     def test_uniform_cube_flags_low_silhouette(self):
         rng = np.random.default_rng(24)
-        sel = select_cluster_count(rng.random((300, 8)), stream=RngStream(25, 0))
+        sel = select_cluster_count(rng.random((300, 8)), range(2, 11), RngStream(25, 0))
         assert sel.low_silhouette
         assert sel.clustering.mean_silhouette < 0.3
 
     def test_deterministic_under_fixed_seed(self):
         rng = np.random.default_rng(26)
         x = rng.normal(size=(120, 4))
-        a = select_cluster_count(x, stream=RngStream(27, 0))
-        b = select_cluster_count(x, stream=RngStream(27, 0))
+        a = select_cluster_count(x, range(2, 11), RngStream(27, 0))
+        b = select_cluster_count(x, range(2, 11), RngStream(27, 0))
         assert a.best_k == b.best_k
         np.testing.assert_array_equal(a.clustering.assignment, b.clustering.assignment)
         assert a.scores == b.scores
@@ -733,7 +735,7 @@ class TestAdjustedInterTokenCos:
             iterations=0,
             inertia_history=np.array([0.0]),
         )
-        stat = adjusted_inter_token_cos(vectors, tokens, clustering, stream=RngStream(29, 0))
+        stat = adjusted_inter_token_cos(vectors, tokens, clustering, 10000, RngStream(29, 0))
         assert abs(stat.value) < 0.05
 
     def test_shared_offset_anisotropy(self):
@@ -755,7 +757,7 @@ class TestAdjustedInterTokenCos:
             inertia_history=np.array([0.0]),
         )
         stat = adjusted_inter_token_cos(
-            vectors, np.arange(n) % 50, clustering, stream=RngStream(31, 0)
+            vectors, np.arange(n) % 50, clustering, 10000, RngStream(31, 0)
         )
         assert abs(stat.value) > 0.5
 
@@ -772,8 +774,8 @@ class TestAdjustedInterTokenCos:
             iterations=0,
             inertia_history=np.array([0.0]),
         )
-        a = adjusted_inter_token_cos(vectors, tokens, clustering, stream=RngStream(33, 0))
-        b = adjusted_inter_token_cos(centered, tokens, clustering, stream=RngStream(33, 0))
+        a = adjusted_inter_token_cos(vectors, tokens, clustering, 10000, RngStream(33, 0))
+        b = adjusted_inter_token_cos(centered, tokens, clustering, 10000, RngStream(33, 0))
         assert a.value == pytest.approx(b.value, abs=1e-12)
 
     def test_clusters_without_two_tokens_are_skipped(self):
@@ -787,7 +789,7 @@ class TestAdjustedInterTokenCos:
             iterations=0,
             inertia_history=np.array([0.0]),
         )
-        stat = adjusted_inter_token_cos(vectors, tokens, clustering)
+        stat = adjusted_inter_token_cos(vectors, tokens, clustering, 10000, RngStream(0, 0))
         assert stat.skipped_clusters == 1
 
     def test_all_clusters_skipped_is_undefined(self):
@@ -801,7 +803,7 @@ class TestAdjustedInterTokenCos:
             inertia_history=np.array([0.0]),
         )
         with pytest.raises(UndefinedMetricError):
-            adjusted_inter_token_cos(vectors, [3, 3], clustering)
+            adjusted_inter_token_cos(vectors, [3, 3], clustering, 10000, RngStream(0, 0))
 
 
 class TestLayerReport:

@@ -1,5 +1,6 @@
 """Tests for attention, the forward pass, gradients, training, and dumps."""
 
+import copy
 import math
 import struct
 
@@ -28,12 +29,11 @@ from isoprobe.model import (
     load_checkpoint,
     mean_nll,
     save_checkpoint,
-    self_attention,
     softmax,
     train,
 )
 from isoprobe.numerics import RngStream
-from isoprobe.tokenizer import TokenizerConfig, TokenSequence, detokenize, fit_scale, tokenize
+from isoprobe.tokenizer import TokenizerConfig, detokenize, fit_scale, tokenize
 
 
 def random_params(rng, vocab_size, dim, rank, layer_count, scale=0.5):
@@ -59,15 +59,13 @@ def seasonality_windows(tok_cfg, context_length, horizon, length=512, stride=4, 
     out = []
     for start in range(0, len(x) - window, stride):
         scale = fit_scale(x[start : start + context_length])
-        out.append(tokenize(x[start : start + window], tok_cfg, scale).tokens)
+        out.append(tokenize(x[start : start + window], tok_cfg, scale))
     return np.array(out)
 
 
 def grad_oracle(params, windows, context_length, horizon):
     """The per-window looped gradient, kept as the reference for `grad`."""
     windows = np.asarray(windows, dtype=np.int64)
-    if windows.ndim == 1:
-        windows = windows[None, :]
     embed = params.embed
     n_preds = windows.shape[0] * horizon
     d_embed = np.zeros_like(embed)
@@ -132,13 +130,11 @@ def forecast_oracle(params, context_tokens, horizon, sample_count, *, stream, to
     for s in range(sample_count):
         current = list(context_tokens)
         for step in range(horizon):
-            trace = forward(np.asarray(current), params)
-            token = _sample_token(trace.probabilities, stream)
+            trace = forward(np.asarray(current)[None], params)
+            token = _sample_token(trace.probabilities[0], stream)
             trajectories[s, step] = token
             current.append(token)
-    values = np.stack(
-        [detokenize(TokenSequence(traj, scale), tok_cfg) for traj in trajectories]
-    )
+    values = np.stack([detokenize(traj, scale, tok_cfg) for traj in trajectories])
     return trajectories, values.mean(axis=0)
 
 
@@ -151,17 +147,17 @@ class TestSelfAttention:
     def test_zero_lambda_is_prefix_mean(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(6, 4))
-        out = self_attention(x, np.zeros((4, 4)), causal=True)
+        out = attention_weights(x, np.zeros((4, 4)), causal=True) @ x
         for i in range(6):
             np.testing.assert_allclose(out[i], x[: i + 1].mean(axis=0), atol=1e-12)
-        out_full = self_attention(x, np.zeros((4, 4)), causal=False)
+        out_full = attention_weights(x, np.zeros((4, 4)), causal=False) @ x
         np.testing.assert_allclose(out_full, np.tile(x.mean(axis=0), (6, 1)), atol=1e-12)
 
     def test_single_row_identity(self):
         x = np.array([[1.0, -2.0, 3.0]])
         lam = np.ones((3, 3))
-        np.testing.assert_allclose(self_attention(x, lam, causal=True), x)
-        np.testing.assert_allclose(self_attention(x, lam, causal=False), x)
+        np.testing.assert_allclose(attention_weights(x, lam, causal=True) @ x, x)
+        np.testing.assert_allclose(attention_weights(x, lam, causal=False) @ x, x)
 
     def test_rows_stochastic_and_match_direct_oracle(self):
         rng = np.random.default_rng(1)
@@ -179,7 +175,7 @@ class TestSelfAttention:
                 tot = sum(ws)
                 for j in range(limit):
                     want[i] += ws[j] / tot * x[j]
-            np.testing.assert_allclose(self_attention(x, lam, causal), want, atol=1e-12)
+            np.testing.assert_allclose(p @ x, want, atol=1e-12)
 
     def test_convex_combination_of_prefix_rows(self):
         rng = np.random.default_rng(2)
@@ -189,28 +185,24 @@ class TestSelfAttention:
         assert np.all(p >= 0) and np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(np.triu(p, k=1) == 0.0)  # no weight on future rows
 
-    def test_shape_mismatch(self):
-        with pytest.raises(InvalidArgumentError):
-            self_attention(np.ones((3, 2)), np.ones((3, 3)))
-
 
 class TestForward:
     def test_zero_embedding_uniform_head(self):
         params = ModelParams(np.zeros((8, 4)), [AttentionLayer(np.zeros((4, 2)), np.zeros((4, 2)))])
-        trace = forward(np.array([1, 2, 3]), params)
+        trace = forward(np.array([[1, 2, 3]]), params)
         np.testing.assert_allclose(trace.probabilities, 1.0 / 8, atol=1e-15)
 
     def test_single_token_zero_lambda_lookup_products(self):
         rng = np.random.default_rng(3)
         embed = rng.normal(size=(6, 3))
         params = ModelParams(embed.copy(), [AttentionLayer(np.zeros((3, 2)), np.zeros((3, 2)))])
-        trace = forward(np.array([4]), params)
-        np.testing.assert_allclose(trace.logits, embed @ embed[4], atol=1e-12)
+        trace = forward(np.array([[4]]), params)
+        np.testing.assert_allclose(trace.logits[0], embed @ embed[4], atol=1e-12)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(4)
         params = random_params(rng, 12, 5, 3, 2)
-        trace = forward(rng.integers(0, 12, size=9), params)
+        trace = forward(rng.integers(0, 12, size=(1, 9)), params)
         assert abs(trace.probabilities.sum() - 1.0) <= 1e-12
         assert np.all(np.isfinite(trace.logits))
 
@@ -227,7 +219,7 @@ class TestForward:
         # each row equals a fresh forward on the prefix
         for t in range(7):
             np.testing.assert_allclose(
-                logits_all[t], forward(w[: t + 1], params).logits, atol=1e-12
+                logits_all[t], forward(w[None, : t + 1], params).logits[0], atol=1e-12
             )
         # perturbing a later token leaves earlier rows untouched
         w2 = w.copy()
@@ -245,8 +237,8 @@ class TestForward:
         batched, weights = causal_pass(params, wins)
         assert len(batched) == 3 and len(weights) == 2
         for b, w in enumerate(wins):
-            for layer, rows in enumerate(forward(w, params).activations):
-                np.testing.assert_allclose(batched[layer][b], rows, rtol=0, atol=1e-12)
+            for layer, rows in enumerate(forward(w[None], params).activations):
+                np.testing.assert_allclose(batched[layer][b], rows[0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("vocab, dim, rank", [s[:3] for s in BENCHMARK_SHAPES] + [(512, 16, 8)])
     @pytest.mark.parametrize("n", [2, 4, 16, 64])
@@ -257,13 +249,14 @@ class TestForward:
         assert stacked.activations[-1].shape == (32, n, dim)
         assert stacked.logits.shape == stacked.probabilities.shape == (32, vocab)
         for c, context in enumerate(contexts):
-            single = forward(context, params)
+            single = forward(context[None], params)
             # a context's head logits are its own one-row product
-            assert single.logits.tobytes() == (single.activations[-1][-1] @ params.embed.T).tobytes()
+            head = single.activations[-1][0, -1] @ params.embed.T
+            assert single.logits[0].tobytes() == head.tobytes()
             for got, want in zip(stacked.activations, single.activations):
-                assert got[c].tobytes() == want.tobytes()
-            assert stacked.logits[c].tobytes() == single.logits.tobytes()
-            assert stacked.probabilities[c].tobytes() == single.probabilities.tobytes()
+                assert got[c].tobytes() == want[0].tobytes()
+            assert stacked.logits[c].tobytes() == single.logits[0].tobytes()
+            assert stacked.probabilities[c].tobytes() == single.probabilities[0].tobytes()
 
     def test_out_of_range_token_rejected(self):
         params = random_params(np.random.default_rng(0), 4, 2, 1, 1)
@@ -273,7 +266,15 @@ class TestForward:
     def test_empty_sequence_rejected(self):
         params = random_params(np.random.default_rng(0), 4, 2, 1, 1)
         with pytest.raises(InvalidArgumentError):
-            forward(np.array([], dtype=np.int64), params)
+            forward(np.empty((1, 0), dtype=np.int64), params)
+
+    def test_one_dimensional_sequence_rejected(self):
+        # forward and grad take a (C, n) stack only; one context is [None]
+        params = random_params(np.random.default_rng(0), 4, 2, 1, 1)
+        with pytest.raises(InvalidArgumentError, match=r"\(B, n\)"):
+            forward(np.array([0, 1, 2]), params)
+        with pytest.raises(InvalidArgumentError, match=r"\(B, n\)"):
+            grad(params, np.array([0, 1, 2]), 2, 1)
 
 
 class TestLoss:
@@ -297,10 +298,10 @@ class TestLoss:
         for _ in range(20):
             w = rng.integers(0, 9, size=5)
             t = int(rng.integers(0, 9))
-            trace = forward(w, params)
-            rows.append(trace.logits)
+            trace = forward(w[None], params)
+            rows.append(trace.logits[0])
             targets.append(t)
-            probs = [math.exp(v) for v in trace.logits]
+            probs = [math.exp(v) for v in trace.logits[0]]
             direct.append(-math.log(probs[t] / sum(probs)))
         value, probs = mean_nll(np.array(rows), targets)
         assert value == pytest.approx(float(np.mean(direct)), abs=1e-12)
@@ -348,9 +349,9 @@ class TestGrad:
             for analytic, selector in tensors:
                 fd = np.zeros_like(analytic)
                 for idx in np.ndindex(*analytic.shape):
-                    plus = params.copy()
+                    plus = copy.deepcopy(params)
                     selector(plus)[idx] += h
-                    minus = params.copy()
+                    minus = copy.deepcopy(params)
                     selector(minus)[idx] -= h
                     fd[idx] = (loss_at(plus) - loss_at(minus)) / (2 * h)
                 num = np.linalg.norm(fd - analytic)
@@ -366,9 +367,9 @@ class TestGrad:
         h = 1e-5
         fd = np.zeros_like(params.embed)
         for idx in np.ndindex(*params.embed.shape):
-            plus = params.copy()
+            plus = copy.deepcopy(params)
             plus.embed[idx] += h
-            minus = params.copy()
+            minus = copy.deepcopy(params)
             minus.embed[idx] -= h
             fd[idx] = (grad(plus, wins, 2, 2)[1] - grad(minus, wins, 2, 2)[1]) / (2 * h)
         np.testing.assert_allclose(grads.embed, fd, atol=1e-7)
@@ -379,8 +380,6 @@ class TestGrad:
         rng = np.random.default_rng(vocab + batch)
         params = init_params(vocab, dim, rank, 2, RngStream(batch, 0))
         wins = rng.integers(0, vocab, size=(batch, 20))
-        if batch == 1:
-            wins = wins[0]  # a single 1-D window
         grads, value = grad(params, wins, 16, 4)
         want, want_value = grad_oracle(params, wins, 16, 4)
         assert value == pytest.approx(want_value, rel=1e-14)
@@ -443,24 +442,24 @@ class TestForecast:
         params = ModelParams(embed, [AttentionLayer(np.zeros((1, 1)), np.zeros((1, 1)))])
         tok_cfg = TokenizerConfig(vocab_size=4)
         traj, point = forecast(
-            params, np.array([1]), horizon=3, sample_count=10,
+            params, forward(np.array([[1]]), params), horizon=3, sample_count=10,
             stream=RngStream(0, 0), tok_cfg=tok_cfg, scale=1.0,
         )
-        np.testing.assert_array_equal(traj, np.ones((10, 3)))
-        np.testing.assert_allclose(point, np.full(3, tok_cfg.bin_centers[1]))
+        np.testing.assert_array_equal(traj, np.ones((1, 10, 3)))
+        np.testing.assert_allclose(point, np.full((1, 3), tok_cfg.bin_centers[1]))
 
     def test_first_token_distribution_matches_head(self):
         rng = np.random.default_rng(9)
         params = random_params(rng, 8, 4, 2, 1)
-        context = np.array([2, 5, 1])
-        head = forward(context, params).probabilities
+        trace = forward(np.array([[2, 5, 1]]), params)
+        head = trace.probabilities[0]
         tok_cfg = TokenizerConfig(vocab_size=8)
         draws = 100_000
         traj, _ = forecast(
-            params, context, horizon=1, sample_count=draws,
+            params, trace, horizon=1, sample_count=draws,
             stream=RngStream(1, 0), tok_cfg=tok_cfg, scale=1.0,
         )
-        counts = np.bincount(traj[:, 0], minlength=8)
+        counts = np.bincount(traj[0, :, 0], minlength=8)
         expected = head * draws
         chi2 = float(np.sum((counts - expected) ** 2 / np.maximum(expected, 1e-12)))
         assert chi2 < 18.475  # chi-square 99% critical value, 7 dof
@@ -470,14 +469,14 @@ class TestForecast:
         # buys much more than 20 -> 80, so 20 is past the knee
         rng = np.random.default_rng(21)
         params = random_params(rng, 12, 6, 3, 1)
-        context = rng.integers(0, 12, size=6)
+        trace = forward(rng.integers(0, 12, size=(1, 6)), params)
         tok_cfg = TokenizerConfig(vocab_size=12)
         repeats = 40
 
         def point_variance(sample_count):
             points = [
                 forecast(
-                    params, context, horizon=2, sample_count=sample_count,
+                    params, trace, horizon=2, sample_count=sample_count,
                     stream=RngStream(100 + r, sample_count),
                     tok_cfg=tok_cfg, scale=1.0,
                 )[1]
@@ -494,30 +493,24 @@ class TestForecast:
         rng = np.random.default_rng(dim)
         params = init_params(vocab, dim, rank, 2, RngStream(dim, 0))
         tok_cfg = TokenizerConfig(vocab_size=vocab)
-        calls = []
-        real_forward = model.forward
-
-        def counted(tokens, p):
-            calls.append(len(tokens.tokens))
-            return real_forward(tokens, p)
-
-        # the oracle calls this module's own `forward`, which stays uncounted
-        monkeypatch.setattr(model, "forward", counted)
         for case in range(64):
             context = rng.integers(0, vocab, size=16)
             cached, oracle = RngStream(case, 3), RngStream(case, 3)
-            traj, point = forecast(
-                params, TokenSequence(context, 1.5), horizon=4, sample_count=20,
-                stream=cached, tok_cfg=tok_cfg, scale=1.5,
-            )
+            trace = forward(context[None], params)
+            with monkeypatch.context() as patched:
+                # decoding reads the trace's rows and runs no causal pass
+                patched.setattr(model, "causal_pass", None)
+                traj, point = forecast(
+                    params, trace, horizon=4, sample_count=20,
+                    stream=cached, tok_cfg=tok_cfg, scale=1.5,
+                )
             want_traj, want_point = forecast_oracle(
                 params, context, 4, 20, stream=oracle, tok_cfg=tok_cfg, scale=1.5
             )
-            np.testing.assert_array_equal(traj, want_traj)
-            np.testing.assert_array_equal(point, want_point)
+            np.testing.assert_array_equal(traj[0], want_traj)
+            np.testing.assert_array_equal(point[0], want_point)
             # both consumed sample_count * horizon uniforms
             assert cached.uniform() == oracle.uniform()
-        assert calls == [16] * 64  # one forward over the context per forecast
 
 
     @pytest.mark.parametrize("vocab, dim, rank", [s[:3] for s in BENCHMARK_SHAPES])
@@ -527,20 +520,21 @@ class TestForecast:
         rng = np.random.default_rng(vocab)
         contexts = rng.integers(0, vocab, size=(8, 16))
         scales = rng.uniform(0.5, 2.0, size=8)
-        for stacked_input in (contexts, forward(contexts, params)):
-            stacked, looped = RngStream(5, 1), RngStream(5, 1)
-            traj, points = forecast(
-                params, stacked_input, 4, 20, stream=stacked, tok_cfg=tok_cfg, scale=scales
+        stacked, looped = RngStream(5, 1), RngStream(5, 1)
+        traj, points = forecast(
+            params, forward(contexts, params), 4, 20, stream=stacked, tok_cfg=tok_cfg,
+            scale=scales,
+        )
+        assert traj.shape == (8, 20, 4) and points.shape == (8, 4)
+        # context c draws its uniforms after contexts 0..c-1
+        for c in range(8):
+            want_traj, want_point = forecast(
+                params, forward(contexts[c][None], params), 4, 20, stream=looped,
+                tok_cfg=tok_cfg, scale=scales[c],
             )
-            assert traj.shape == (8, 20, 4) and points.shape == (8, 4)
-            # context c draws its uniforms after contexts 0..c-1
-            for c in range(8):
-                want_traj, want_point = forecast(
-                    params, contexts[c], 4, 20, stream=looped, tok_cfg=tok_cfg, scale=scales[c]
-                )
-                np.testing.assert_array_equal(traj[c], want_traj)
-                assert points[c].tobytes() == want_point.tobytes()
-            assert stacked.uniform() == looped.uniform()
+            np.testing.assert_array_equal(traj[c], want_traj[0])
+            assert points[c].tobytes() == want_point[0].tobytes()
+        assert stacked.uniform() == looped.uniform()
 
 
 class TestInvariants:
@@ -548,7 +542,7 @@ class TestInvariants:
         rng = np.random.default_rng(10)
         params = random_params(rng, 16, 5, 3, 2)
         for _ in range(5):
-            trace = forward(rng.integers(0, 16, size=6), params)
+            trace = forward(rng.integers(0, 16, size=(1, 6)), params)
             for shift in (-10.0, 3.7, 100.0):
                 np.testing.assert_allclose(
                     softmax(trace.logits + shift), trace.probabilities, atol=1e-12
@@ -558,7 +552,7 @@ class TestInvariants:
         rng = np.random.default_rng(11)
         params = random_params(rng, 16, 5, 3, 2)
         for _ in range(5):
-            trace = forward(rng.integers(0, 16, size=6), params)
+            trace = forward(rng.integers(0, 16, size=(1, 6)), params)
             zmax = trace.logits.max()
             log_z = zmax + math.log(np.sum(np.exp(trace.logits - zmax)))
             assert math.isfinite(log_z)
@@ -597,7 +591,7 @@ class TestDumpAndCheckpoint:
         wins = rng.integers(0, 8, size=(4, 5))
         dump = dump_embeddings(params, list(wins), layer_ids=[2, 0])
         records = [
-            (lid, int(w[pos]), context_hash(w), forward(w, params).activations[lid][pos])
+            (lid, int(w[pos]), context_hash(w), forward(w[None], params).activations[lid][0, pos])
             for w in wins
             for lid in (2, 0)
             for pos in range(len(w))

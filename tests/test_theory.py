@@ -20,7 +20,6 @@ from isoprobe.theory import (
     check_small_score_approximation,
     collect_window_logits,
     downstream_value,
-    fd_jacobian,
     isotropy_partition,
     jacobian_fd,
     attention_jacobian_bound,
@@ -184,13 +183,12 @@ def complex_step_jacobian(x, score, h=1e-30):
 
 class TestJacobianFd:
     def test_fixed_weights_linear_map_kronecker(self):
+        # a zero score matrix fixes the weights at 1/n: a linear map
         rng = np.random.default_rng(6)
         n, d = 4, 3
-        weights = rng.random((n, n))
-        weights /= weights.sum(axis=1, keepdims=True)
         x0 = rng.normal(size=(n, d))
-        jac = fd_jacobian(lambda v: weights @ v, x0, h=1e-6)
-        np.testing.assert_allclose(jac, np.kron(weights, np.eye(d)), atol=1e-6)
+        jac = jacobian_fd(x0, np.zeros((d, d)), h=1e-6)
+        np.testing.assert_allclose(jac, np.kron(np.full((n, n), 1.0 / n), np.eye(d)), atol=1e-6)
 
     def test_richardson_quadratic_convergence(self):
         rng = np.random.default_rng(7)

@@ -186,6 +186,8 @@ def parse_config(path):
             config[key] = json.loads(value, parse_float=_finite, parse_constant=_finite)
         except json.JSONDecodeError:
             config[key] = value
+        except ValueError:  # an integer literal past Python's digit limit
+            raise ConfigError(f"{path}:{lineno}: value of {key!r} has too many digits") from None
         except OverflowError:
             raise ConfigError(f"{path}:{lineno}: value of {key!r} is not a finite number") from None
         except RecursionError:
@@ -209,7 +211,12 @@ def take_config(config, key, default=None, *, required=False, kind):
 def _typed(key, value, kind):
     """An int passes as a float (and becomes one); a bool passes only as a bool."""
     if kind is float and type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(
+                f"config field {key}: integer is too large for a float"
+            ) from None
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
         raise ConfigError(
             f"config field {key}: expected {kind.__name__}, got {type(value).__name__}"

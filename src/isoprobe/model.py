@@ -5,17 +5,27 @@ with a weight-tied inner-product softmax head: no value projection, no
 MLP, no layer norm, no residual.  Attention is causal for training and
 forecasting; gradients are exact reverse-mode, written out by hand.
 
+The rank-m score matrix L = W_Q @ W_K.T is never formed: a layer scores
+its rows through queries X @ W_Q and keys X @ W_K, (n, m) each, and the
+backward pass runs through the same two factors.
+
 Every pass over token windows is one batched causal pass over a (B, n)
 stack (`causal_pass`): `grad` (whose backward is batched the same way),
-`forward`, `dump_embeddings` and the theory checks' logit rows.
+`forward`, `dump_embeddings` and the theory checks' logit rows.  `grad`
+computes only the rows its loss reads.  A window's last position is a
+target and never an input, so the pass runs over the first n - 1
+positions; and the last layer queries only the `horizon` prediction
+rows, since no other row of its output reaches the head.
+
 `forecast` decodes from a cache instead of re-running the pass per
 token.  That cache is exact, not an approximation: attention is causal
 and there is no residual, norm or value projection, so output row i of
 a layer depends on that layer's input rows 0..i alone.  Appending a
 token therefore leaves every earlier row of every layer unchanged and
 adds exactly one new row per layer, computed from the cached input rows
-of that layer (the KV cache of Pope et al. 2022, "Efficiently Scaling
-Transformer Inference", reduced to this model).
+and keys of that layer and the new row's one query (the KV cache of
+Pope et al. 2022, "Efficiently Scaling Transformer Inference", reduced
+to this model, whose values are its input rows).
 """
 
 from __future__ import annotations
@@ -79,7 +89,8 @@ class AttentionLayer:
 
     @property
     def score_matrix(self):
-        """The bilinear score matrix W_Q @ W_K.T (rank <= m)."""
+        """The bilinear score matrix W_Q @ W_K.T (rank <= m).  The model
+        attends through the two factors and never forms it."""
         return self.w_q @ self.w_k.T
 
 
@@ -165,30 +176,42 @@ def _attention_softmax(scores):
     return weights
 
 
-def attention_weights(rows, score_matrix, causal):
-    """Row-stochastic attention matrix softmax(rows @ score_matrix @ rows.T).
+def _project(rows, weight):
+    """rows @ weight as one flat (rows, D) @ (D, m) product over a stack."""
+    flat = rows.reshape(-1, rows.shape[-1]) @ weight
+    return flat.reshape(rows.shape[:-1] + weight.shape[1:])
 
-    `rows` is one (n, D) sequence or a (B, n, D) stack of them; the score
-    matrix multiplies all rows in one flat product.  Rows use
-    max-subtraction before exponentiation; with `causal` the
-    normalization runs over positions j <= i only.
+
+def attention_weights(queries, keys, causal):
+    """Row-stochastic attention matrix softmax(queries @ keys.T).
+
+    `queries` is (..., q, m) and `keys` (..., n, m) with q <= n.  Rows
+    use max-subtraction before exponentiation; with `causal`, query row
+    i stands for position n - q + i and normalizes over keys j <= n - q + i
+    only, so q < n queries the last q positions.
     """
-    x = np.asarray(rows, dtype=np.float64)
-    projected = (x.reshape(-1, x.shape[-1]) @ score_matrix).reshape(x.shape)
-    scores = projected @ np.swapaxes(x, -1, -2)
+    queries = np.asarray(queries, dtype=np.float64)
+    keys = np.asarray(keys, dtype=np.float64)
+    scores = queries @ np.swapaxes(keys, -1, -2)
     if causal:
-        scores[..., ~np.tril(np.ones(scores.shape[-2:], dtype=bool))] = -np.inf
+        q, n = scores.shape[-2:]
+        scores[..., ~np.tril(np.ones((q, n), dtype=bool), n - q)] = -np.inf
     return _attention_softmax(scores)
 
 
-def causal_pass(params, windows):
+def causal_pass(params, windows, *, last_queries=None):
     """One causal pass over a (B, n) batch of token windows.
 
-    Returns (activations, weights): activations[0] is the (B, n, D)
+    Returns (activations, attention): activations[0] is the (B, n, D)
     embedding lookup and activations[l + 1] the output of attention layer
-    l, whose (B, n, n) attention matrices are weights[l].  Row i of every
-    output depends on positions <= i only, so it is the row a pass over
-    the prefix ending at i gives.
+    l, whose (queries, keys, weights) are attention[l]: (B, n, m) rows
+    X @ W_Q and X @ W_K of its input X and the (B, n, n) attention
+    matrices.  Row i of every output depends on positions <= i only, so
+    it is the row a pass over the prefix ending at i gives.
+
+    `last_queries` (for `grad`) makes the last layer query its final
+    `last_queries` positions only; its output, queries and weights then
+    hold those rows alone.
     """
     ids = np.asarray(windows, dtype=np.int64)
     if ids.ndim != 2 or ids.size == 0:
@@ -197,11 +220,16 @@ def causal_pass(params, windows):
         raise InvalidArgumentError(
             f"token id out of range [0, {params.vocab_size}): {int(ids.min())}..{int(ids.max())}"
         )
-    activations, weights = [params.embed[ids]], []
-    for layer in params.layers:
-        weights.append(attention_weights(activations[-1], layer.score_matrix, causal=True))
-        activations.append(weights[-1] @ activations[-1])
-    return activations, weights
+    activations, attention = [params.embed[ids]], []
+    for index, layer in enumerate(params.layers):
+        x = activations[-1]
+        last = last_queries is not None and index + 1 == params.layer_count
+        queries = _project(x[:, -last_queries:] if last else x, layer.w_q)
+        keys = _project(x, layer.w_k)
+        weights = attention_weights(queries, keys, causal=True)
+        attention.append((queries, keys, weights))
+        activations.append(weights @ x)
+    return activations, attention
 
 
 def forward(tokens, params):
@@ -224,43 +252,49 @@ def grad(params, windows, context_length, horizon):
     Each window of length context_length + horizon contributes `horizon`
     prediction positions; the tied embedding accumulates both its head
     and its lookup role.  Forward and backward each run once over the
-    whole batch.
+    whole batch, over the rows the loss reads: the first n - 1 positions,
+    and the last layer's prediction rows.
     """
     windows = np.asarray(windows, dtype=np.int64)
     if windows.shape[-1] != context_length + horizon:
         raise InvalidArgumentError(
             f"window length {windows.shape[-1]} != context {context_length} + horizon {horizon}"
         )
-    acts, weights = causal_pass(params, windows)
+    acts, attention = causal_pass(params, windows[..., :-1], last_queries=horizon)
     embed = params.embed
     batch, n, dim = acts[0].shape
     # the softmax head runs on the batch * horizon prediction rows only
-    preds = slice(context_length - 1, n - 1)
-    hidden = acts[-1][:, preds].reshape(-1, dim)
+    hidden = acts[-1][:, -horizon:].reshape(-1, dim)
     targets = windows[:, context_length:].ravel()
     total_loss, d_logits = mean_nll(hidden @ embed.T, targets)
     d_logits[np.arange(targets.size), targets] -= 1.0
     d_logits /= targets.size
     d_embed = d_logits.T @ hidden  # head role of the tied table
-    d_hidden = np.zeros_like(acts[-1])
-    d_hidden[:, preds] = (d_logits @ embed).reshape(batch, horizon, dim)
+    # d_out: the gradient of the rows a layer outputs, the last layer's
+    # `horizon` query rows first
+    d_out = (d_logits @ embed).reshape(batch, horizon, dim)
     d_layers = []
-    for layer, x, p in reversed(list(zip(params.layers, acts, weights))):
-        score_matrix = layer.score_matrix
-        d_p = d_hidden @ np.swapaxes(x, 1, 2)
-        d_x = np.swapaxes(p, 1, 2) @ d_hidden
+    for layer, x, (queries, keys, p) in reversed(list(zip(params.layers, acts, attention))):
+        d_p = d_out @ np.swapaxes(x, 1, 2)
+        d_x = np.swapaxes(p, 1, 2) @ d_out
         d_scores = p * (d_p - np.sum(d_p * p, axis=2, keepdims=True))
-        # the score matrix is shared by every window: flat (B*n, D) products
-        row_side = (d_scores @ x).reshape(-1, dim)
-        col_side = (np.swapaxes(d_scores, 1, 2) @ x).reshape(-1, dim)
-        d_x += (row_side @ score_matrix.T + col_side @ score_matrix).reshape(batch, n, dim)
-        d_lambda = x.reshape(-1, dim).T @ row_side
-        d_layers.append((d_lambda @ layer.w_k, d_lambda.T @ layer.w_q))
-        d_hidden = d_x
+        d_queries = d_scores @ keys
+        d_keys = np.swapaxes(d_scores, 1, 2) @ queries
+        # the factors are shared by every window: flat (rows, D) products
+        queried = slice(n - queries.shape[1], n)
+        d_layers.append((
+            x[:, queried].reshape(-1, dim).T @ d_queries.reshape(-1, d_queries.shape[-1]),
+            x.reshape(-1, dim).T @ d_keys.reshape(-1, d_keys.shape[-1]),
+        ))
+        d_x += _project(d_keys, layer.w_k.T)
+        d_x[:, queried] += _project(d_queries, layer.w_q.T)
+        d_out = d_x
     d_layers.reverse()
-    # lookup role: one scatter-add over the (token, coordinate) cells
-    cells = (windows.reshape(-1, 1) * dim + np.arange(dim)).ravel()
-    d_embed += np.bincount(cells, d_hidden.ravel(), embed.size).reshape(embed.shape)
+    # lookup role: one scatter-add over the (token, coordinate) cells of
+    # the rows d_out covers (all n once an attention layer ran)
+    ids = windows[:, n - d_out.shape[1] : n]
+    cells = (ids.reshape(-1, 1) * dim + np.arange(dim)).ravel()
+    d_embed += np.bincount(cells, d_out.ravel(), embed.size).reshape(embed.shape)
 
     for name, grad_arr in [("embed", d_embed)] + [
         (f"layer{idx}", g) for idx, pair in enumerate(d_layers) for g in pair
@@ -341,21 +375,24 @@ def forecast(params, trace, horizon, sample_count=20, *, stream, tok_cfg, scale)
     forecasts one after another would.
 
     All C * sample_count paths decode as one batch, each step adding one
-    row per layer from the cached input rows of that layer (exact, see
-    the module docstring).  Every product is a stacked matmul with one
-    context's shapes, so a stack decodes each context as a forecast of
-    it alone would.
+    row per layer from the cached input rows and keys of that layer and
+    the new row's query (exact, see the module docstring).  Every
+    product is a stacked matmul with one context's shapes, so a stack
+    decodes each context as a forecast of it alone would.
     """
     if horizon < 1 or sample_count < 1:
         raise InvalidArgumentError("horizon and sample_count must be >= 1")
     contexts, n = trace.activations[0].shape[:2]
     uniforms = stream.uniforms(contexts, sample_count, horizon)
-    # cache[l]: the input rows of attention layer l, one stack per path
-    cache = [
-        np.empty((contexts, sample_count, n + horizon - 1, params.dim)) for _ in params.layers
-    ]
-    for rows, context_rows in zip(cache, trace.activations):
+    # cache[l]: the input rows of attention layer l and their keys, one
+    # stack per path
+    cache = []
+    for layer, context_rows in zip(params.layers, trace.activations):
+        rows = np.empty((contexts, sample_count, n + horizon - 1, params.dim))
+        keys = np.empty(rows.shape[:-1] + layer.w_k.shape[1:])
         rows[:, :, :n] = context_rows[:, None]
+        keys[:, :, :n] = _project(context_rows, layer.w_k)[:, None]
+        cache.append((rows, keys))
     probs = np.broadcast_to(
         trace.probabilities[:, None], (contexts, sample_count, params.vocab_size)
     )
@@ -366,10 +403,11 @@ def forecast(params, trace, horizon, sample_count=20, *, stream, tok_cfg, scale)
             break
         row = params.embed[trajectories[..., step]]
         seen = n + step + 1
-        for layer, rows in zip(params.layers, cache):
+        for layer, (rows, keys) in zip(params.layers, cache):
             rows[:, :, seen - 1] = row
-            query = row @ layer.score_matrix
-            weights = _attention_softmax((rows[:, :, :seen] @ query[..., None])[..., 0])
+            keys[:, :, seen - 1] = row @ layer.w_k
+            query = row @ layer.w_q
+            weights = _attention_softmax((keys[:, :, :seen] @ query[..., None])[..., 0])
             row = (weights[..., None, :] @ rows[:, :, :seen])[..., 0, :]
         probs = softmax(row @ params.embed.T)
     values = detokenize(trajectories, np.reshape(scale, (-1, 1, 1)), tok_cfg)

@@ -176,8 +176,8 @@ def jacobian_fd(rows, score_matrix, h=None):
             minus = x.copy()
             minus[j, e] -= h
             diff = (
-                attention_weights(plus, score_matrix, False) @ plus
-                - attention_weights(minus, score_matrix, False) @ minus
+                attention_weights(plus @ score_matrix, plus, False) @ plus
+                - attention_weights(minus @ score_matrix, minus, False) @ minus
             )
             jac[:, j * d + e] = diff.ravel() / (2.0 * h)
     return jac
@@ -209,7 +209,7 @@ def attention_jacobian_bound(rows, score_matrix, *, fd_step=None):
     x = as_matrix(rows, "rows")
     score_matrix = as_matrix(score_matrix, "lambda")
     n = x.shape[0]
-    weights = attention_weights(x, score_matrix, causal=False)
+    weights = attention_weights(x @ score_matrix, x, causal=False)
     lam2 = spectral_norm(score_matrix)
     centers = weights @ x  # row i holds sum_j p_ij psi_j
     resid = x - centers
@@ -378,8 +378,9 @@ def small_score_approximation(rows, direction, rhos=(1e-3, 1e-2, 1e-1, 1.0), *, 
     rows = []
     for rho in rhos:
         score_matrix = base * (rho / base_norm)
-        weights = attention_weights(x, score_matrix, causal=False)
-        approx = 1.0 / n + (x @ score_matrix @ x.T) / n
+        projected = x @ score_matrix
+        weights = attention_weights(projected, x, causal=False)
+        approx = 1.0 / n + (projected @ x.T) / n
         max_err = float(np.max(np.abs(weights - approx)))
         gap = float(np.linalg.norm((weights - approx) @ x))
         rows.append(ApproxSweepRow(float(rho), max_err, gap))

@@ -575,6 +575,23 @@ class TestConfigErrors:
         assert f"{cfg}:3" in err and f"'{key}'" in err and "finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("line", ["learning_rate = 1" + "0" * 400, "clip_low = -1" + "0" * 400])
+    def test_integer_too_large_for_a_float_exits_2_naming_key(self, tmp_path, capsys, line):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f'out = "{tmp_path / "o"}"\ndata = "d"\n{line}\n')
+        assert run_cli("train", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        key = line.split(" = ")[0]
+        assert f"config field {key}" in err and "too large for a float" in err
+        assert "Traceback" not in err
+
+    def test_integer_past_the_digit_limit_exits_2_naming_line_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f'out = "{tmp_path / "o"}"\ndata = "d"\nsteps = 1{"0" * 5000}\n')
+        assert run_cli("train", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:3" in err and "'steps'" in err and "Traceback" not in err
+
     def test_duplicate_key_exits_2_naming_key_and_line(self, tmp_path, capsys):
         cfg = tmp_path / "d.cfg"
         cfg.write_text(f'out = "{tmp_path / "o"}"\nlength = 64\nlength = 32\n')

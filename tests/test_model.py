@@ -63,6 +63,25 @@ def seasonality_windows(tok_cfg, context_length, horizon, length=512, stride=4, 
     return np.array(out)
 
 
+def attention_weights_oracle(rows, score_matrix, causal):
+    """The D x D attention of the unfactored model, softmax(rows @ L @ rows.T),
+    kept as the reference for the factored `attention_weights`."""
+    x = np.asarray(rows, dtype=np.float64)
+    projected = (x.reshape(-1, x.shape[-1]) @ score_matrix).reshape(x.shape)
+    scores = projected @ np.swapaxes(x, -1, -2)
+    if causal:
+        scores[..., ~np.tril(np.ones(scores.shape[-2:], dtype=bool))] = -np.inf
+    return softmax(scores)
+
+
+def causal_pass_oracle(params, windows):
+    """Every layer's output rows through the D x D score matrices."""
+    acts = [params.embed[np.asarray(windows)]]
+    for layer in params.layers:
+        acts.append(attention_weights_oracle(acts[-1], layer.score_matrix, True) @ acts[-1])
+    return acts
+
+
 def grad_oracle(params, windows, context_length, horizon):
     """The per-window looped gradient, kept as the reference for `grad`."""
     windows = np.asarray(windows, dtype=np.int64)
@@ -80,7 +99,7 @@ def grad_oracle(params, windows, context_length, horizon):
         acts = [embed[ids]]
         probs_per_layer = []
         for score_matrix in score_matrices:
-            p = attention_weights(acts[-1], score_matrix, causal=True)
+            p = attention_weights_oracle(acts[-1], score_matrix, causal=True)
             probs_per_layer.append(p)
             acts.append(p @ acts[-1])
         hidden = acts[-1]
@@ -144,27 +163,29 @@ BENCHMARK_SHAPES = [(64, 16, 8, 16), (512, 64, 16, 32)]
 
 
 class TestSelfAttention:
-    def test_zero_lambda_is_prefix_mean(self):
+    def test_zero_queries_give_prefix_mean(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(6, 4))
-        out = attention_weights(x, np.zeros((4, 4)), causal=True) @ x
+        zeros = np.zeros((6, 2))
+        out = attention_weights(zeros, x[:, :2], causal=True) @ x
         for i in range(6):
             np.testing.assert_allclose(out[i], x[: i + 1].mean(axis=0), atol=1e-12)
-        out_full = attention_weights(x, np.zeros((4, 4)), causal=False) @ x
+        out_full = attention_weights(zeros, x[:, :2], causal=False) @ x
         np.testing.assert_allclose(out_full, np.tile(x.mean(axis=0), (6, 1)), atol=1e-12)
 
     def test_single_row_identity(self):
         x = np.array([[1.0, -2.0, 3.0]])
-        lam = np.ones((3, 3))
-        np.testing.assert_allclose(attention_weights(x, lam, causal=True) @ x, x)
-        np.testing.assert_allclose(attention_weights(x, lam, causal=False) @ x, x)
+        w = np.ones((3, 2))
+        np.testing.assert_allclose(attention_weights(x @ w, x @ w, causal=True) @ x, x)
+        np.testing.assert_allclose(attention_weights(x @ w, x @ w, causal=False) @ x, x)
 
     def test_rows_stochastic_and_match_direct_oracle(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(5, 4))
-        lam = rng.normal(size=(4, 4)) * 0.7
+        w_q, w_k = rng.normal(size=(2, 4, 3)) * 0.7
+        lam = w_q @ w_k.T
         for causal in (False, True):
-            p = attention_weights(x, lam, causal)
+            p = attention_weights(x @ w_q, x @ w_k, causal)
             np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(p >= 0)
             # direct recomputation without stabilization tricks
@@ -180,10 +201,29 @@ class TestSelfAttention:
     def test_convex_combination_of_prefix_rows(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(7, 3))
-        lam = rng.normal(size=(3, 3))
-        p = attention_weights(x, lam, causal=True)
+        p = attention_weights(x @ rng.normal(size=(3, 2)), x @ rng.normal(size=(3, 2)), True)
         assert np.all(p >= 0) and np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(np.triu(p, k=1) == 0.0)  # no weight on future rows
+
+    @pytest.mark.parametrize("q", [1, 3, 7])
+    def test_last_queries_are_the_last_rows_of_the_full_matrix(self, q):
+        rng = np.random.default_rng(q)
+        queries, keys = rng.normal(size=(2, 4, 7, 3))
+        full = attention_weights(queries, keys, causal=True)
+        last = attention_weights(queries[:, -q:], keys, causal=True)
+        assert last.shape == (4, q, 7)
+        np.testing.assert_allclose(last, full[:, -q:], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("vocab, dim, rank, batch", BENCHMARK_SHAPES)
+    def test_factored_pass_matches_score_matrix_oracle(self, vocab, dim, rank, batch):
+        params = init_params(vocab, dim, rank, 2, RngStream(rank, 4))
+        wins = np.random.default_rng(dim).integers(0, vocab, size=(batch, 20))
+        want = causal_pass_oracle(params, wins)
+        for got, ref in zip(causal_pass(params, wins)[0], want):
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        logits = forward(wins, params).logits
+        want_logits = want[-1][:, -1] @ params.embed.T
+        assert np.linalg.norm(logits - want_logits) <= 1e-13 * np.linalg.norm(want_logits)
 
 
 class TestForward:
@@ -374,14 +414,21 @@ class TestGrad:
             fd[idx] = (grad(plus, wins, 2, 2)[1] - grad(minus, wins, 2, 2)[1]) / (2 * h)
         np.testing.assert_allclose(grads.embed, fd, atol=1e-7)
 
+    # the pass drops the final position and the last layer queries only
+    # the prediction rows: context 1 (horizon n - 1) queries every input
+    # row, horizon 1 only the last one
+    @pytest.mark.parametrize(
+        "context_length, horizon", [(16, 4), (1, 4), (16, 1), (1, 19), (1, 1)]
+    )
+    @pytest.mark.parametrize("layer_count", [1, 2, 3])
     @pytest.mark.parametrize("shape", BENCHMARK_SHAPES + [(64, 16, 8, 1)])
-    def test_batched_matches_looped_oracle(self, shape):
+    def test_batched_matches_looped_oracle(self, shape, layer_count, context_length, horizon):
         vocab, dim, rank, batch = shape
-        rng = np.random.default_rng(vocab + batch)
-        params = init_params(vocab, dim, rank, 2, RngStream(batch, 0))
-        wins = rng.integers(0, vocab, size=(batch, 20))
-        grads, value = grad(params, wins, 16, 4)
-        want, want_value = grad_oracle(params, wins, 16, 4)
+        rng = np.random.default_rng(vocab + batch + 7 * layer_count + context_length)
+        params = init_params(vocab, dim, rank, layer_count, RngStream(batch, horizon))
+        wins = rng.integers(0, vocab, size=(batch, context_length + horizon))
+        grads, value = grad(params, wins, context_length, horizon)
+        want, want_value = grad_oracle(params, wins, context_length, horizon)
         assert value == pytest.approx(want_value, rel=1e-14)
         pairs = [(grads.embed, want.embed)] + [
             (g, w) for got, ref in zip(grads.layers, want.layers) for g, w in zip(got, ref)
@@ -568,6 +615,23 @@ class TestInvariants:
         permuted = ModelParams(new_embed, params.layers)
         _, relabeled = grad(permuted, perm[wins], 4, 2)
         assert relabeled == pytest.approx(base, abs=1e-12)
+
+
+    def test_no_model_path_forms_the_score_matrix(self, monkeypatch):
+        def refuse(layer):
+            raise AssertionError("the D x D score matrix was formed")
+
+        monkeypatch.setattr(AttentionLayer, "score_matrix", property(refuse))
+        rng = np.random.default_rng(19)
+        params = random_params(rng, 16, 6, 2, 2)
+        wins = rng.integers(0, 16, size=(3, 7))
+        grad(params, wins, 4, 3)
+        trace = forward(wins, params)
+        forecast(
+            params, trace, horizon=3, sample_count=2, stream=RngStream(0, 0),
+            tok_cfg=TokenizerConfig(vocab_size=16), scale=np.ones(3),
+        )
+        assert dump_embeddings(params, wins).record_count == 2 * wins.size
 
 
 class TestDumpAndCheckpoint:

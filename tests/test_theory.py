@@ -282,7 +282,7 @@ class TestSmallScoreApproximation:
     def test_zero_lambda_exact_uniform(self):
         rng = np.random.default_rng(13)
         rows = rng.normal(size=(6, 4))
-        weights = attention_weights(rows, np.zeros((4, 4)), causal=False)
+        weights = attention_weights(rows @ np.zeros((4, 4)), rows, causal=False)
         np.testing.assert_allclose(weights, 1.0 / 6, atol=1e-15)
 
     def test_errors_shrink_with_rho(self):
@@ -304,7 +304,7 @@ class TestSmallScoreApproximation:
             sweep = []
             for row in small_score_approximation(rows, direction):
                 score = direction * (row.rho / np.linalg.norm(direction))
-                weights = attention_weights(x, score, causal=False)
+                weights = attention_weights(x @ score, x, causal=False)
                 gap = np.linalg.norm(weights @ x - (1.0 + x @ score @ x.T) @ x)
                 sweep.append(ApproxSweepRow(row.rho, row.max_prob_error, gap))
             return sweep

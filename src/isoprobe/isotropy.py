@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UndefinedMetricError
+from .errors import InvalidArgumentError, NumericFailureError, UndefinedMetricError
 from .numerics import PCAResult, as_matrix, pca
 from .theory import isotropy_partition
 
@@ -138,22 +138,42 @@ def _dist_sq(x, x_sq, centroids):
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _kmeans_pp_init(x, k, stream):
-    n = x.shape[0]
-    centroids = np.empty((k, x.shape[1]))
-    centroids[0] = x[stream.uniform_choice(n)]
-    d2 = np.sum((x - centroids[0]) ** 2, axis=1)
-    for c in range(1, k):
-        total = float(d2.sum())
+def _kmeans_pp_init(rows, inverse, rows_sq, k, stream):
+    """k-means++ seeding (Arthur and Vassilvitskii 2007) of the full rows
+    rows[inverse], from the distinct rows and their squared norms.
+
+    Each pick indexes the full rows and draws what a seeding on them
+    draws; the distances run on the distinct rows and are gathered by
+    `inverse` for the pick.  A distance is the expanded rows_sq -
+    2 rows @ c + c_sq; one within its round-off bound of 0 is recomputed
+    from the difference, so a row reads exactly 0 where the difference
+    form does, and the all-zero fallback fires where it would."""
+    n = inverse.size
+    # the expanded form's round-off is at most slack * (|x|^2 + |c|^2),
+    # plus subnormal rounding far below the smallest normal float
+    slack = (2 * rows.shape[1] + 8) * np.finfo(np.float64).eps
+    largest, tiny = rows_sq.max(), np.finfo(np.float64).tiny
+
+    def dist_sq(j):
+        d2 = rows @ (-2.0 * rows[j])
+        d2 += rows_sq + rows_sq[j]
+        near = np.flatnonzero(d2 <= slack * (largest + rows_sq[j]) + tiny)
+        d2[near] = np.sum((rows[near] - rows[j]) ** 2, axis=1)
+        return d2
+
+    picks = [inverse[stream.uniform_choice(n)]]
+    d2 = dist_sq(picks[0])
+    for _ in range(1, k):
+        full = d2[inverse]
+        total = float(full.sum())
         if total <= 0.0:
             idx = stream.uniform_choice(n)
         else:
             u = stream.uniform() * total
-            idx = int(np.searchsorted(np.cumsum(d2), u, side="right"))
-            idx = min(idx, n - 1)
-        centroids[c] = x[idx]
-        d2 = np.minimum(d2, np.sum((x - centroids[c]) ** 2, axis=1))
-    return centroids
+            idx = min(int(np.searchsorted(np.cumsum(full), u, side="right")), n - 1)
+        picks.append(inverse[idx])
+        np.minimum(d2, dist_sq(picks[-1]), out=d2)
+    return rows[picks]
 
 
 def _distinct_rows(x):
@@ -169,6 +189,26 @@ def _distinct_rows(x):
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return x[first[order]], rank[inverse]
+
+
+def _selection_rows(data):
+    """The distinct rows of a matrix, each full row's index among them
+    (`_distinct_rows`) and their squared norms: what k-means and the
+    silhouette of one selection share.  Two rows are at most 4 * max
+    squared norm apart, so every distance sum they form over the n rows
+    stays below 4 n max; past the float range it raises
+    NumericFailureError, as the expanded distances would read
+    inf - inf = NaN."""
+    rows, inverse = _distinct_rows(data)
+    with np.errstate(over="ignore"):
+        rows_sq = np.sum(rows * rows, axis=1)
+    largest = float(rows_sq.max(initial=0.0))
+    if not np.isfinite(4.0 * inverse.size * largest):
+        raise NumericFailureError(
+            f"rows too large for k-means distances: squared norm {largest:.3g} "
+            f"over {inverse.size} rows overflows"
+        )
+    return rows, inverse, rows_sq
 
 
 def _lloyd(rows, inverse, inits, max_iter, tol):
@@ -245,15 +285,16 @@ def _lloyd(rows, inverse, inits, max_iter, tol):
     ]
 
 
-def kmeans(x, k, stream, *, restarts=5, max_iter=300, tol=1e-8):
+def kmeans(x, k, stream, *, restarts=5, max_iter=300, tol=1e-8, distinct=None):
     """Best-of-restarts k-means++ with Lloyd iteration.
 
-    Every restart's k-means++ init is drawn first, on the full rows and
-    in restart order (Lloyd draws nothing); then one Lloyd runs them all
+    Every restart's k-means++ init is drawn first, picking full rows in
+    restart order (Lloyd draws nothing); then one Lloyd runs them all
     on the byte-equal distinct rows weighted by their multiplicity.
     Empty clusters are repaired by reseeding to the farthest point; the
     winner is the restart with the lowest within-cluster sum of squares,
-    the first one on ties.
+    the first one on ties.  `distinct` is `_selection_rows(x)`, passed
+    by a caller that clusters the same rows more than once.
     """
     data = as_matrix(x, "data")
     n = data.shape[0]
@@ -261,8 +302,10 @@ def kmeans(x, k, stream, *, restarts=5, max_iter=300, tol=1e-8):
         raise InvalidArgumentError(f"k must be in [1, {n}], got {k}")
     if restarts < 1:
         raise InvalidArgumentError(f"restarts must be >= 1, got {restarts}")
-    rows, inverse = _distinct_rows(data)
-    inits = np.stack([_kmeans_pp_init(data, k, stream) for _ in range(restarts)])
+    rows, inverse, rows_sq = _selection_rows(data) if distinct is None else distinct
+    inits = np.stack(
+        [_kmeans_pp_init(rows, inverse, rows_sq, k, stream) for _ in range(restarts)]
+    )
     best = None
     for clustering in _lloyd(rows, inverse, inits, max_iter, tol):
         if best is None or clustering.inertia < best.inertia:
@@ -275,7 +318,7 @@ def kmeans(x, k, stream, *, restarts=5, max_iter=300, tol=1e-8):
 _SILHOUETTE_BLOCK_BYTES = 1 << 21
 
 
-def silhouette(x, clusterings):
+def silhouette(x, clusterings, *, distinct=None):
     """Per-point silhouette scores and their mean (Euclidean distances),
     as one (scores, mean) pair per clustering of the same rows.
 
@@ -285,13 +328,13 @@ def silhouette(x, clusterings):
     rows only: every clustering's member columns, stacked, count each
     distinct row's copies per cluster (copies of one row may sit in
     different clusters), so one blocked pass serves them all, and each
-    full row reads its distinct row's sums.
+    full row reads its distinct row's sums.  `distinct` is as in kmeans.
     """
     data = as_matrix(x, "data")
     n = data.shape[0]
     if min((c.k for c in clusterings), default=0) < 2:
         raise InvalidArgumentError("silhouette needs at least 2 clusters")
-    rows, inverse = _distinct_rows(data)
+    rows, inverse, _ = _selection_rows(data) if distinct is None else distinct
     m, dim = rows.shape
     assignments = [np.asarray(c.assignment) for c in clusterings]
     offsets = np.cumsum([0] + [c.k for c in clusterings])
@@ -340,15 +383,18 @@ def select_cluster_count(x, k_range, stream):
     """Pick the cluster count with the highest mean silhouette.
 
     k-means runs for every feasible k first, in k order on the stream;
-    then one silhouette pass scores them all.  Ties resolve to the
-    smallest k; a winning silhouette below 0.3 sets the low_silhouette
-    flag (weak cluster structure)."""
+    then one silhouette pass scores them all.  The rows are collapsed to
+    their distinct rows once, for every k and the silhouette.  Ties
+    resolve to the smallest k; a winning silhouette below 0.3 sets the
+    low_silhouette flag (weak cluster structure)."""
     data = as_matrix(x, "data")
     candidates = [k for k in k_range if 2 <= k <= data.shape[0]]
     if not candidates:
         raise InvalidArgumentError("no feasible cluster counts in range")
-    clusterings = [kmeans(data, k, stream) for k in candidates]
-    for clustering, (_, mean_score) in zip(clusterings, silhouette(data, clusterings)):
+    distinct = _selection_rows(data)
+    clusterings = [kmeans(data, k, stream, distinct=distinct) for k in candidates]
+    scored = silhouette(data, clusterings, distinct=distinct)
+    for clustering, (_, mean_score) in zip(clusterings, scored):
         clustering.mean_silhouette = mean_score
     best = max(clusterings, key=lambda c: (c.mean_silhouette, -c.k))
     return ClusterSelection(

@@ -25,7 +25,10 @@ token therefore leaves every earlier row of every layer unchanged and
 adds exactly one new row per layer, computed from the cached input rows
 and keys of that layer and the new row's one query (the KV cache of
 Pope et al. 2022, "Efficiently Scaling Transformer Inference", reduced
-to this model, whose values are its input rows).
+to this model, whose values are its input rows).  The sample paths of
+one context share that context's cached rows and keys, as the parallel
+samples of one prompt share its cache in PagedAttention (Kwon et al.
+2023); each path keeps only the rows it appends.
 """
 
 from __future__ import annotations
@@ -169,11 +172,13 @@ def init_params(vocab_size, dim, rank, layer_count, stream):
     return ModelParams(embed, layers)
 
 
-def _attention_softmax(scores):
-    weights = softmax(scores)
-    if not np.all(np.isfinite(weights)):
-        raise NumericFailureError("attention weights are non-finite after stabilization")
-    return weights
+def _finite_softmax(logits, what):
+    """softmax(logits), refusing a non-finite result: an overflow upstream
+    leaves inf - inf = NaN rows, which would sample as token 0."""
+    probs = softmax(logits)
+    if not np.all(np.isfinite(probs)):
+        raise NumericFailureError(f"{what} are non-finite after stabilization")
+    return probs
 
 
 def _project(rows, weight):
@@ -196,7 +201,7 @@ def attention_weights(queries, keys, causal):
     if causal:
         q, n = scores.shape[-2:]
         scores[..., ~np.tril(np.ones((q, n), dtype=bool), n - q)] = -np.inf
-    return _attention_softmax(scores)
+    return _finite_softmax(scores, "attention weights")
 
 
 def causal_pass(params, windows, *, last_queries=None):
@@ -243,7 +248,7 @@ def forward(tokens, params):
     """
     activations, _ = causal_pass(params, tokens)
     logits = (activations[-1][:, -1:] @ params.embed.T)[:, 0]
-    return ForwardTrace(activations, logits, softmax(logits))
+    return ForwardTrace(activations, logits, _finite_softmax(logits, "head probabilities"))
 
 
 def grad(params, windows, context_length, horizon):
@@ -376,23 +381,26 @@ def forecast(params, trace, horizon, sample_count=20, *, stream, tok_cfg, scale)
 
     All C * sample_count paths decode as one batch, each step adding one
     row per layer from the cached input rows and keys of that layer and
-    the new row's query (exact, see the module docstring).  Every
-    product is a stacked matmul with one context's shapes, so a stack
-    decodes each context as a forecast of it alone would.
+    the new row's query (exact, see the module docstring).  A context's
+    n rows and keys are cached once and shared by its paths; a path
+    caches only the horizon - 1 rows it appends.  A new query scores the
+    shared rows with one (S, m) @ (m, n) product per context and weights
+    them with one (S, n) @ (n, D) product, so a stack decodes each
+    context as a forecast of it alone would.  Non-finite head
+    probabilities raise NumericFailureError.
     """
     if horizon < 1 or sample_count < 1:
         raise InvalidArgumentError("horizon and sample_count must be >= 1")
     contexts, n = trace.activations[0].shape[:2]
     uniforms = stream.uniforms(contexts, sample_count, horizon)
-    # cache[l]: the input rows of attention layer l and their keys, one
-    # stack per path
+    # cache[l]: attention layer l's (C, n, D) context rows, their keys
+    # transposed to (C, m, n), and each path's appended rows and keys
     cache = []
     for layer, context_rows in zip(params.layers, trace.activations):
-        rows = np.empty((contexts, sample_count, n + horizon - 1, params.dim))
+        shared_keys = np.swapaxes(_project(context_rows, layer.w_k), 1, 2)
+        rows = np.empty((contexts, sample_count, horizon - 1, params.dim))
         keys = np.empty(rows.shape[:-1] + layer.w_k.shape[1:])
-        rows[:, :, :n] = context_rows[:, None]
-        keys[:, :, :n] = _project(context_rows, layer.w_k)[:, None]
-        cache.append((rows, keys))
+        cache.append((context_rows, shared_keys, rows, keys))
     probs = np.broadcast_to(
         trace.probabilities[:, None], (contexts, sample_count, params.vocab_size)
     )
@@ -402,14 +410,17 @@ def forecast(params, trace, horizon, sample_count=20, *, stream, tok_cfg, scale)
         if step + 1 == horizon:
             break
         row = params.embed[trajectories[..., step]]
-        seen = n + step + 1
-        for layer, (rows, keys) in zip(params.layers, cache):
-            rows[:, :, seen - 1] = row
-            keys[:, :, seen - 1] = row @ layer.w_k
+        for layer, (context_rows, shared_keys, rows, keys) in zip(params.layers, cache):
+            rows[:, :, step] = row
+            keys[:, :, step] = row @ layer.w_k
             query = row @ layer.w_q
-            weights = _attention_softmax((keys[:, :, :seen] @ query[..., None])[..., 0])
-            row = (weights[..., None, :] @ rows[:, :, :seen])[..., 0, :]
-        probs = softmax(row @ params.embed.T)
+            own = np.einsum("csjm,csm->csj", keys[:, :, : step + 1], query)
+            weights = _finite_softmax(
+                np.concatenate([query @ shared_keys, own], axis=-1), "attention weights"
+            )
+            row = weights[..., :n] @ context_rows
+            row += np.einsum("csj,csjd->csd", weights[..., n:], rows[:, :, : step + 1])
+        probs = _finite_softmax(row @ params.embed.T, "head probabilities")
     values = detokenize(trajectories, np.reshape(scale, (-1, 1, 1)), tok_cfg)
     return trajectories, values.mean(axis=1)
 
@@ -479,6 +490,8 @@ def save_checkpoint(params, path, meta=None):
 
 
 def load_checkpoint(path):
+    """(params, sidecar meta) of a checkpoint.  A malformed file, or a
+    non-finite weight, raises InvalidArgumentError naming the file."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
@@ -505,14 +518,20 @@ def load_checkpoint(path):
             f"{path}: payload is {len(raw) - off} bytes, expected {expected}"
         )
 
-    def take(rows, cols):
+    def take(rows, cols, name):
         nonlocal off
         arr = np.frombuffer(raw, "<f8", count=rows * cols, offset=off).reshape(rows, cols)
         off += 8 * rows * cols
+        if not np.all(np.isfinite(arr)):
+            bad = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+            raise InvalidArgumentError(f"{path}: tensor {name} holds {arr[bad]} at {bad}")
         return arr.copy()
 
-    embed = take(n, d)
-    layers = [AttentionLayer(take(d, m), take(d, m)) for _ in range(n_layers)]
+    embed = take(n, d, "embed")
+    layers = [
+        AttentionLayer(take(d, m, f"layer {i} w_q"), take(d, m, f"layer {i} w_k"))
+        for i in range(n_layers)
+    ]
     sidecar = Path(str(path) + ".json")
     meta = read_json(sidecar) if sidecar.exists() else {}
     return ModelParams(embed, layers), meta

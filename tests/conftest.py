@@ -1,8 +1,9 @@
-"""Shared fixtures: seasonality data and a trained smoke model.
+"""Shared fixtures: seasonality data and the trained smoke and sweep models.
 
 The smoke model follows the small-scale setup used by the acceptance
-suite (64-token vocabulary, 16-dim embeddings); training it once per
-session keeps the heavier tests affordable.
+suite (64-token vocabulary, 16-dim embeddings), and the sweep model is
+criterion 8's; training each once per session keeps the heavier tests
+affordable.
 """
 
 import pytest
@@ -38,3 +39,23 @@ def smoke_model(seasonality_series):
     )
     result = train(windows, cfg, dim=16, rank=8, layer_count=2, vocab_size=64)
     return result.params, tok_cfg, cfg
+
+
+@pytest.fixture(scope="session")
+def sweep_model(seasonality_series):
+    """Default-vocabulary model for the directional sweeps: sigma = 0.05
+    noise only moves tokens when bins are fine enough to notice it."""
+    tok_cfg = TokenizerConfig(vocab_size=512)
+    cfg = TrainConfig(
+        learning_rate=0.2,
+        steps=8000,
+        batch_size=32,
+        context_length=16,
+        horizon=4,
+        seed=7,
+    )
+    windows = tokenize_windows(
+        seasonality_series.values, tok_cfg, cfg.context_length, cfg.horizon
+    )
+    result = train(windows, cfg, dim=16, rank=8, layer_count=2, vocab_size=512)
+    return result.params, tok_cfg

@@ -262,26 +262,6 @@ def test_criterion_7_isotropy_calibration():
     )
 
 
-@pytest.fixture(scope="module")
-def sweep_model(seasonality_series):
-    """Default-vocabulary model for the directional sweeps: sigma = 0.05
-    noise only moves tokens when bins are fine enough to notice it."""
-    tok_cfg = TokenizerConfig(vocab_size=512)
-    cfg = TrainConfig(
-        learning_rate=0.2,
-        steps=8000,
-        batch_size=32,
-        context_length=16,
-        horizon=4,
-        seed=7,
-    )
-    windows = tokenize_windows(
-        seasonality_series.values, tok_cfg, cfg.context_length, cfg.horizon
-    )
-    result = train(windows, cfg, dim=16, rank=8, layer_count=2, vocab_size=512)
-    return result.params, tok_cfg
-
-
 def test_criterion_8_directional_sweeps(sweep_model, seasonality_series):
     params, tok_cfg = sweep_model
     datasets = {"seasonality_2": seasonality_series.values}

@@ -17,6 +17,7 @@ from isoprobe.cli import main
 from isoprobe.errors import IsoprobeError, NotPositiveSemidefiniteError
 from isoprobe.kernels import default_bank, sample_kernel_tree
 from isoprobe.manifest import RunManifest, parse_config, sha256_file
+from isoprobe.model import load_checkpoint, save_checkpoint
 from isoprobe.numerics import RngStream
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "isoprobe" / "report_schema.json"
@@ -646,6 +647,17 @@ def forge_run(run_dir, files):
     return run_dir
 
 
+def forge_model_run(root, params, meta):
+    """A train run directory holding `params` and the sidecar `meta` as
+    save_checkpoint writes them, under a manifest whose hashes match."""
+    root.mkdir(parents=True, exist_ok=True)
+    manifest = RunManifest(command="forged", config={}, seed=0)
+    for path in save_checkpoint(params, root / "model.isop", meta):
+        manifest.record_output(root, path)
+    manifest.write(root)
+    return root
+
+
 SERIES = "index,value\n0,0.5\n1,-0.5\n2,0.25\n"
 
 
@@ -770,3 +782,44 @@ class TestMalformedArtifacts:
         err = capsys.readouterr().err
         assert f"{tmp_path / 'up' / artifact}: unsupported" in err and "version 7" in err
         assert "Traceback" not in err
+
+
+class TestForgedModels:
+    """A model that loads but cannot run ends in a typed error and its exit
+    code, never in a traceback."""
+
+    def eval_exit(self, pipeline, tmp_path, capsys, edit):
+        dirs, _ = pipeline
+        params, meta = load_checkpoint(dirs["train"] / "model.isop")
+        edit(params)
+        model_dir = forge_model_run(tmp_path / "m", params, meta)
+        cfg = write_config(
+            tmp_path / "e.cfg", out=str(tmp_path / "e"), model=str(model_dir),
+            data=str(dirs["synth"]), datasets=["seasonality_2"], variable="noise_sigma",
+            values=[0.0, 0.05], seeds=1, windows=6, sample_count=4, k_max=3, seed=0,
+        )
+        code = run_cli("eval", "--config", cfg)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err, model_dir
+
+    def test_non_finite_weight_exits_2_naming_file_and_tensor(self, pipeline, tmp_path, capsys):
+        def poison(params):
+            params.embed[3, 2] = math.nan
+
+        code, err, model_dir = self.eval_exit(pipeline, tmp_path, capsys, poison)
+        assert code == 2
+        assert f"{model_dir / 'model.isop'}: tensor embed holds nan at (3, 2)" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_head_exits_5_naming_the_sweep_row(self, pipeline, tmp_path, capsys):
+        # finite weights whose head logits overflow to inf - inf
+        def overflow(params):
+            params.embed *= 1e160
+            for layer in params.layers:
+                layer.w_q *= 1e-200
+                layer.w_k *= 1e-200
+
+        code, err, _ = self.eval_exit(pipeline, tmp_path, capsys, overflow)
+        assert code == 5
+        assert "noise_sigma = 0.0, dataset seasonality_2, seed 0: head probabilities" in err

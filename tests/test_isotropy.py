@@ -1,11 +1,13 @@
 """Tests for effective dimension, token cosines, k-means, and silhouette."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from isoprobe import isotropy, numerics, theory
+from isoprobe import evalharness, isotropy, numerics, theory
 from isoprobe.dumps import EmbeddingDump
-from isoprobe.errors import InvalidArgumentError, UndefinedMetricError
+from isoprobe.errors import InvalidArgumentError, NumericFailureError, UndefinedMetricError
 from isoprobe.isotropy import (
     Clustering,
     adjusted_inter_token_cos,
@@ -451,12 +453,33 @@ def lloyd_restart_oracle(rows, inverse, centroids, max_iter, tol):
     return assignment[inverse], centroids, inertia, len(history), history
 
 
+def kmeans_pp_init_oracle(x, k, stream):
+    """k-means++ seeding with difference-form distances over every full
+    row, the reference for the expanded distinct-row `_kmeans_pp_init`."""
+    n = x.shape[0]
+    centroids = np.empty((k, x.shape[1]))
+    centroids[0] = x[stream.uniform_choice(n)]
+    d2 = np.sum((x - centroids[0]) ** 2, axis=1)
+    for c in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            idx = stream.uniform_choice(n)
+        else:
+            u = stream.uniform() * total
+            idx = int(np.searchsorted(np.cumsum(d2), u, side="right"))
+            idx = min(idx, n - 1)
+        centroids[c] = x[idx]
+        d2 = np.minimum(d2, np.sum((x - centroids[c]) ** 2, axis=1))
+    return centroids
+
+
 def kmeans_oracle(x, k, stream, *, restarts=5, max_iter=300, tol=1e-8):
-    """kmeans with lloyd_oracle in place of the distinct-row Lloyd."""
+    """kmeans with the difference-form init and lloyd_oracle in place of
+    the distinct-row init and Lloyd."""
     x = np.asarray(x, dtype=np.float64)
     best = None
     for _ in range(restarts):
-        init = isotropy._kmeans_pp_init(x, k, stream)
+        init = kmeans_pp_init_oracle(x, k, stream)
         assignment, centroids, inertia, iters, history = lloyd_oracle(x, init, max_iter, tol)
         if best is None or inertia < best.inertia:
             best = Clustering(k, assignment, centroids, inertia, iters, np.asarray(history))
@@ -603,7 +626,7 @@ class TestStackedLloyd:
     def test_every_restart_matches_its_own_run_bit_for_bit(self, rows, k, max_iter, tol):
         x = rows()
         stream = RngStream(70, k)
-        inits = np.stack([isotropy._kmeans_pp_init(x, k, stream) for _ in range(5)])
+        inits = np.stack([kmeans_pp_init_oracle(x, k, stream) for _ in range(5)])
         if rows is far_off_rows:
             inits[1, :2] = 50.0 + np.arange(2)[:, None]
         distinct, inverse = isotropy._distinct_rows(x)
@@ -621,7 +644,7 @@ class TestStackedLloyd:
         # active stack shrinks while the rest keep iterating
         x = np.random.default_rng(71).normal(size=(300, 4))
         stream = RngStream(72, 0)
-        inits = np.stack([isotropy._kmeans_pp_init(x, 7, stream) for _ in range(5)])
+        inits = np.stack([kmeans_pp_init_oracle(x, 7, stream) for _ in range(5)])
         stacked = isotropy._lloyd(x, np.arange(300), inits, 300, 1e-8)
         assert len({c.iterations for c in stacked}) > 1
         for init, got in zip(inits, stacked):
@@ -641,6 +664,117 @@ class TestStackedLloyd:
 
         monkeypatch.setattr(isotropy, "_lloyd", tied)
         assert kmeans(blob_rows(), 3, RngStream(73, 0)).iterations == 1
+
+
+def underflow_rows():
+    # distinct rows whose differences square to 0: the difference form
+    # reads 0 between them, so k-means++ falls back to uniform picks
+    x = np.repeat(np.random.default_rng(43).normal(size=(3, 3)), 4, axis=0)
+    x[:, 2] = np.tile([0.0, 1e-170, -1e-170, 3e-171], 3)
+    return x
+
+
+def assert_same_picks(x, k, restarts=5):
+    """The expanded distinct-row init against the difference-form oracle:
+    the same centroid bytes for every restart, and the same stream state."""
+    stream, oracle_stream = RngStream(74, k), RngStream(74, k)
+    distinct = isotropy._selection_rows(x)
+    for _ in range(restarts):
+        got = isotropy._kmeans_pp_init(*distinct, k, stream)
+        assert got.tobytes() == kmeans_pp_init_oracle(x, k, oracle_stream).tobytes()
+    assert rng_state(stream) == rng_state(oracle_stream)
+
+
+class TestKmeansPlusPlusInit:
+    @pytest.mark.parametrize(
+        "rows", [signed_zero_rows, repeated_rows, interleaved_rows, wide_rows, underflow_rows]
+    )
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_picks_match_difference_form_oracle(self, rows, k):
+        assert_same_picks(rows(), k)
+
+    def test_zero_distances_fall_back_to_uniform_draws(self):
+        # within each of the 3 groups of underflow_rows every difference-
+        # form distance is 0, so once the first 3 picks cover the groups,
+        # each later pick is a fallback uniform draw
+        x = underflow_rows()
+        distinct = isotropy._selection_rows(x)
+        assert distinct[0].shape[0] == 12
+        assert np.all(np.sum((x[:4] - x[0]) ** 2, axis=1) == 0.0)
+        stream, draws = RngStream(75, 0), []
+        real = stream.uniform_choice
+        stream.uniform_choice = lambda n: draws.append(n) or real(n)
+        isotropy._kmeans_pp_init(*distinct, 12, stream)
+        assert draws == [12] * (1 + 12 - 3)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_overflowing_rows_raise_before_any_draw(self, scale):
+        x = blob_rows() * scale
+        assert np.all(np.isfinite(x))
+        stream = RngStream(76, 0)
+        before = rng_state(stream)
+        with pytest.raises(NumericFailureError, match="too large"):
+            select_cluster_count(x, range(2, 6), stream)
+        with pytest.raises(NumericFailureError, match="too large"):
+            kmeans(x, 3, stream)
+        assert rng_state(stream) == before
+
+    def test_power_of_two_scale_near_the_limit_changes_no_pick(self):
+        # 2**500 keeps every squared distance sum in range and scales all
+        # arithmetic exactly
+        x = blob_rows()
+        base = select_cluster_count(x, range(2, 6), RngStream(77, 0))
+        scaled = select_cluster_count(x * 2.0**500, range(2, 6), RngStream(77, 0))
+        assert scaled.best_k == base.best_k
+        np.testing.assert_array_equal(scaled.clustering.assignment, base.clustering.assignment)
+        assert scaled.scores == base.scores
+
+
+class _Recorded(Exception):
+    """Ends an eval point once its selection input is recorded."""
+
+
+def criterion_8_selections(monkeypatch, params, tok_cfg, series):
+    """(matrix, k_range, stream) as every point of criterion 8's two sweeps
+    hands them to select_cluster_count, the stream a copy."""
+    selections = []
+
+    def record(matrix, k_range, stream):
+        selections.append((matrix, k_range, copy.deepcopy(stream)))
+        raise _Recorded
+
+    monkeypatch.setattr(evalharness, "select_cluster_count", record)
+    # the configs of test_criterion_8_directional_sweeps
+    sweeps = [
+        evalharness.SweepConfig(variable="noise_sigma", values=(0.0, 0.05), windows=64),
+        evalharness.SweepConfig(variable="context_length", values=(4, 16), windows=64),
+    ]
+    for cfg in sweeps:
+        for value in cfg.values:
+            for seed in cfg.seeds:
+                with pytest.raises(_Recorded):
+                    evalharness._sweep_row_task(
+                        (params, tok_cfg, series, cfg, value, "seasonality_2", seed)
+                    )
+    return selections
+
+
+def test_picks_match_difference_form_on_criterion_8_matrices(
+    monkeypatch, sweep_model, seasonality_series
+):
+    # every k-means++ pick of the 80 sweep points, with each point's own
+    # stream state, is the difference-form oracle's
+    params, tok_cfg = sweep_model
+    selections = criterion_8_selections(monkeypatch, params, tok_cfg, seasonality_series.values)
+    assert len(selections) == 80
+    for matrix, k_range, stream in selections:
+        oracle_stream = copy.deepcopy(stream)
+        distinct = isotropy._selection_rows(matrix)
+        for k in k_range:
+            for _ in range(5):
+                got = isotropy._kmeans_pp_init(*distinct, k, stream)
+                assert got.tobytes() == kmeans_pp_init_oracle(matrix, k, oracle_stream).tobytes()
+        assert rng_state(stream) == rng_state(oracle_stream)
 
 
 class TestDistinctRows:

@@ -535,8 +535,12 @@ class TestForecast:
         assert v20 < v5 / 2.0
         assert (v5 - v20) > 2.0 * (v20 - v80)
 
+    # horizon 1 appends no row to the decode cache, horizon 2 one row
+    @pytest.mark.parametrize("horizon, sample_count", [(4, 20), (1, 20), (2, 20), (4, 1)])
     @pytest.mark.parametrize("vocab, dim, rank", [s[:3] for s in BENCHMARK_SHAPES])
-    def test_cached_decoding_matches_uncached_oracle(self, monkeypatch, vocab, dim, rank):
+    def test_cached_decoding_matches_uncached_oracle(
+        self, monkeypatch, vocab, dim, rank, horizon, sample_count
+    ):
         rng = np.random.default_rng(dim)
         params = init_params(vocab, dim, rank, 2, RngStream(dim, 0))
         tok_cfg = TokenizerConfig(vocab_size=vocab)
@@ -548,17 +552,41 @@ class TestForecast:
                 # decoding reads the trace's rows and runs no causal pass
                 patched.setattr(model, "causal_pass", None)
                 traj, point = forecast(
-                    params, trace, horizon=4, sample_count=20,
+                    params, trace, horizon=horizon, sample_count=sample_count,
                     stream=cached, tok_cfg=tok_cfg, scale=1.5,
                 )
             want_traj, want_point = forecast_oracle(
-                params, context, 4, 20, stream=oracle, tok_cfg=tok_cfg, scale=1.5
+                params, context, horizon, sample_count, stream=oracle, tok_cfg=tok_cfg, scale=1.5
             )
             np.testing.assert_array_equal(traj[0], want_traj)
             np.testing.assert_array_equal(point[0], want_point)
             # both consumed sample_count * horizon uniforms
             assert cached.uniform() == oracle.uniform()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_head_logits_are_numeric_failure(self):
+        # finite weights whose head logits overflow: inf - inf leaves NaN
+        # probabilities, which would sample token 0 on every path
+        params = random_params(np.random.default_rng(22), 8, 4, 2, 2)
+        params.embed *= 1e160
+        for layer in params.layers:
+            layer.w_q *= 1e-200
+            layer.w_k *= 1e-200
+        with pytest.raises(NumericFailureError, match="head probabilities"):
+            forward(np.array([[1, 2, 3]]), params)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_at_a_decode_step_is_numeric_failure(self):
+        # token 1 is sampled with certainty; once it is in the cache the
+        # next head logits overflow
+        params = ModelParams(
+            np.array([[1.0], [1e160]]), [AttentionLayer(np.zeros((1, 1)), np.zeros((1, 1)))]
+        )
+        trace = forward(np.array([[0]]), params)
+        tok_cfg = TokenizerConfig(vocab_size=2)
+        forecast(params, trace, 1, 3, stream=RngStream(0, 0), tok_cfg=tok_cfg, scale=1.0)
+        with pytest.raises(NumericFailureError, match="head probabilities"):
+            forecast(params, trace, 2, 3, stream=RngStream(0, 0), tok_cfg=tok_cfg, scale=1.0)
 
     @pytest.mark.parametrize("vocab, dim, rank", [s[:3] for s in BENCHMARK_SHAPES])
     def test_stacked_forecast_matches_consecutive_forecasts(self, vocab, dim, rank):
@@ -701,6 +729,25 @@ class TestDumpAndCheckpoint:
         for la, lb in zip(loaded.layers, params.layers):
             assert la.w_q.tobytes() == lb.w_q.tobytes()
             assert la.w_k.tobytes() == lb.w_k.tobytes()
+
+    @pytest.mark.parametrize(
+        "tensor, cell, value",
+        [("embed", (3, 2), np.nan), ("layer 1 w_k", (0, 1), np.inf),
+         ("layer 0 w_q", (5, 0), -np.inf)],
+    )
+    def test_non_finite_weight_is_typed_error_naming_the_tensor(
+        self, tmp_path, tensor, cell, value
+    ):
+        params = random_params(np.random.default_rng(16), 10, 6, 3, 2)
+        if tensor == "embed":
+            params.embed[cell] = value
+        else:
+            _, index, name = tensor.split()
+            getattr(params.layers[int(index)], name)[cell] = value
+        path, _ = save_checkpoint(params, tmp_path / "model.isop")
+        with pytest.raises(InvalidArgumentError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: tensor {tensor} holds {value} at {cell}"
 
     def test_truncated_checkpoint_is_typed_error(self, tmp_path):
         path = tmp_path / "model.isop"

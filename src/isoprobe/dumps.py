@@ -115,6 +115,12 @@ class EmbeddingDump:
                 f"{path}: payload is {len(body)} bytes, expected {n * dtype.itemsize}"
             )
         recs = np.frombuffer(body, dtype=dtype)
+        if not np.all(np.isfinite(recs["vector"])):
+            rec, coord = (int(i) for i in np.argwhere(~np.isfinite(recs["vector"]))[0])
+            raise InvalidArgumentError(
+                f"{path}: layer {recs['layer'][rec]} record {rec} holds "
+                f"{recs['vector'][rec, coord]} at coordinate {coord}"
+            )
         dump = cls(
             dim=dim,
             layers=recs["layer"].copy(),

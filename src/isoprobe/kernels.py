@@ -351,6 +351,8 @@ def load_series(csv_path):
             raise InvalidArgumentError(
                 f"{path}:{lineno}: expected 'index,value', got {row!r}"
             ) from None
+        if not math.isfinite(values[-1]):
+            raise InvalidArgumentError(f"{path}:{lineno}: value is not finite, got {row!r}")
     sidecar = path.with_suffix(".json")
     origin = read_json(sidecar) if sidecar.exists() else {}
     return TimeSeries(np.array(values), origin)

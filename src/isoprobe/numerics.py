@@ -1,7 +1,10 @@
 """Deterministic dense linear algebra and seeded randomness.
 
 All routines work on 64-bit float numpy arrays and are pure functions of
-their inputs, so they are safe to call from multiple threads.  The
+their inputs, with one exception: ``cholesky_psd`` borrows its input's
+diagonal for its jitter rungs and restores it before it returns, so a
+matrix must not be shared with another thread during that call (the
+worker pool forks processes, so no caller in this package does).  The
 eigendecomposition is LAPACK's symmetric solver with pinned order and
 sign conventions.  Like the BLAS products that feed it, its bits depend
 on the numpy and BLAS build, so the invariant is per machine: the same
@@ -138,24 +141,30 @@ def cholesky_psd(m):
     mean(diag) added to the diagonal, growing tenfold per retry, six
     retries.  A zero pivot fails an attempt like a negative one, so a
     singular PSD matrix, diagonal or not, factors only with jitter.
-    Returns a CholeskyResult reporting the jitter added; the input is
-    left unchanged.  Raises NotPositiveSemidefiniteError once the ladder
-    is exhausted.
+    Returns a CholeskyResult reporting the jitter added.  The rungs
+    rewrite the input's own diagonal and restore it before returning or
+    raising, so the input ends bit for bit unchanged without an n x n
+    copy; only a read-only input is copied.  Raises
+    NotPositiveSemidefiniteError once the ladder is exhausted.
     """
     a = _require_symmetric(as_matrix(m), "matrix")
     lower = _cholesky_lower(a)
     if lower is not None:
         return CholeskyResult(lower, 0.0)
-    diag = np.diag(a)
+    if not a.flags.writeable:
+        a = a.copy()
+    diag = a.diagonal().copy()
     mean_diag = float(np.mean(diag))
     base = 1e-9 * (mean_diag if mean_diag > 0.0 else 1.0)
     jitters = [base * 10.0**k for k in range(6)]
-    jittered = a.copy()  # one copy, its diagonal rewritten per rung
-    for jit in jitters:
-        np.fill_diagonal(jittered, diag + jit)
-        lower = _cholesky_lower(jittered)
-        if lower is not None:
-            return CholeskyResult(lower, jit)
+    try:
+        for jit in jitters:
+            np.fill_diagonal(a, diag + jit)
+            lower = _cholesky_lower(a)
+            if lower is not None:
+                return CholeskyResult(lower, jit)
+    finally:
+        np.fill_diagonal(a, diag)
     raise NotPositiveSemidefiniteError(
         f"matrix is not positive semidefinite within the jitter ladder "
         f"(max jitter tried {jitters[-1]:g})"

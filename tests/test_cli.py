@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from isoprobe import cli, theory
 from isoprobe.cli import main
+from isoprobe.dumps import EmbeddingDump
 from isoprobe.errors import IsoprobeError, NotPositiveSemidefiniteError
 from isoprobe.kernels import default_bank, sample_kernel_tree
 from isoprobe.manifest import RunManifest, parse_config, sha256_file
@@ -235,8 +236,6 @@ class TestPipelineArtifacts:
         assert all(math.isfinite(float(loss)) for _, loss in rows)
 
     def test_embed_dump_readable(self, pipeline):
-        from isoprobe.dumps import EmbeddingDump
-
         dirs, _ = pipeline
         dump = EmbeddingDump.read(dirs["embed"] / "embeddings.isoemb")
         assert dump.record_count > 0
@@ -672,11 +671,14 @@ class TestMalformedArtifacts:
             ({"manifest.json": '{"command": "synth", "config": {}}'}, "manifest.json"),
             ({"datasets/x.csv": SERIES + "3\n"}, "datasets/x.csv:5"),
             ({"datasets/x.csv": SERIES + "3,abc\n"}, "datasets/x.csv:5"),
+            ({"datasets/x.csv": SERIES + "3,nan\n"}, "datasets/x.csv:5"),
+            ({"datasets/x.csv": SERIES + "3,-inf\n"}, "datasets/x.csv:5"),
             ({"datasets/x.json": "{oops"}, "datasets/x.json"),
             ({"datasets/x.csv": b"\xff" + SERIES.encode()}, "datasets/x.csv"),
         ],
         ids=["unparsable_manifest", "manifest_without_seed", "row_without_value",
-             "non_numeric_value", "unparsable_dataset_sidecar", "undecodable_dataset"],
+             "non_numeric_value", "nan_value", "infinite_value", "unparsable_dataset_sidecar",
+             "undecodable_dataset"],
     )
     def test_malformed_data_run_exits_2(self, tmp_path, capsys, files, culprit):
         data_dir = forge_run(tmp_path / "d", {"datasets/x.csv": SERIES, **files})
@@ -781,6 +783,19 @@ class TestMalformedArtifacts:
         assert run_cli(command, "--config", cfg) == 2
         err = capsys.readouterr().err
         assert f"{tmp_path / 'up' / artifact}: unsupported" in err and "version 7" in err
+        assert "Traceback" not in err
+
+    def test_non_finite_dump_vector_exits_2_naming_record(self, pipeline, tmp_path, capsys):
+        dirs, _ = pipeline
+        dump = EmbeddingDump.read(dirs["embed"] / "embeddings.isoemb")
+        dump.vectors[5, 3] = math.nan
+        up = tmp_path / "up"
+        forge_run(up, {"embeddings.isoemb": dump.write(tmp_path / "x.isoemb").read_bytes()})
+        cfg = write_config(tmp_path / "c.cfg", out=str(tmp_path / "out"), embeddings=str(up))
+        assert run_cli("analyze", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        dump_path = up / "embeddings.isoemb"
+        assert f"{dump_path}: layer {dump.layers[5]} record 5 holds nan at coordinate 3" in err
         assert "Traceback" not in err
 
 

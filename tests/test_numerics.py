@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -325,6 +326,53 @@ class TestLeadingBlockProbe:
         assert potrf_ladder_oracle(np.array([[-1.0]])) == (None, None)
         with pytest.raises(NotPositiveSemidefiniteError):
             cholesky_psd([[-1.0]])
+
+
+class TestInPlaceLadder:
+    """The jitter rungs borrow the input's diagonal: the input ends bit for
+    bit unchanged, and the ladder holds no n x n copy of it."""
+
+    def test_input_unchanged_after_jittered_success(self):
+        grams = dense_table_grams(1024)
+        assert len(grams) == 8
+        for gram in grams:
+            before = gram.tobytes()
+            assert cholesky_psd(gram).jitter > 0.0
+            assert gram.tobytes() == before
+
+    def test_input_unchanged_after_exhausted_ladder(self):
+        a = np.diag([1.0, -1.0])
+        before = a.tobytes()
+        with pytest.raises(NotPositiveSemidefiniteError):
+            cholesky_psd(a)
+        assert a.tobytes() == before
+
+    @pytest.mark.parametrize("layout", ["read_only", "fortran"])
+    def test_other_layouts_match_a_writable_copy(self, layout):
+        gram = dense_table_grams(256)[0]
+        want = cholesky_psd(gram.copy())
+        assert want.jitter > 0.0
+        if layout == "read_only":
+            a = gram.copy()
+            a.flags.writeable = False
+        else:
+            a = np.asfortranarray(gram)
+        res = cholesky_psd(a)
+        assert res.jitter == want.jitter
+        assert res.lower.tobytes() == want.lower.tobytes()
+        assert a.tobytes() == gram.tobytes()
+
+    def test_ladder_allocates_only_the_factor(self):
+        # numpy's LAPACK work buffer is malloc'd outside tracemalloc, so
+        # the factor is the only n x n allocation it can see
+        gram = dense_table_grams(1024)[0]
+        tracemalloc.start()
+        try:
+            assert cholesky_psd(gram).jitter > 0.0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * gram.nbytes
 
 
 class TestCholeskyPsd:

@@ -126,15 +126,21 @@ class Stage:
 
 
 def _worker_count(workers):
+    """The pool size from --workers, else ISOPROBE_WORKERS, else 1; a
+    count below 1 is a config error naming its source."""
+    source = "--workers"
     if workers is None:
-        env = os.environ.get("ISOPROBE_WORKERS")
+        source = "ISOPROBE_WORKERS"
+        env = os.environ.get(source)
         if not env:
             return 1
         try:
             workers = int(env)
         except ValueError:
-            raise ConfigError(f"ISOPROBE_WORKERS must be an integer, got {env!r}") from None
-    return max(1, workers)
+            raise ConfigError(f"{source} must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise ConfigError(f"{source}: expected >= 1, got {workers}")
+    return workers
 
 
 def _load_upstream(run, kind):
@@ -192,9 +198,10 @@ def run_stage(stage, config_path, overrides, workers):
         opts[key] = take_config(cfg, key, default, required=default is REQUIRED, kind=kind)
         if minimum and opts[key] is not None and opts[key] < minimum[0]:
             raise ConfigError(f"config field {key}: expected >= {minimum[0]}, got {opts[key]}")
+    workers = _worker_count(workers)
     out_dir = Path(opts["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    run = Run(opts, out_dir, _worker_count(workers))
+    run = Run(opts, out_dir, workers)
     for kind in stage.inputs:
         _load_upstream(run, kind)
     outputs = stage.body(run)

@@ -313,9 +313,12 @@ def kmeans(x, k, stream, *, restarts=5, max_iter=300, tol=1e-8, distinct=None):
     return best
 
 
-# Bytes of silhouette's largest temporary, a row block's difference
-# vectors: a few MB, so a block stays in cache without a loop per point.
+# Rows per distance block: the block partition fixes the order in which
+# silhouette's per-cluster sums accumulate, and so the bits of every score.
 _SILHOUETTE_BLOCK_BYTES = 1 << 21
+# Bytes of silhouette's largest temporary, one chunk of a block's
+# difference vectors: small enough to stay in cache while it is summed.
+_SILHOUETTE_CHUNK_BYTES = 1 << 18
 
 
 def silhouette(x, clusterings, *, distinct=None):
@@ -329,6 +332,15 @@ def silhouette(x, clusterings, *, distinct=None):
     distinct row's copies per cluster (copies of one row may sit in
     different clusters), so one blocked pass serves them all, and each
     full row reads its distinct row's sums.  `distinct` is as in kmeans.
+
+    The pass walks the upper triangle of the distance matrix in blocks
+    of rows, whose sizes `_SILHOUETTE_BLOCK_BYTES` fixes.  Each block's
+    distances are filled into one reused buffer, chunk by chunk, from
+    difference vectors of at most `_SILHOUETTE_CHUNK_BYTES` (a chunk
+    covers whole rows of the block, or part of one row when a row's
+    differences alone exceed it).  Each distance is one sum over its own
+    difference vector, and a block's two products read its distances as
+    one contiguous (rows, m - start) array, so the chunking moves no bit.
     """
     data = as_matrix(x, "data")
     n = data.shape[0]
@@ -347,10 +359,22 @@ def silhouette(x, clusterings, *, distinct=None):
     # expanded quadratic form.
     sums = np.zeros_like(members)
     block = max(1, _SILHOUETTE_BLOCK_BYTES // (8 * m * max(dim, 1)))
+    pairs = max(1, _SILHOUETTE_CHUNK_BYTES // (8 * max(dim, 1)))  # difference vectors per chunk
+    dists = np.empty(min(block, m) * m)
+    diffs = np.empty(min(pairs, block * m) * dim)
     for start in range(0, m, block):
-        stop = min(start + block, m)
-        diff = rows[start:stop, None, :] - rows[None, start:, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        stop, width = min(start + block, m), m - start
+        dist = dists[: (stop - start) * width].reshape(stop - start, width)
+        tall, wide = max(1, pairs // width), min(pairs, width)  # a chunk's rows and columns
+        for i in range(0, stop - start, tall):
+            left = rows[start + i : min(start + i + tall, stop), None]
+            for j in range(0, width, wide):
+                right = rows[None, start + j : start + j + wide]
+                diff = diffs[: left.shape[0] * right.shape[1] * dim]
+                diff = diff.reshape(left.shape[0], right.shape[1], dim)
+                np.subtract(left, right, out=diff)
+                np.einsum("ijk,ijk->ij", diff, diff, out=dist[i : i + tall, j : j + wide])
+        np.sqrt(dist, out=dist)
         sums[start:stop] += dist @ members[start:]
         sums[stop:] += dist[:, stop - start :].T @ members[start:stop]
     sums = sums[inverse]

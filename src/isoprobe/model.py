@@ -55,10 +55,19 @@ CHECKPOINT_VERSION = 1
 
 
 def softmax(logits):
-    """Numerically stable softmax along the last axis of the logits."""
+    """Numerically stable softmax along the last axis of the logits, in
+    one new buffer; the logits are left unchanged."""
     z = np.asarray(logits, dtype=np.float64)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    return _normalize(z - z.max(axis=-1, keepdims=True))[0]
+
+
+def _normalize(shifted):
+    """Softmax of max-shifted logits, in place in their own buffer:
+    (probabilities, row sums of the exponentials)."""
+    np.exp(shifted, out=shifted)
+    total = shifted.sum(axis=-1, keepdims=True)
+    shifted /= total
+    return shifted, total
 
 
 def mean_nll(logits, targets):
@@ -173,10 +182,14 @@ def init_params(vocab_size, dim, rank, layer_count, stream):
 
 
 def _finite_softmax(logits, what):
-    """softmax(logits), refusing a non-finite result: an overflow upstream
-    leaves inf - inf = NaN rows, which would sample as token 0."""
-    probs = softmax(logits)
-    if not np.all(np.isfinite(probs)):
+    """softmax of a fresh float64 logit buffer, in place, refusing a
+    non-finite result: an overflow upstream leaves inf - inf = NaN rows,
+    which would sample as token 0.  After the max-shift every entry is
+    NaN or at most 1, and the row maximum is 1, so a row's probabilities
+    are all finite exactly when its sum is."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    probs, total = _normalize(logits)
+    if not np.all(np.isfinite(total)):
         raise NumericFailureError(f"{what} are non-finite after stabilization")
     return probs
 
@@ -248,7 +261,7 @@ def forward(tokens, params):
     """
     activations, _ = causal_pass(params, tokens)
     logits = (activations[-1][:, -1:] @ params.embed.T)[:, 0]
-    return ForwardTrace(activations, logits, _finite_softmax(logits, "head probabilities"))
+    return ForwardTrace(activations, logits, _finite_softmax(logits.copy(), "head probabilities"))
 
 
 def grad(params, windows, context_length, horizon):
@@ -361,8 +374,10 @@ def train(windows, cfg, *, dim=64, rank=16, layer_count=2, vocab_size=512):
 
 
 def _sample_tokens(probabilities, uniforms):
-    """Inverse-CDF draw of one token per probability row."""
-    cdf = np.cumsum(probabilities, axis=-1)
+    """Inverse-CDF draw of one token per probability row, for uniforms
+    that broadcast against the rows.  The cdf is taken in place, in the
+    probabilities' own buffer."""
+    cdf = np.cumsum(probabilities, axis=-1, out=probabilities)
     idx = np.sum(cdf <= (uniforms * cdf[..., -1])[..., None], axis=-1)
     return np.minimum(idx, cdf.shape[-1] - 1)
 
@@ -386,8 +401,13 @@ def forecast(params, trace, horizon, sample_count=20, *, stream, tok_cfg, scale)
     caches only the horizon - 1 rows it appends.  A new query scores the
     shared rows with one (S, m) @ (m, n) product per context and weights
     them with one (S, n) @ (n, D) product, so a stack decodes each
-    context as a forecast of it alone would.  Non-finite head
-    probabilities raise NumericFailureError.
+    context as a forecast of it alone would.
+
+    A step holds one (C, S, N) probability buffer: step 0 samples from
+    the (C, 1, N) head rows of the trace, and each later step normalizes
+    its fresh head logits in place, takes the cdf in the same buffer and
+    drops it before the next head.  Non-finite head probabilities raise
+    NumericFailureError.
     """
     if horizon < 1 or sample_count < 1:
         raise InvalidArgumentError("horizon and sample_count must be >= 1")
@@ -401,12 +421,12 @@ def forecast(params, trace, horizon, sample_count=20, *, stream, tok_cfg, scale)
         rows = np.empty((contexts, sample_count, horizon - 1, params.dim))
         keys = np.empty(rows.shape[:-1] + layer.w_k.shape[1:])
         cache.append((context_rows, shared_keys, rows, keys))
-    probs = np.broadcast_to(
-        trace.probabilities[:, None], (contexts, sample_count, params.vocab_size)
-    )
+    # step 0 samples every path of a context from its (1, N) head row
+    probs = trace.probabilities[:, None].copy()
     trajectories = np.empty((contexts, sample_count, horizon), dtype=np.int64)
     for step in range(horizon):
         trajectories[..., step] = _sample_tokens(probs, uniforms[..., step])
+        probs = None  # the step's cdf; released before the next head
         if step + 1 == horizon:
             break
         row = params.embed[trajectories[..., step]]

@@ -13,7 +13,6 @@ config gives the same hashes on one machine, whatever the worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,5 +265,8 @@ def ordered_map(fn, tasks, workers=1):
     """
     if workers <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
+    # imported here, so a one-worker run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))

@@ -4,6 +4,9 @@ import csv
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -628,6 +631,31 @@ class TestConfigErrors:
         cfg = write_config(tmp_path / "s.cfg", out=str(tmp_path / "s"), length=16)
         assert run_cli("synth", "--config", cfg) == 2
         assert "ISOPROBE_WORKERS" in capsys.readouterr().err
+
+    def test_workers_flag_below_1_exits_2(self, tmp_path, capsys):
+        # checked before the upstream runs, which would exit 3 here
+        out = tmp_path / "r"
+        cfg = write_config(tmp_path / "r.cfg", out=str(out), runs=[str(tmp_path / "missing")])
+        assert run_cli("report", "--config", cfg, "--workers", -3) == 2
+        err = capsys.readouterr().err
+        assert "--workers" in err and "-3" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_workers_env_below_1_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ISOPROBE_WORKERS", "0")
+        cfg = write_config(tmp_path / "s.cfg", out=str(tmp_path / "s"), length=16)
+        assert run_cli("synth", "--config", cfg) == 2
+        assert "ISOPROBE_WORKERS" in capsys.readouterr().err
+
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        # ordered_map imports ProcessPoolExecutor only when it forks a pool
+        src = Path(cli.__file__).resolve().parents[1]
+        probe = "import sys, isoprobe.cli; print('concurrent.futures.process' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "False"
 
 
 def forge_run(run_dir, files):

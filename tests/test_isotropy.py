@@ -1,6 +1,7 @@
 """Tests for effective dimension, token cosines, k-means, and silhouette."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,6 +376,134 @@ class TestSilhouette:
         clustering = kmeans(x, 1, RngStream(0, 0))
         with pytest.raises(InvalidArgumentError):
             silhouette(x, [clustering])
+
+
+def silhouette_block_oracle(x, clusterings):
+    """Silhouette with each row block's whole (rows, m - start, D)
+    difference tensor formed at once: the reference whose bits the
+    chunked fill must give."""
+    data = np.asarray(x, dtype=np.float64)
+    n = data.shape[0]
+    rows, inverse, _ = isotropy._selection_rows(data)
+    m, dim = rows.shape
+    assignments = [np.asarray(c.assignment) for c in clusterings]
+    offsets = np.cumsum([0] + [c.k for c in clusterings])
+    columns = np.stack([offset + a for a, offset in zip(assignments, offsets)], axis=1)
+    cells = (inverse[:, None] * offsets[-1] + columns).ravel()
+    members = np.bincount(cells, minlength=m * offsets[-1]).reshape(m, -1).astype(np.float64)
+    sums = np.zeros_like(members)
+    block = max(1, isotropy._SILHOUETTE_BLOCK_BYTES // (8 * m * max(dim, 1)))
+    for start in range(0, m, block):
+        stop = min(start + block, m)
+        diff = rows[start:stop, None, :] - rows[None, start:, :]
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        sums[start:stop] += dist @ members[start:]
+        sums[stop:] += dist[:, stop - start :].T @ members[start:stop]
+    sums = sums[inverse]
+    results = []
+    for assignment, lo, hi in zip(assignments, offsets, offsets[1:]):
+        counts = members[:, lo:hi].sum(axis=0)
+        own = counts[assignment]
+        a = sums[np.arange(n), lo + assignment] / np.maximum(own - 1, 1)
+        means = np.where(counts > 0, sums[:, lo:hi] / np.maximum(counts, 1), np.inf)
+        means[np.arange(n), assignment] = np.inf
+        b = means.min(axis=1)
+        denom = np.maximum(a, b)
+        scores = np.divide(b - a, denom, out=np.zeros(n), where=(own > 1) & (denom > 0))
+        results.append((scores, float(scores.mean())))
+    return results
+
+
+def assert_same_silhouettes(got, want):
+    assert len(got) == len(want)
+    for (scores, mean), (want_scores, want_mean) in zip(got, want):
+        assert scores.tobytes() == want_scores.tobytes()
+        assert mean == want_mean
+
+
+def clustering_of(assignment, k):
+    return Clustering(
+        k=k,
+        assignment=np.asarray(assignment),
+        centroids=np.zeros((k, 1)),
+        inertia=0.0,
+        iterations=0,
+        inertia_history=np.array([0.0]),
+    )
+
+
+def blocked_rows():
+    """151 distinct rows of width 256: 6-row blocks, a partial last one."""
+    return np.random.default_rng(28).normal(size=(151, 256))
+
+
+def split_copy_rows():
+    """Copies of one row in different clusters, at a width of 16."""
+    rng = np.random.default_rng(31)
+    base = rng.normal(size=(97, 16))
+    return np.vstack([base, base[::3], base[:5]])
+
+
+class TestChunkedSilhouette:
+    """The chunked fill gives the bits of the block-at-once pass."""
+
+    @staticmethod
+    def clusterings(x):
+        assignment = kmeans(x, 3, RngStream(29, 0)).assignment.copy()
+        assignment[7] = 3  # a singleton; cluster 4 stays empty
+        return [clustering_of(assignment, 5), kmeans(x, 2, RngStream(30, 0))]
+
+    # difference vectors per chunk, as a function of the distinct row
+    # count m: whole rows one at a time in the first block (m), three
+    # rows with a partial last chunk (3m), part of one row (seven
+    # columns with a partial last chunk, or one pair), and one chunk per
+    # block
+    @pytest.mark.parametrize(
+        "pairs",
+        [lambda m: m, lambda m: 3 * m, lambda m: 7, lambda m: 1, lambda m: 1 << 30],
+        ids=["one_row", "three_rows", "seven_columns", "one_pair", "whole_block"],
+    )
+    @pytest.mark.parametrize("rows", [blocked_rows, split_copy_rows])
+    def test_chunks_match_block_oracle(self, monkeypatch, rows, pairs):
+        x = rows()
+        m, dim = isotropy._distinct_rows(x)[0].shape
+        block = isotropy._SILHOUETTE_BLOCK_BYTES // (8 * m * dim)
+        assert 1 <= block and (block >= m or m % block)  # a partial last block, if several
+        monkeypatch.setattr(isotropy, "_SILHOUETTE_CHUNK_BYTES", 8 * dim * pairs(m))
+        clusterings = self.clusterings(x)
+        got = silhouette(x, clusterings)
+        assert got[0][0][7] == 0.0
+        assert_same_silhouettes(got, silhouette_block_oracle(x, clusterings))
+
+    def test_budget_below_one_difference_vector(self, monkeypatch):
+        monkeypatch.setattr(isotropy, "_SILHOUETTE_CHUNK_BYTES", 1)
+        x = split_copy_rows()
+        clusterings = self.clusterings(x)
+        assert_same_silhouettes(silhouette(x, clusterings), silhouette_block_oracle(x, clusterings))
+
+    def test_zero_width_rows(self):
+        x = np.zeros((6, 0))
+        clusterings = [clustering_of([0, 0, 1, 1, 2, 2], 3)]
+        scores, mean = silhouette(x, clusterings)[0]
+        assert mean == 0.0
+        assert_same_silhouettes([(scores, mean)], silhouette_block_oracle(x, clusterings))
+
+    def test_readme_shape_peak_stays_below_one_block(self):
+        # an eval point of the README pipeline: 32 contexts of 16 rows at
+        # D = 16, scored for k = 2..10 at once.  Forming a block's whole
+        # 2 MiB of difference vectors peaks at 2.3x the block budget; the
+        # chunked fill stays near half of it
+        x = np.random.default_rng(33).normal(size=(512, 16))
+        distinct = isotropy._selection_rows(x)
+        clusterings = [kmeans(x, k, RngStream(34, 0), distinct=distinct) for k in range(2, 11)]
+        tracemalloc.start()
+        try:
+            got = silhouette(x, clusterings, distinct=distinct)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < isotropy._SILHOUETTE_BLOCK_BYTES
+        assert_same_silhouettes(got, silhouette_block_oracle(x, clusterings))
 
 
 def lloyd_oracle(x, centroids, max_iter, tol):
@@ -759,22 +888,38 @@ def criterion_8_selections(monkeypatch, params, tok_cfg, series):
     return selections
 
 
-def test_picks_match_difference_form_on_criterion_8_matrices(
-    monkeypatch, sweep_model, seasonality_series
-):
+@pytest.fixture(scope="module")
+def criterion_8_points(sweep_model, seasonality_series):
+    params, tok_cfg = sweep_model
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        selections = criterion_8_selections(monkeypatch, params, tok_cfg, seasonality_series.values)
+    assert len(selections) == 80
+    return selections
+
+
+def test_picks_match_difference_form_on_criterion_8_matrices(criterion_8_points):
     # every k-means++ pick of the 80 sweep points, with each point's own
     # stream state, is the difference-form oracle's
-    params, tok_cfg = sweep_model
-    selections = criterion_8_selections(monkeypatch, params, tok_cfg, seasonality_series.values)
-    assert len(selections) == 80
-    for matrix, k_range, stream in selections:
-        oracle_stream = copy.deepcopy(stream)
+    for matrix, k_range, recorded in criterion_8_points:
+        stream, oracle_stream = copy.deepcopy(recorded), copy.deepcopy(recorded)
         distinct = isotropy._selection_rows(matrix)
         for k in k_range:
             for _ in range(5):
                 got = isotropy._kmeans_pp_init(*distinct, k, stream)
                 assert got.tobytes() == kmeans_pp_init_oracle(matrix, k, oracle_stream).tobytes()
         assert rng_state(stream) == rng_state(oracle_stream)
+
+
+def test_silhouettes_match_block_oracle_on_criterion_8_matrices(criterion_8_points):
+    # every eval matrix of the 80 sweep points, under assignments drawn
+    # for the ends of its k range (the chunks depend on the rows alone)
+    rng = np.random.default_rng(35)
+    for matrix, k_range, _ in criterion_8_points:
+        ks = (k_range[0], k_range[-1])
+        clusterings = [clustering_of(rng.integers(0, k, matrix.shape[0]), k) for k in ks]
+        assert_same_silhouettes(
+            silhouette(matrix, clusterings), silhouette_block_oracle(matrix, clusterings)
+        )
 
 
 class TestDistinctRows:

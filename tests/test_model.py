@@ -3,6 +3,7 @@
 import copy
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -610,6 +611,49 @@ class TestForecast:
             np.testing.assert_array_equal(traj[c], want_traj[0])
             assert points[c].tobytes() == want_point[0].tobytes()
         assert stacked.uniform() == looped.uniform()
+
+
+class TestDecodeBuffers:
+    """A decode step holds one (C, S, N) probability buffer."""
+
+    def test_readme_shape_peak_beyond_the_cache(self):
+        # an eval point of the README pipeline: 32 contexts of 16 tokens,
+        # 20 paths, horizon 4, at V64/D16/m8 with 2 layers.  Beyond the
+        # decode cache, the peak is 2.2 head buffers; a broadcast step-0
+        # cdf and a three-buffer softmax take it to 5.1
+        vocab, dim, rank, layers = 64, 16, 8, 2
+        contexts, n, paths, horizon = 32, 16, 20, 4
+        params = init_params(vocab, dim, rank, layers, RngStream(3, 0))
+        tokens = np.random.default_rng(4).integers(0, vocab, size=(contexts, n))
+        trace = forward(tokens, params)
+        tok_cfg = TokenizerConfig(vocab_size=vocab)
+        tracemalloc.start()
+        try:
+            forecast(
+                params, trace, horizon, paths, stream=RngStream(5, 0), tok_cfg=tok_cfg,
+                scale=np.ones(contexts),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # each path's appended rows and keys, and each context's keys
+        cache = 8 * layers * (contexts * paths * (horizon - 1) * (dim + rank) + contexts * n * rank)
+        head = 8 * contexts * paths * vocab
+        assert peak - cache < 3 * head
+
+    def test_softmax_leaves_its_logits_unchanged(self):
+        logits = np.random.default_rng(6).normal(size=(5, 7))
+        before = logits.copy()
+        probs = softmax(logits)
+        assert logits.tobytes() == before.tobytes()
+        assert not np.shares_memory(probs, logits)
+
+    def test_forward_keeps_its_logits(self):
+        params = random_params(np.random.default_rng(7), 8, 4, 2, 2)
+        trace = forward(np.array([[1, 2, 3], [4, 5, 6]]), params)
+        head = (trace.activations[-1][:, -1:] @ params.embed.T)[:, 0]
+        assert trace.logits.tobytes() == head.tobytes()
+        assert trace.probabilities.tobytes() == softmax(head).tobytes()
 
 
 class TestInvariants:

@@ -79,6 +79,11 @@ class SweepConfig:
         low = 2 if self.variable == "context_length" else 0
         if any(v < low for v in self.values):
             raise InvalidArgumentError(f"sweep values must be >= {low}")
+        for i, v in enumerate(self.values):
+            if v in self.values[:i]:
+                raise InvalidArgumentError(f"sweep value {v} is repeated")
+            if self.variable == "context_length" and v != int(v):
+                raise InvalidArgumentError(f"context_length sweep value {v} is not an integer")
 
 
 def _row_stream(variable, value, dataset, seed):

@@ -138,32 +138,38 @@ def _dist_sq(x, x_sq, centroids):
     return np.maximum(d2, 0.0, out=d2)
 
 
+def _pair_dist_sq(left, left_sq, right, right_sq):
+    """Squared distances of the rows of left to the rows of right, as
+    (len(left), len(right)), from their squared norms: the expanded
+    -2 L R^T + (|l|^2 + |r|^2), with each entry within its round-off
+    bound of 0 recomputed from the difference, so it reads exactly 0
+    where the difference form does."""
+    # the expanded form's round-off is at most slack * (|l|^2 + |r|^2),
+    # plus subnormal rounding far below the smallest normal float
+    slack = (2 * right.shape[1] + 8) * np.finfo(np.float64).eps
+    d2 = (-2.0 * left) @ right.T
+    d2 += right_sq + left_sq[:, None]
+    bound = slack * (right_sq.max() + left_sq[:, None]) + np.finfo(np.float64).tiny
+    near = np.nonzero(d2 <= bound)
+    d2[near] = np.sum((left[near[0]] - right[near[1]]) ** 2, axis=1)
+    return d2
+
+
 def _kmeans_pp_init(rows, inverse, rows_sq, k, stream):
     """k-means++ seeding (Arthur and Vassilvitskii 2007) of the full rows
     rows[inverse], from the distinct rows and their squared norms.
 
     Each pick indexes the full rows and draws what a seeding on them
-    draws; the distances run on the distinct rows and are gathered by
-    `inverse` for the pick.  A distance is the expanded rows_sq -
-    2 rows @ c + c_sq; one within its round-off bound of 0 is recomputed
-    from the difference, so a row reads exactly 0 where the difference
-    form does, and the all-zero fallback fires where it would."""
+    draws; the distances run on the distinct rows (`_pair_dist_sq` of
+    the picked row, so one near 0 reads what the difference form reads
+    and the all-zero fallback fires where it would) and are gathered by
+    `inverse` for the pick."""
     n = inverse.size
-    # the expanded form's round-off is at most slack * (|x|^2 + |c|^2),
-    # plus subnormal rounding far below the smallest normal float
-    slack = (2 * rows.shape[1] + 8) * np.finfo(np.float64).eps
-    largest, tiny = rows_sq.max(), np.finfo(np.float64).tiny
-
-    def dist_sq(j):
-        d2 = rows @ (-2.0 * rows[j])
-        d2 += rows_sq + rows_sq[j]
-        near = np.flatnonzero(d2 <= slack * (largest + rows_sq[j]) + tiny)
-        d2[near] = np.sum((rows[near] - rows[j]) ** 2, axis=1)
-        return d2
-
     picks = [inverse[stream.uniform_choice(n)]]
-    d2 = dist_sq(picks[0])
+    d2 = np.full(rows.shape[0], np.inf)
     for _ in range(1, k):
+        j = picks[-1]
+        np.minimum(d2, _pair_dist_sq(rows[j : j + 1], rows_sq[j : j + 1], rows, rows_sq)[0], out=d2)
         full = d2[inverse]
         total = float(full.sum())
         if total <= 0.0:
@@ -172,7 +178,6 @@ def _kmeans_pp_init(rows, inverse, rows_sq, k, stream):
             u = stream.uniform() * total
             idx = min(int(np.searchsorted(np.cumsum(full), u, side="right")), n - 1)
         picks.append(inverse[idx])
-        np.minimum(d2, dist_sq(picks[-1]), out=d2)
     return rows[picks]
 
 
@@ -313,12 +318,9 @@ def kmeans(x, k, stream, *, restarts=5, max_iter=300, tol=1e-8, distinct=None):
     return best
 
 
-# Rows per distance block: the block partition fixes the order in which
-# silhouette's per-cluster sums accumulate, and so the bits of every score.
-_SILHOUETTE_BLOCK_BYTES = 1 << 21
-# Bytes of silhouette's largest temporary, one chunk of a block's
-# difference vectors: small enough to stay in cache while it is summed.
-_SILHOUETTE_CHUNK_BYTES = 1 << 18
+# Bytes of one of silhouette's (rows, m) distance blocks, which bound its
+# transient memory at eval-point sizes.
+_SILHOUETTE_BLOCK_BYTES = 1 << 17
 
 
 def silhouette(x, clusterings, *, distinct=None):
@@ -330,53 +332,36 @@ def silhouette(x, clusterings, *, distinct=None):
     s = (b-a)/max(a,b).  The distances run over the byte-equal distinct
     rows only: every clustering's member columns, stacked, count each
     distinct row's copies per cluster (copies of one row may sit in
-    different clusters), so one blocked pass serves them all, and each
-    full row reads its distinct row's sums.  `distinct` is as in kmeans.
+    different clusters), so one pass serves them all, and each full row
+    reads its distinct row's sums.  `distinct` is as in kmeans.
 
-    The pass walks the upper triangle of the distance matrix in blocks
-    of rows, whose sizes `_SILHOUETTE_BLOCK_BYTES` fixes.  Each block's
-    distances are filled into one reused buffer, chunk by chunk, from
-    difference vectors of at most `_SILHOUETTE_CHUNK_BYTES` (a chunk
-    covers whole rows of the block, or part of one row when a row's
-    differences alone exceed it).  Each distance is one sum over its own
-    difference vector, and a block's two products read its distances as
-    one contiguous (rows, m - start) array, so the chunking moves no bit.
+    The distinct rows are centered first: distances do not change under
+    a shift, and centering keeps the expanded form's round-off at the
+    scale of the rows' spread, not of an offset they share.  Then each
+    block of rows, `_SILHOUETTE_BLOCK_BYTES` of distances to all m rows,
+    is one `_pair_dist_sq` GEMM, its square root and one product with
+    the member columns.
     """
     data = as_matrix(x, "data")
     n = data.shape[0]
     if min((c.k for c in clusterings), default=0) < 2:
         raise InvalidArgumentError("silhouette needs at least 2 clusters")
     rows, inverse, _ = _selection_rows(data) if distinct is None else distinct
-    m, dim = rows.shape
+    m = rows.shape[0]
     assignments = [np.asarray(c.assignment) for c in clusterings]
     offsets = np.cumsum([0] + [c.k for c in clusterings])
     columns = np.stack([offset + a for a, offset in zip(assignments, offsets)], axis=1)
     cells = (inverse[:, None] * offsets[-1] + columns).ravel()
     members = np.bincount(cells, minlength=m * offsets[-1]).reshape(m, -1).astype(np.float64)
-    # Per-cluster distance sums over the upper triangle of the distance
-    # matrix in row blocks; a block also counts, mirrored, for the later
-    # rows.  Difference-based distances avoid the cancellation of the
-    # expanded quadratic form.
-    sums = np.zeros_like(members)
-    block = max(1, _SILHOUETTE_BLOCK_BYTES // (8 * m * max(dim, 1)))
-    pairs = max(1, _SILHOUETTE_CHUNK_BYTES // (8 * max(dim, 1)))  # difference vectors per chunk
-    dists = np.empty(min(block, m) * m)
-    diffs = np.empty(min(pairs, block * m) * dim)
+    centered = rows - rows.mean(axis=0)
+    centered_sq = np.einsum("ij,ij->i", centered, centered)
+    sums = np.empty_like(members)  # per-cluster distance sums of each distinct row
+    block = max(1, _SILHOUETTE_BLOCK_BYTES // (8 * m))
     for start in range(0, m, block):
-        stop, width = min(start + block, m), m - start
-        dist = dists[: (stop - start) * width].reshape(stop - start, width)
-        tall, wide = max(1, pairs // width), min(pairs, width)  # a chunk's rows and columns
-        for i in range(0, stop - start, tall):
-            left = rows[start + i : min(start + i + tall, stop), None]
-            for j in range(0, width, wide):
-                right = rows[None, start + j : start + j + wide]
-                diff = diffs[: left.shape[0] * right.shape[1] * dim]
-                diff = diff.reshape(left.shape[0], right.shape[1], dim)
-                np.subtract(left, right, out=diff)
-                np.einsum("ijk,ijk->ij", diff, diff, out=dist[i : i + tall, j : j + wide])
+        stop = min(start + block, m)
+        dist = _pair_dist_sq(centered[start:stop], centered_sq[start:stop], centered, centered_sq)
         np.sqrt(dist, out=dist)
-        sums[start:stop] += dist @ members[start:]
-        sums[stop:] += dist[:, stop - start :].T @ members[start:stop]
+        np.matmul(dist, members, out=sums[start:stop])
     sums = sums[inverse]
     results = []
     for assignment, lo, hi in zip(assignments, offsets, offsets[1:]):
@@ -460,7 +445,8 @@ def adjusted_inter_token_cos(vectors, tokens, clustering, pair_budget, stream):
         if members.size == 0:
             skipped += 1
             continue
-        centered = vectors[members] - vectors[members].mean(axis=0)
+        centered = vectors[members]
+        centered -= centered.mean(axis=0)
         instances, zeros = _instances(centered, tokens[members])
         dropped += zeros
         if len(instances) < 2:

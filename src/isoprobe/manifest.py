@@ -162,12 +162,16 @@ def parse_config(path):
     start with '#'.
     """
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        lines = path.read_text().splitlines()
+        lines = path.read_text().splitlines()  # a pipe reads as a file does
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except IsADirectoryError:
+        raise ConfigError(f"config path is a directory: {path}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: config file is not text ({exc})") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config file ({exc.strerror})") from None
     config = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

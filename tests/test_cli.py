@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -451,6 +452,24 @@ class TestDeterminismAndErrors:
         err = capsys.readouterr().err
         assert "model" in err
 
+    def test_repeated_sweep_value_exits_2_before_any_point(self, pipeline, tmp_path, capsys):
+        dirs, _ = pipeline
+        out = tmp_path / "e"
+        cfg = write_config(
+            tmp_path / "e.cfg",
+            out=str(out),
+            model=str(dirs["train"]),
+            data=str(dirs["synth"]),
+            datasets=["seasonality_2"],
+            variable="noise_sigma",
+            values=[0.05, 0.05],
+            seeds=2,
+        )
+        assert run_cli("eval", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert "sweep value 0.05 is repeated" in err and "Traceback" not in err
+        assert not (out / "sweep.csv").exists()
+
     def test_schema_version_conflict_refused(self, pipeline, tmp_path, capsys):
         dirs, _ = pipeline
         clone = tmp_path / "clone"
@@ -601,6 +620,39 @@ class TestConfigErrors:
         assert run_cli("synth", "--config", cfg) == 2
         err = capsys.readouterr().err
         assert "'length'" in err and f"{cfg}:3" in err
+
+    def test_config_read_from_a_pipe(self, tmp_path):
+        # as a shell's `--config <(printf 'length = 64\n')` hands one over
+        fifo = tmp_path / "cfg.fifo"
+        os.mkfifo(fifo)
+        out = tmp_path / "s"
+
+        def feed():
+            try:
+                with open(fifo, "w") as pipe:
+                    pipe.write(f'out = "{out}"\nlength = 64\n')
+            except BrokenPipeError:
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            assert run_cli("synth", "--config", fifo) == 0
+        finally:
+            # a reader that never came would leave the writer blocked in open
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (out / "manifest.json").is_file()
+
+    def test_directory_config_exits_2_naming_it(self, tmp_path, capsys):
+        assert run_cli("synth", "--config", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"config path is a directory: {tmp_path}" in err and "not found" not in err
+
+    def test_missing_config_says_not_found(self, tmp_path, capsys):
+        assert run_cli("synth", "--config", tmp_path / "absent.cfg") == 2
+        assert f"config file not found: {tmp_path / 'absent.cfg'}" in capsys.readouterr().err
 
     def test_undecodable_config_exits_2_naming_file(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -209,6 +209,20 @@ class TestSweeps:
         with pytest.raises(InvalidArgumentError):
             SweepConfig(variable="context_length", values=(1, 16))
         SweepConfig(variable="noise_sigma", values=(0.0, 0.05))  # sigma 0 fine
+        SweepConfig(variable="context_length", values=(4, 16.0))  # an integral float is a length
+
+    @pytest.mark.parametrize(
+        "variable, values, message",
+        [
+            ("noise_sigma", (0.05, 0.05), "sweep value 0.05 is repeated"),
+            ("noise_sigma", (0.0, 0.05, 0.05), "sweep value 0.05 is repeated"),
+            ("context_length", (4, 16, 4.0), "sweep value 4.0 is repeated"),
+            ("context_length", (4, 4.5), "context_length sweep value 4.5 is not an integer"),
+        ],
+    )
+    def test_values_checked_up_front(self, variable, values, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            SweepConfig(variable=variable, values=values)
 
     def test_context_sweep_rows_populated(self, smoke_model, seasonality_series):
         params, tok_cfg, _ = smoke_model

@@ -329,8 +329,8 @@ class TestSilhouette:
         assert mean_score == pytest.approx(direct.mean(), abs=1e-12)
 
     def test_row_blocks_singleton_and_empty_cluster_match_oracle(self):
-        n, dim = 151, 256
-        rows = isotropy._SILHOUETTE_BLOCK_BYTES // (8 * n * dim)
+        n, dim = 200, 256
+        rows = isotropy._SILHOUETTE_BLOCK_BYTES // (8 * n)
         assert 1 < rows < n // 2 and n % rows  # several blocks, a partial last one
         rng = np.random.default_rng(28)
         x = rng.normal(size=(n, dim))
@@ -347,6 +347,17 @@ class TestSilhouette:
         scores, mean_score = silhouette(x, [clustering])[0]
         direct = silhouette_oracle(x, clustering)
         assert scores[7] == 0.0
+        np.testing.assert_allclose(scores, direct, atol=1e-12)
+        assert mean_score == pytest.approx(direct.mean(), abs=1e-12)
+
+    def test_shared_offset_matches_direct_oracle(self):
+        # rows far from the origin, as anisotropic embeddings are: the
+        # expanded distances of the uncentered rows miss here by about 3e-9
+        rng = np.random.default_rng(36)
+        x = rng.normal(size=(400, 16)) * 0.01 + 100.0
+        clustering = kmeans(x, 3, RngStream(37, 0))
+        scores, mean_score = silhouette(x, [clustering])[0]
+        direct = silhouette_oracle(x, clustering)
         np.testing.assert_allclose(scores, direct, atol=1e-12)
         assert mean_score == pytest.approx(direct.mean(), abs=1e-12)
 
@@ -379,46 +390,98 @@ class TestSilhouette:
 
 
 def silhouette_block_oracle(x, clusterings):
-    """Silhouette with each row block's whole (rows, m - start, D)
-    difference tensor formed at once: the reference whose bits the
-    chunked fill must give."""
+    """Silhouette in difference form on the distinct rows, with a bound
+    on how far silhouette may read from it: one (scores, mean,
+    score_bound, mean_bound) per clustering.
+
+    The bound is derived, with eps the unit round-off, gamma_j =
+    j eps / (1 - j eps), D the width and n the row count, on the rows
+    centered as silhouette centers them (by the distinct rows' mean):
+    - per pair, silhouette's squared distance is within delta =
+      (2D + 8) eps (|x|^2 + |y|^2) + tiny of the exact one (the round-off
+      of the expanded form, and more than that of its difference-form
+      recompute near 0), so its distance is within
+      delta / (d_hat + d) <= min(sqrt(delta), delta / d) of it;
+    - the centering moves a distance by at most eps (|x| + |y|), each
+      square root rounds by eps d, and the oracle's own difference form
+      is within gamma_{D+2} d / 2 of d;
+    - a sum of those distances over one cluster adds each pair's bound
+      and gamma_n of the sum on each side; a mean divides it by the
+      count and rounds once more on each side;
+    - a and b move by at most da and db (b is a minimum of means, each
+      within db), so s = (b - a) / max(a, b) moves by at most
+      (da + db + |s| max(da, db)) / (max(a, b) - max(da, db)), plus
+      4 eps for its subtraction and division on both sides, and by at
+      most 2 where that denominator is not positive;
+    - the mean score moves by the mean bound plus gamma_n on each side.
+    """
     data = np.asarray(x, dtype=np.float64)
-    n = data.shape[0]
-    rows, inverse, _ = isotropy._selection_rows(data)
-    m, dim = rows.shape
-    assignments = [np.asarray(c.assignment) for c in clusterings]
-    offsets = np.cumsum([0] + [c.k for c in clusterings])
-    columns = np.stack([offset + a for a, offset in zip(assignments, offsets)], axis=1)
-    cells = (inverse[:, None] * offsets[-1] + columns).ravel()
-    members = np.bincount(cells, minlength=m * offsets[-1]).reshape(m, -1).astype(np.float64)
-    sums = np.zeros_like(members)
-    block = max(1, isotropy._SILHOUETTE_BLOCK_BYTES // (8 * m * max(dim, 1)))
-    for start in range(0, m, block):
-        stop = min(start + block, m)
-        diff = rows[start:stop, None, :] - rows[None, start:, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        sums[start:stop] += dist @ members[start:]
-        sums[stop:] += dist[:, stop - start :].T @ members[start:stop]
-    sums = sums[inverse]
+    n, dim = data.shape
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+
+    def gamma(j):
+        return j * eps / (1 - j * eps)
+
+    distinct, inverse = isotropy._distinct_rows(data)
+    m = distinct.shape[0]
+    centered = distinct - distinct.mean(axis=0)
+    sq = np.sum(centered * centered, axis=1)
+    norms = np.sqrt(sq)
+    columns = np.ascontiguousarray(distinct.T)
+    dist = np.zeros((m, m))
+    for p in range(0, m, 32):  # the upper triangle, then mirrored
+        diff = columns[:, p : p + 32, None] - columns[:, None, p:]
+        diff *= diff
+        dist[p : p + 32, p:] = np.sqrt(diff.sum(axis=0))
+    dist = np.maximum(dist, dist.T)
+    # min(sqrt(delta), delta / d), with d at its lowest
+    delta = sq[:, None] + sq
+    delta *= (2 * dim + 8) * eps
+    delta += tiny
+    d_low = norms[:, None] + norms
+    d_low *= -eps
+    d_low += dist * (1 - gamma(dim + 2))
+    err = np.divide(delta, np.maximum(d_low, np.sqrt(delta), out=d_low), out=delta)
+    linear = gamma(dim + 2) / 2 + 2 * eps  # the square roots' share, per unit of distance
     results = []
-    for assignment, lo, hi in zip(assignments, offsets, offsets[1:]):
-        counts = members[:, lo:hi].sum(axis=0)
+    at = np.arange(n)
+    for clustering in clusterings:
+        assignment = np.asarray(clustering.assignment)
+        members = np.zeros((m, clustering.k))
+        np.add.at(members, (inverse, assignment), 1.0)
+        sums = dist @ members
+        # each pair's shift and square roots, summed per cluster
+        sum_err = err @ members + eps * (norms[:, None] * members.sum(axis=0) + norms @ members)
+        sum_err += linear * sums
+        sums, sum_err = sums[inverse], sum_err[inverse] + 2 * gamma(n) * sums[inverse]
+        counts = members.sum(axis=0)
         own = counts[assignment]
-        a = sums[np.arange(n), lo + assignment] / np.maximum(own - 1, 1)
-        means = np.where(counts > 0, sums[:, lo:hi] / np.maximum(counts, 1), np.inf)
-        means[np.arange(n), assignment] = np.inf
-        b = means.min(axis=1)
+        a = sums[at, assignment] / np.maximum(own - 1, 1)
+        da = sum_err[at, assignment] / np.maximum(own - 1, 1) * (1 + eps) + 2 * eps * a
+        filled = counts > 0
+        means = np.where(filled, sums / np.maximum(counts, 1), np.inf)
+        mean_err = sum_err / np.maximum(counts, 1) * (1 + eps) + 2 * eps * means
+        mean_err[:, ~filled] = 0.0
+        means[at, assignment] = np.inf
+        mean_err[at, assignment] = 0.0
+        b, db = means.min(axis=1), mean_err.max(axis=1)
         denom = np.maximum(a, b)
         scores = np.divide(b - a, denom, out=np.zeros(n), where=(own > 1) & (denom > 0))
-        results.append((scores, float(scores.mean())))
+        worst = np.maximum(da, db)
+        room = denom - worst
+        bound = np.full(n, 2.0)
+        np.divide(da + db + np.abs(scores) * worst, room, out=bound, where=room > 0)
+        bound[room > 0] += 4 * eps
+        bound[own <= 1] = 0.0  # singletons score exactly 0 on both sides
+        results.append((scores, float(scores.mean()), bound, float(bound.mean()) + 2 * gamma(n)))
     return results
 
 
-def assert_same_silhouettes(got, want):
+def assert_silhouettes_within_bound(got, want):
     assert len(got) == len(want)
-    for (scores, mean), (want_scores, want_mean) in zip(got, want):
-        assert scores.tobytes() == want_scores.tobytes()
-        assert mean == want_mean
+    for (scores, mean), (want_scores, want_mean, bound, mean_bound) in zip(got, want):
+        assert np.all(np.abs(scores - want_scores) <= bound)
+        assert abs(mean - want_mean) <= mean_bound
 
 
 def clustering_of(assignment, k):
@@ -433,7 +496,7 @@ def clustering_of(assignment, k):
 
 
 def blocked_rows():
-    """151 distinct rows of width 256: 6-row blocks, a partial last one."""
+    """151 distinct rows of width 256: a 108-row block and a partial one."""
     return np.random.default_rng(28).normal(size=(151, 256))
 
 
@@ -445,7 +508,8 @@ def split_copy_rows():
 
 
 class TestChunkedSilhouette:
-    """The chunked fill gives the bits of the block-at-once pass."""
+    """Silhouette's row blocks stay within the derived bound of the
+    difference-form oracle on awkward inputs."""
 
     @staticmethod
     def clusterings(x):
@@ -453,46 +517,28 @@ class TestChunkedSilhouette:
         assignment[7] = 3  # a singleton; cluster 4 stays empty
         return [clustering_of(assignment, 5), kmeans(x, 2, RngStream(30, 0))]
 
-    # difference vectors per chunk, as a function of the distinct row
-    # count m: whole rows one at a time in the first block (m), three
-    # rows with a partial last chunk (3m), part of one row (seven
-    # columns with a partial last chunk, or one pair), and one chunk per
-    # block
-    @pytest.mark.parametrize(
-        "pairs",
-        [lambda m: m, lambda m: 3 * m, lambda m: 7, lambda m: 1, lambda m: 1 << 30],
-        ids=["one_row", "three_rows", "seven_columns", "one_pair", "whole_block"],
-    )
     @pytest.mark.parametrize("rows", [blocked_rows, split_copy_rows])
-    def test_chunks_match_block_oracle(self, monkeypatch, rows, pairs):
+    def test_blocks_within_bound_of_oracle(self, rows):
         x = rows()
-        m, dim = isotropy._distinct_rows(x)[0].shape
-        block = isotropy._SILHOUETTE_BLOCK_BYTES // (8 * m * dim)
+        m = isotropy._distinct_rows(x)[0].shape[0]
+        block = isotropy._SILHOUETTE_BLOCK_BYTES // (8 * m)
         assert 1 <= block and (block >= m or m % block)  # a partial last block, if several
-        monkeypatch.setattr(isotropy, "_SILHOUETTE_CHUNK_BYTES", 8 * dim * pairs(m))
         clusterings = self.clusterings(x)
         got = silhouette(x, clusterings)
         assert got[0][0][7] == 0.0
-        assert_same_silhouettes(got, silhouette_block_oracle(x, clusterings))
-
-    def test_budget_below_one_difference_vector(self, monkeypatch):
-        monkeypatch.setattr(isotropy, "_SILHOUETTE_CHUNK_BYTES", 1)
-        x = split_copy_rows()
-        clusterings = self.clusterings(x)
-        assert_same_silhouettes(silhouette(x, clusterings), silhouette_block_oracle(x, clusterings))
+        assert_silhouettes_within_bound(got, silhouette_block_oracle(x, clusterings))
 
     def test_zero_width_rows(self):
         x = np.zeros((6, 0))
         clusterings = [clustering_of([0, 0, 1, 1, 2, 2], 3)]
         scores, mean = silhouette(x, clusterings)[0]
         assert mean == 0.0
-        assert_same_silhouettes([(scores, mean)], silhouette_block_oracle(x, clusterings))
+        assert scores.tobytes() == np.zeros(6).tobytes()
+        assert_silhouettes_within_bound([(scores, mean)], silhouette_block_oracle(x, clusterings))
 
-    def test_readme_shape_peak_stays_below_one_block(self):
+    def test_readme_shape_peak_stays_below_2_mib(self):
         # an eval point of the README pipeline: 32 contexts of 16 rows at
-        # D = 16, scored for k = 2..10 at once.  Forming a block's whole
-        # 2 MiB of difference vectors peaks at 2.3x the block budget; the
-        # chunked fill stays near half of it
+        # D = 16, scored for k = 2..10 at once
         x = np.random.default_rng(33).normal(size=(512, 16))
         distinct = isotropy._selection_rows(x)
         clusterings = [kmeans(x, k, RngStream(34, 0), distinct=distinct) for k in range(2, 11)]
@@ -502,8 +548,8 @@ class TestChunkedSilhouette:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < isotropy._SILHOUETTE_BLOCK_BYTES
-        assert_same_silhouettes(got, silhouette_block_oracle(x, clusterings))
+        assert peak < 2 << 20
+        assert_silhouettes_within_bound(got, silhouette_block_oracle(x, clusterings))
 
 
 def lloyd_oracle(x, centroids, max_iter, tol):
@@ -912,12 +958,12 @@ def test_picks_match_difference_form_on_criterion_8_matrices(criterion_8_points)
 
 def test_silhouettes_match_block_oracle_on_criterion_8_matrices(criterion_8_points):
     # every eval matrix of the 80 sweep points, under assignments drawn
-    # for the ends of its k range (the chunks depend on the rows alone)
+    # for the ends of its k range
     rng = np.random.default_rng(35)
     for matrix, k_range, _ in criterion_8_points:
         ks = (k_range[0], k_range[-1])
         clusterings = [clustering_of(rng.integers(0, k, matrix.shape[0]), k) for k in ks]
-        assert_same_silhouettes(
+        assert_silhouettes_within_bound(
             silhouette(matrix, clusterings), silhouette_block_oracle(matrix, clusterings)
         )
 

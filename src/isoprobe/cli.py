@@ -75,7 +75,7 @@ class Run:
     opts: dict
     out_dir: Path
     workers: int
-    inputs: list = field(default_factory=list)  # upstream files, for the manifest
+    inputs: dict = field(default_factory=dict)  # upstream file -> its verified hash, or None
     series: dict = None
     params: object = None
     tok_cfg: TokenizerConfig = None
@@ -146,7 +146,7 @@ def _worker_count(workers):
 def _load_upstream(run, kind):
     """Verify an upstream run's hashes, then load what the stage reads from it."""
     run_dir = Path(run.opts[kind])
-    verify_outputs(RunManifest.read(run_dir), run_dir)
+    verified = verify_outputs(RunManifest.read(run_dir), run_dir)
     if kind == "model":
         path = run_dir / "model.isop"
         run.params, run.meta = load_checkpoint(path)
@@ -162,11 +162,11 @@ def _load_upstream(run, kind):
             ))
         except IsoprobeError as exc:
             raise exc.add_context(f"{path}.json: model sidecar")
-        run.inputs.append(path)
+        run.inputs[path] = verified.get(path)
     elif kind == "embeddings":
         path = run_dir / "embeddings.isoemb"
         run.dump = EmbeddingDump.read(path)
-        run.inputs.append(path)
+        run.inputs[path] = verified.get(path)
     else:
         ds_dir = run_dir / "datasets"
         if not ds_dir.is_dir():
@@ -178,7 +178,7 @@ def _load_upstream(run, kind):
             if not path.is_file():
                 raise MissingInputError(f"dataset {name} not found at {path}")
             run.series[name] = load_series(path)
-        run.inputs.extend(ds_dir / f"{name}.csv" for name in sorted(run.series))
+            run.inputs[path] = verified.get(path)
 
 
 def run_stage(stage, config_path, overrides, workers):
@@ -207,8 +207,8 @@ def run_stage(stage, config_path, overrides, workers):
     outputs = stage.body(run)
     if stage.manifest:
         manifest = RunManifest(command=stage.name, config=cfg, seed=run.seed)
-        for path in run.inputs:
-            manifest.record_input(out_dir, path)
+        for path, digest in run.inputs.items():
+            manifest.record_input(out_dir, path, digest)
         for path in outputs:
             manifest.record_output(out_dir, path)
         manifest.write(out_dir)

@@ -18,12 +18,6 @@ from .numerics import PCAResult, as_matrix, pca
 from .theory import isotropy_partition
 
 
-@dataclass(frozen=True)
-class EffectiveDimension:
-    value: int
-    degenerate: bool
-
-
 def effective_dimension(a, eps):
     """Smallest m whose leading PCA components capture fraction eps of
     the variance; rows are centered first."""
@@ -31,23 +25,15 @@ def effective_dimension(a, eps):
 
 
 def _captured_dimension(res, eps):
-    """Effective dimension at eps from an existing PCA."""
+    """Effective dimension at eps from an existing PCA; rows without
+    variance have dimension 1."""
     if not 0.0 < eps <= 1.0:
         raise InvalidArgumentError(f"eps must be in (0, 1], got {eps}")
     if float(res.eigenvalues.sum()) <= 0.0:
-        return EffectiveDimension(1, True)
+        return 1
     cum = np.cumsum(res.explained_ratio)
     hits = np.flatnonzero(cum >= eps - 1e-12)
-    value = int(hits[0]) + 1 if hits.size else cum.size
-    return EffectiveDimension(value, False)
-
-
-@dataclass(frozen=True)
-class CosineStat:
-    value: float
-    pair_count: int
-    exhaustive: bool
-    zero_vectors_excluded: int
+    return int(hits[0]) + 1 if hits.size else cum.size
 
 
 def _token_rows(vectors, tokens):
@@ -62,12 +48,11 @@ def _token_rows(vectors, tokens):
 
 
 def _instances(vectors, tokens):
-    """token id -> that token's nonzero rows in record order, plus the
-    number of zero rows dropped (their cosine is undefined)."""
+    """token id -> that token's nonzero rows in record order; zero rows
+    are dropped, as their cosine is undefined."""
     nonzero = np.linalg.norm(vectors, axis=1) > 0.0
     rows, kept = vectors[nonzero], tokens[nonzero]
-    instances = {int(t): rows[kept == t] for t in np.unique(kept)}
-    return instances, int(nonzero.size - np.count_nonzero(nonzero))
+    return {int(t): rows[kept == t] for t in np.unique(kept)}
 
 
 def _pair_expectation(instances, pair_budget, stream):
@@ -76,12 +61,11 @@ def _pair_expectation(instances, pair_budget, stream):
     is within budget (drawing every instance index at once: i's then j's
     per pair, none for a one-instance token), otherwise Monte-Carlo
     samples pair_budget pairs one draw at a time.  The cosines are one
-    row-wise operation either way."""
+    row-wise operation either way.  Returns (mean cosine, pair count)."""
     tokens = sorted(instances)
     k = len(tokens)
-    exhaustive = k * (k - 1) // 2 <= pair_budget
     sizes = np.array([len(instances[t]) for t in tokens])
-    if exhaustive:
+    if k * (k - 1) // 2 <= pair_budget:
         pairs = np.stack(np.triu_indices(k, 1), axis=1).ravel()
         highs = sizes[pairs]
         picks = np.zeros(pairs.size, dtype=np.int64)
@@ -101,19 +85,18 @@ def _pair_expectation(instances, pair_budget, stream):
     rows = flat[starts[pairs] + np.asarray(picks, dtype=np.int64)]
     u, v = rows[0::2], rows[1::2]
     cos = np.einsum("ij,ij->i", u, v) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
-    return float(cos.mean()), len(cos), exhaustive
+    return float(cos.mean()), len(cos)
 
 
 def inter_token_cos(vectors, tokens, pair_budget, stream):
-    """Expected cosine similarity between distinct tokens' embedding
-    instances, given one layer's rows and their token ids."""
-    instances, dropped = _instances(*_token_rows(vectors, tokens))
+    """Expected cosine similarity (a float) between distinct tokens'
+    embedding instances, given one layer's rows and their token ids."""
+    instances = _instances(*_token_rows(vectors, tokens))
     if len(instances) < 2:
         raise InvalidArgumentError(
             f"{len(instances)} distinct tokens with nonzero vectors; need at least 2"
         )
-    value, count, exhaustive = _pair_expectation(instances, pair_budget, stream)
-    return CosineStat(value, count, exhaustive, dropped)
+    return _pair_expectation(instances, pair_budget, stream)[0]
 
 
 @dataclass
@@ -125,7 +108,6 @@ class Clustering:
     centroids: np.ndarray
     inertia: float
     iterations: int
-    inertia_history: np.ndarray
     mean_silhouette: float | None = None
 
 
@@ -242,14 +224,14 @@ def _lloyd(rows, inverse, inits, max_iter, tol):
     copies = np.argsort(inverse, kind="stable")  # full rows by distinct row
     starts = np.cumsum(weights) - weights
     final = inits.copy()
-    histories = [[] for _ in range(restarts)]
+    iterations = np.zeros(restarts, dtype=np.int64)
     active = np.arange(restarts)
     centroids = inits
     for _ in range(max_iter):
+        iterations[active] += 1
         d2 = _dist_sq(rows, rows_sq, centroids)
         assignment = np.argmin(d2, axis=2)
         stack = np.arange(active.size)[:, None]
-        own = d2[stack, np.arange(m), assignment]
         left = np.repeat(weights[None], active.size, axis=0)  # copies still in their nearest cluster
         counts = np.bincount(
             (stack * k + assignment).ravel(), weights=left.ravel(), minlength=active.size * k
@@ -258,7 +240,8 @@ def _lloyd(rows, inverse, inits, max_iter, tol):
         # each restart with an empty cluster repairs it on its own
         empty = [] if counts.all() else np.flatnonzero((counts == 0).any(axis=1))
         for a in empty:
-            r_own, r_assign, r_counts, r_left = own[a], assignment[a], counts[a], left[a]
+            r_assign, r_counts, r_left = assignment[a], counts[a], left[a]
+            r_own = d2[a, np.arange(m), r_assign]
             for c in np.flatnonzero(r_counts == 0):
                 eligible = np.flatnonzero((r_left > 0) & (r_counts[r_assign] >= 2))
                 tied = eligible[r_own[eligible] == r_own[eligible].max()]
@@ -268,8 +251,6 @@ def _lloyd(rows, inverse, inits, max_iter, tol):
                 r_left[far] -= 1
                 r_counts[c] = 1
                 members[a, far, c] = 1.0
-        for a, inertia in zip(active, (own * left).sum(axis=1)):
-            histories[a].append(float(inertia))
         members[stack, np.arange(m), assignment] = left
         new_centroids = (np.swapaxes(members, 1, 2) @ rows) / counts[:, :, None]
         shift = np.max(np.linalg.norm(new_centroids - centroids, axis=2), axis=1)
@@ -283,10 +264,8 @@ def _lloyd(rows, inverse, inits, max_iter, tol):
     own = d2[np.arange(restarts)[:, None], np.arange(m), assignment]
     inertias = (own * weights).sum(axis=1)
     return [
-        Clustering(
-            k, assignment[r][inverse], final[r], float(inertias[r]), len(history), np.asarray(history)
-        )
-        for r, history in enumerate(histories)
+        Clustering(k, assignment[r][inverse], final[r], float(inertias[r]), int(iterations[r]))
+        for r in range(restarts)
     ]
 
 
@@ -417,10 +396,8 @@ def select_cluster_count(x, k_range, stream):
 @dataclass(frozen=True)
 class AdjustedCosineStat:
     value: float
-    cluster_values: dict
     skipped_clusters: int
     pair_count: int
-    zero_vectors_excluded: int
 
 
 def adjusted_inter_token_cos(vectors, tokens, clustering, pair_budget, stream):
@@ -428,18 +405,18 @@ def adjusted_inter_token_cos(vectors, tokens, clustering, pair_budget, stream):
 
     Clusters with fewer than two distinct tokens are skipped (and
     counted); the result is the unweighted mean over the remaining
-    clusters.  Values near 0 indicate isotropy within clusters.  Takes
-    one layer's rows and their token ids, like inter_token_cos."""
+    clusters, with the pair count summed over them.  Values near 0
+    indicate isotropy within clusters.  Takes one layer's rows and their
+    token ids, like inter_token_cos."""
     vectors, tokens = _token_rows(vectors, tokens)
     assignment = np.asarray(clustering.assignment)
     if assignment.shape[0] != vectors.shape[0]:
         raise InvalidArgumentError(
             "clustering does not match the layer's record count"
         )
-    cluster_values = {}
+    values = []
     skipped = 0
     pair_count = 0
-    dropped = 0
     for c in range(clustering.k):
         members = np.flatnonzero(assignment == c)
         if members.size == 0:
@@ -447,26 +424,18 @@ def adjusted_inter_token_cos(vectors, tokens, clustering, pair_budget, stream):
             continue
         centered = vectors[members]
         centered -= centered.mean(axis=0)
-        instances, zeros = _instances(centered, tokens[members])
-        dropped += zeros
+        instances = _instances(centered, tokens[members])
         if len(instances) < 2:
             skipped += 1
             continue
-        value, count, _ = _pair_expectation(instances, pair_budget, stream)
-        cluster_values[c] = value
+        value, count = _pair_expectation(instances, pair_budget, stream)
+        values.append(value)
         pair_count += count
-    if not cluster_values:
+    if not values:
         raise UndefinedMetricError(
             "every cluster lacks two distinct tokens; adjusted cosine undefined"
         )
-    mean_value = float(np.mean(list(cluster_values.values())))
-    return AdjustedCosineStat(
-        value=mean_value,
-        cluster_values=cluster_values,
-        skipped_clusters=skipped,
-        pair_count=pair_count,
-        zero_vectors_excluded=dropped,
-    )
+    return AdjustedCosineStat(float(np.mean(values)), skipped, pair_count)
 
 
 @dataclass
@@ -515,7 +484,7 @@ def layer_report(
     if matrix.shape[0] < 2:
         raise InvalidArgumentError(f"layer {layer} has fewer than 2 records")
     res = pca(matrix)
-    eff = {f"{eps:g}": _captured_dimension(res, eps).value for eps in eps_values}
+    eff = {f"{eps:g}": _captured_dimension(res, eps) for eps in eps_values}
     zeta = inter_token_cos(matrix, tokens, pair_budget, stream)
     selection = select_cluster_count(matrix, k_range, stream)
     adjusted = adjusted_inter_token_cos(matrix, tokens, selection.clustering, pair_budget, stream)
@@ -525,7 +494,7 @@ def layer_report(
         record_count=int(matrix.shape[0]),
         distinct_tokens=int(np.unique(tokens).size),
         effective_dim=eff,
-        zeta_cos=zeta.value,
+        zeta_cos=zeta,
         chosen_k=selection.best_k,
         mean_silhouette=selection.clustering.mean_silhouette,
         low_silhouette=selection.low_silhouette,

@@ -83,8 +83,9 @@ class RunManifest:
     version: str = __version__
     schema_version: int = SCHEMA_VERSION
 
-    def record_input(self, base_dir, path):
-        self.inputs[self._rel(base_dir, path)] = sha256_file(path)
+    def record_input(self, base_dir, path, digest=None):
+        """Record an input's hash: ``digest`` if already checked, else the file's."""
+        self.inputs[self._rel(base_dir, path)] = digest or sha256_file(path)
 
     def record_output(self, base_dir, path):
         self.outputs[self._rel(base_dir, path)] = sha256_file(path)
@@ -134,7 +135,9 @@ class RunManifest:
 
 
 def verify_outputs(manifest, base_dir):
-    """Check that every artifact a manifest declares still hash-matches."""
+    """Check that every artifact a manifest declares still hash-matches;
+    returns each artifact's path with its checked hash."""
+    checked = {}
     for rel, recorded in manifest.outputs.items():
         path = Path(base_dir) / rel
         if not path.is_file():
@@ -144,6 +147,8 @@ def verify_outputs(manifest, base_dir):
             raise StaleArtifactError(
                 f"stale artifact {path}: recorded {recorded[:12]}.., found {actual[:12]}.."
             )
+        checked[path] = actual
+    return checked
 
 
 def _finite(text):
@@ -201,14 +206,15 @@ def parse_config(path):
 
 def take_config(config, key, default=None, *, required=False, kind):
     """Fetch a config value with type checking; errors name the field.
-    A ``list[T]`` kind also checks each element against T, unconverted."""
+    A ``list[T]`` kind also checks and converts each element as a scalar
+    T key is, so a ``list[float]`` reads ``[4, 16]`` as ``[4.0, 16.0]``."""
     if key not in config:
         if required:
             raise ConfigError(f"missing required config field: {key}")
         return default
     value = _typed(key, config[key], get_origin(kind) or kind)
-    for index, item in enumerate(value if get_args(kind) else ()):
-        _typed(f"{key}[{index}]", item, get_args(kind)[0])
+    if get_args(kind):
+        value = [_typed(f"{key}[{i}]", item, get_args(kind)[0]) for i, item in enumerate(value)]
     return value
 
 

@@ -86,12 +86,10 @@ def mean_nll(logits, targets):
         raise InvalidArgumentError(
             f"target out of range [0, {z.shape[1]}): {int(targets.min())}..{int(targets.max())}"
         )
-    probs = z - z.max(axis=1, keepdims=True)
-    picked = probs[np.arange(targets.size), targets]
-    np.exp(probs, out=probs)
-    denom = probs.sum(axis=1)
-    probs /= denom[:, None]
-    return float(np.mean(np.log(denom) - picked)), probs
+    shifted = z - z.max(axis=1, keepdims=True)
+    picked = shifted[np.arange(targets.size), targets]
+    probs, total = _normalize(shifted)
+    return float(np.mean(np.log(total[:, 0]) - picked)), probs
 
 
 @dataclass

@@ -34,12 +34,11 @@ from .numerics import as_matrix, spectral_norm, sym_eigendecompose
 
 @dataclass(frozen=True)
 class IsotropyPartition:
-    """min/max partition-function ratio over the eigenvector probe set."""
+    """min/max partition-function ratio over the eigenvector probe set;
+    degenerate when every row is zero (the ratio is then 1)."""
 
     value: float
     degenerate: bool
-    log_z_min: float
-    log_z_max: float
 
 
 def isotropy_partition(rows):
@@ -52,15 +51,14 @@ def isotropy_partition(rows):
     if x.shape[0] < 2:
         raise InvalidArgumentError("isotropy needs at least 2 embedding rows")
     if not np.any(x):
-        return IsotropyPartition(1.0, True, math.log(x.shape[0]), math.log(x.shape[0]))
+        return IsotropyPartition(1.0, True)
     corr = x.T @ x
     eig = sym_eigendecompose(corr)
     logits = x @ eig.eigenvectors
     logits = np.hstack([logits, -logits])  # one column per probe
     peak = logits.max(axis=0)
     log_zs = peak + np.log(np.sum(np.exp(logits - peak), axis=0))
-    lo, hi = float(log_zs.min()), float(log_zs.max())
-    return IsotropyPartition(math.exp(lo - hi), False, lo, hi)
+    return IsotropyPartition(math.exp(float(log_zs.min()) - float(log_zs.max())), False)
 
 
 @dataclass(frozen=True)
@@ -101,8 +99,6 @@ def downstream_value(logits, head):
 class ShiftAttackRecord:
     """Outcome of the constant-shift logit attack for one head."""
 
-    tau: float
-    shifted_logits: np.ndarray
     max_tv_distance: float
     loss_before: float
     loss_after: float
@@ -122,8 +118,7 @@ def shift_attack(logits, targets, head):
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != (z.shape[0],):
         raise InvalidArgumentError("need one target per logit row")
-    tau = float(head.thresholds.min() - z.max() - 1.0)
-    shifted = z + tau
+    shifted = z + float(head.thresholds.min() - z.max() - 1.0)  # z + tau
     max_tv = 0.0
     max_down = 0.0
     for row, srow in zip(z, shifted):
@@ -131,8 +126,8 @@ def shift_attack(logits, targets, head):
         max_tv = max(max_tv, tv)
         value, _ = downstream_value(srow, head)
         max_down = max(max_down, abs(value))
-    loss_before, _ = mean_nll(z, targets)
-    loss_after, _ = mean_nll(shifted, targets)
+    loss_before = mean_nll(z, targets)[0]
+    loss_after = mean_nll(shifted, targets)[0]
     relu_margin = float((shifted - head.thresholds[None, :]).max())
     passed = (
         max_tv <= 1e-12
@@ -141,8 +136,6 @@ def shift_attack(logits, targets, head):
         and relu_margin < 0.0
     )
     return ShiftAttackRecord(
-        tau=tau,
-        shifted_logits=shifted,
         max_tv_distance=max_tv,
         loss_before=loss_before,
         loss_after=loss_after,
@@ -188,15 +181,11 @@ class BoundReport:
     """Attention-Jacobian norm bound versus its measured value.
 
     ``bound_value`` is the proven form (main term + residual + row
-    count); ``main_text_bound`` omits the additive row count and is
-    reported for comparison only.
+    count); ``main_text_violated`` says whether the measured norm
+    exceeds the form without the additive row count.
     """
 
     bound_value: float
-    main_term: float
-    residual_delta: float
-    n_term: float
-    main_text_bound: float
     measured: float
     attention: np.ndarray
     margin: float
@@ -227,10 +216,6 @@ def attention_jacobian_bound(rows, score_matrix, *, fd_step=None):
     measured = spectral_norm(jacobian_fd(x, score_matrix, fd_step))
     return BoundReport(
         bound_value=bound,
-        main_term=main,
-        residual_delta=delta,
-        n_term=float(n),
-        main_text_bound=main + delta,
         measured=measured,
         attention=weights,
         margin=bound - measured,

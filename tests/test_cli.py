@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -435,6 +436,47 @@ class TestDeterminismAndErrors:
         finally:
             victim.write_text(original)
 
+    def test_inputs_record_verified_hashes_and_hash_undeclared_files(
+        self, pipeline, tmp_path, monkeypatch
+    ):
+        # every file is hashed once: an input by its upstream check, and a
+        # CSV the synth manifest does not declare when it is recorded
+        dirs, _ = pipeline
+        hashed = []
+
+        def counted(path):
+            hashed.append(Path(path).resolve())
+            return sha256_file(path)
+
+        monkeypatch.setattr("isoprobe.manifest.sha256_file", counted)
+        synth = tmp_path / "s"
+        shutil.copytree(dirs["synth"], synth)
+        extra = synth / "datasets" / "extra.csv"
+        shutil.copy(synth / "datasets" / "seasonality_2.csv", extra)
+        cfg = write_config(
+            tmp_path / "t.cfg",
+            out=str(tmp_path / "t"),
+            data=str(synth),
+            datasets=["seasonality_2", "extra"],
+            vocab_size=16,
+            dim=4,
+            rank=2,
+            layers=1,
+            steps=5,
+            context_length=4,
+            horizon=2,
+        )
+        assert run_cli("train", "--config", cfg) == 0
+        assert len(hashed) == len(set(hashed))
+        declared = json.loads((synth / "manifest.json").read_text())["outputs"]
+        inputs = json.loads((tmp_path / "t" / "manifest.json").read_text())["inputs"]
+        assert "datasets/extra.csv" not in declared
+        csvs = {name: synth / "datasets" / f"{name}.csv" for name in ("extra", "seasonality_2")}
+        assert inputs == {path.resolve().as_posix(): sha256_file(path) for path in csvs.values()}
+        assert inputs[csvs["seasonality_2"].resolve().as_posix()] == (
+            declared["datasets/seasonality_2.csv"]
+        )
+
     def test_missing_input_exits_3(self, tmp_path):
         cfg = write_config(
             tmp_path / "t.cfg",
@@ -451,6 +493,29 @@ class TestDeterminismAndErrors:
         assert run_cli("eval", "--config", cfg) == 2
         err = capsys.readouterr().err
         assert "model" in err
+
+    def test_int_sweep_values_read_as_floats(self, pipeline, tmp_path):
+        # each row's stream is keyed by its value: [4, 8] must draw what
+        # [4.0, 8.0] draws
+        dirs, _ = pipeline
+        sweeps = []
+        for name, values in (("ints", [4, 8]), ("floats", [4.0, 8.0])):
+            cfg = write_config(
+                tmp_path / f"{name}.cfg",
+                out=str(tmp_path / name),
+                model=str(dirs["train"]),
+                data=str(dirs["synth"]),
+                datasets=["seasonality_2"],
+                variable="context_length",
+                values=values,
+                seeds=1,
+                windows=6,
+                sample_count=4,
+                k_max=3,
+            )
+            assert run_cli("eval", "--config", cfg) == 0
+            sweeps.append((tmp_path / name / "sweep.csv").read_bytes())
+        assert sweeps[0] == sweeps[1]
 
     def test_repeated_sweep_value_exits_2_before_any_point(self, pipeline, tmp_path, capsys):
         dirs, _ = pipeline

@@ -68,7 +68,7 @@ def evaluate_point_oracle(
     )
     d08 = effective_dimension(matrix, 0.8)
     iso = isotropy_partition(matrix)
-    return error, adjusted.value, d08.value, iso.value
+    return error, adjusted.value, d08, iso.value
 
 
 class TestBatchedPoint:

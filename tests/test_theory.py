@@ -12,26 +12,107 @@ from isoprobe.errors import (
     InvalidArgumentError,
     RankDeficiencyError,
 )
-from isoprobe.model import TrainConfig, attention_weights, train
-from isoprobe.numerics import RngStream
+from isoprobe.model import TrainConfig, attention_weights, mean_nll, softmax, train
+from isoprobe.numerics import RngStream, spectral_norm
 from isoprobe import theory
 from isoprobe.theory import (
     ApproxSweepRow,
-    DownstreamHead,
+    center_rows,
     check_shift_attack,
     check_small_score_approximation,
     collect_window_logits,
-    downstream_value,
     isotropy_partition,
     jacobian_fd,
     attention_jacobian_bound,
     rank_m_descent,
     reconstruction_objective,
-    sample_heads,
     small_score_approximation,
     shift_attack,
     optimal_score_matrix_solution,
 )
+
+
+def shift_attack_oracle(logits, targets, heads, stream):
+    """The shift-attack check row by row: per head, two 1-D softmaxes
+    and one readout over the active units of each logit row."""
+    z = np.asarray(logits, dtype=np.float64)
+    drawn = [
+        (stream.gaussians(z.shape[1]), stream.gaussians(z.shape[1])) for _ in range(heads)
+    ]
+    loss_before = mean_nll(z, targets)[0]
+    records = []
+    for coefficients, thresholds in drawn:
+        shifted = z + float(thresholds.min() - z.max() - 1.0)
+        max_tv = max_down = 0.0
+        for row, srow in zip(z, shifted):
+            max_tv = max(max_tv, 0.5 * float(np.sum(np.abs(softmax(row) - softmax(srow)))))
+            active = np.flatnonzero(srow > thresholds)
+            value = float(np.sum(coefficients[active] * (srow[active] - thresholds[active])))
+            max_down = max(max_down, abs(value))
+        loss_delta = abs(mean_nll(shifted, targets)[0] - loss_before)
+        margin = float((shifted - thresholds[None, :]).max())
+        passed = max_tv <= 1e-12 and loss_delta <= 1e-12 and max_down == 0.0 and margin < 0.0
+        records.append((max_tv, loss_delta, max_down, passed))
+    return {
+        "name": "shift_attack",
+        "passed": all(r[3] for r in records),
+        "details": {
+            "heads": heads,
+            "positions": int(z.shape[0]),
+            "max_tv_distance": max(r[0] for r in records),
+            "max_loss_delta": max(r[1] for r in records),
+            "max_downstream_abs": max(r[2] for r in records),
+        },
+    }
+
+
+def rank_m_descent_oracle(rows, rank, *, starts, iters, stream, stops=None):
+    """The descent one restart at a time, each projection one 2-D eigh;
+    appends to ``stops``, if given, the step count each restart ran."""
+
+    def project(score_matrix):
+        sym = 0.5 * (score_matrix + score_matrix.T)
+        vals, vecs = np.linalg.eigh(sym)
+        order = np.argsort(-np.abs(vals))[:rank]
+        keep = vecs[:, order]
+        return (keep * vals[order]) @ keep.T
+
+    x = center_rows(rows)
+    d = x.shape[1]
+    corr = x.T @ x
+    top = float(np.linalg.eigvalsh(corr)[-1])
+    step = 0.45 / top**3
+    best = math.inf
+    for _ in range(starts):
+        w = stream.gaussians(d, rank)
+        score_matrix = w @ w.T
+        score_matrix *= 1.0 / (top * max(float(np.linalg.norm(score_matrix)), 1e-12))
+        score_matrix = project(score_matrix)
+        prev = reconstruction_objective(x, score_matrix)
+        for ran in range(1, iters + 1):
+            grad = -2.0 * corr @ (np.eye(d) - corr @ score_matrix) @ corr
+            score_matrix = project(score_matrix - step * grad)
+            value = reconstruction_objective(x, score_matrix)
+            if prev - value < 1e-14 * max(prev, 1.0):
+                prev = value
+                break
+            prev = value
+        if stops is not None:
+            stops.append(ran)
+        best = min(best, prev)
+    return best
+
+
+def criterion_3_instances():
+    """The (rows, rank, descent stream id) of criterion 3's 100 instances,
+    as ``check_optimal_score_matrix`` draws them from RngStream(2026, 0)."""
+    stream = RngStream(2026, 0)
+    gen = stream.generator
+    for index in range(100):
+        n = int(gen.integers(6, 25))
+        d = int(gen.integers(2, 6))
+        m = int(gen.integers(1, d + 1))
+        yield stream.gaussians(n, d).reshape(n, d), m, 1000 + index
 
 
 class TestPartitionFunction:
@@ -98,52 +179,51 @@ class TestIsotropyPartition:
             assert 0.0 < value <= 1.0
 
 
-class TestDownstreamValue:
-    def test_all_below_threshold(self):
-        head = DownstreamHead(np.ones(3), np.zeros(3))
-        value, active = downstream_value(np.array([-1.0, -0.5, -2.0]), head)
-        assert value == 0.0
-        assert active.size == 0
-
-    def test_hand_example(self):
-        head = DownstreamHead(np.array([1.0, -2.0]), np.zeros(2))
-        value, active = downstream_value(np.array([3.0, 1.0]), head)
-        assert value == 1.0
-        assert list(active) == [0, 1]
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            n = int(rng.integers(1, 30))
-            head = DownstreamHead(rng.normal(size=n), rng.normal(size=n))
-            z = rng.normal(size=n) * 2.0
-            value, _ = downstream_value(z, head)
-            brute = sum(
-                float(head.coefficients[i]) * max(float(z[i] - head.thresholds[i]), 0.0)
-                for i in range(n)
-            )
-            assert value == pytest.approx(brute, abs=1e-14)
-
-
 class TestShiftAttack:
     def test_direct_arithmetic(self):
-        head = DownstreamHead(np.array([1.0, 1.0]), np.zeros(2))
-        rec = shift_attack(np.array([[0.0, 1.0]]), np.array([0]), head)
+        logits = np.array([[0.0, 1.0]])
+        targets = np.array([0])
+        tv, loss_after, readout, margin = shift_attack(
+            logits, softmax(logits), targets, np.ones(2), np.zeros(2)
+        )
         # tau = 0 - 1 - 1 shifts the logits to [-2, -1]
-        assert rec.relu_margin == -1.0
-        assert rec.loss_after == pytest.approx(rec.loss_before, abs=1e-15)
-        assert rec.max_downstream_abs == 0.0
-        assert rec.max_tv_distance <= 1e-12
-        assert rec.passed
+        assert margin == -1.0
+        assert loss_after == pytest.approx(mean_nll(logits, targets)[0], abs=1e-15)
+        assert readout == 0.0
+        assert tv <= 1e-12
 
     def test_relu_inactivity_guarantee(self):
         rng = np.random.default_rng(4)
         logits = rng.normal(size=(6, 10)) * 5.0
         targets = rng.integers(0, 10, size=6)
-        head = DownstreamHead(rng.normal(size=10), rng.normal(size=10))
-        rec = shift_attack(logits, targets, head)
-        assert rec.relu_margin <= -1.0 + 1e-9
-        assert rec.loss_after == pytest.approx(rec.loss_before, abs=1e-12)
+        tv, loss_after, readout, margin = shift_attack(
+            logits, softmax(logits), targets, rng.normal(size=10), rng.normal(size=10)
+        )
+        assert margin <= -1.0 + 1e-9
+        assert readout == 0.0
+        assert loss_after == pytest.approx(mean_nll(logits, targets)[0], abs=1e-12)
+
+    def test_rounded_shift_leaves_a_unit_active(self):
+        # tau = -5 - 1e17 - 1 rounds to -1e17 (the spacing there is 16), so
+        # the top logit lands on 0 > -5 and the readout is 1 * (0 + 5)
+        logits = np.array([[1e17, 0.0]])
+        _, _, readout, margin = shift_attack(
+            logits, softmax(logits), np.array([0]), np.ones(2), np.full(2, -5.0)
+        )
+        assert readout == 5.0 and margin == 5.0
+        record = check_shift_attack(logits, np.array([0]), 20, RngStream(3, 0))
+        assert not record["passed"]
+        assert record == shift_attack_oracle(logits, np.array([0]), 20, RngStream(3, 0))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_check_matches_oracle_on_random_logits(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, vocab = int(rng.integers(1, 40)), int(rng.integers(2, 65))
+        logits = rng.normal(size=(rows, vocab)) * 5.0
+        targets = rng.integers(0, vocab, size=rows)
+        record = check_shift_attack(logits, targets, 12, RngStream(seed, 1))
+        assert record == shift_attack_oracle(logits, targets, 12, RngStream(seed, 1))
+        assert record["passed"]
 
     def test_trained_model_traces_all_pass(self):
         rng = np.random.default_rng(5)
@@ -153,9 +233,9 @@ class TestShiftAttack:
         )
         result = train(windows, cfg, dim=8, rank=4, layer_count=1, vocab_size=16)
         logits, targets = collect_window_logits(result.params, windows[:8])
-        for head in sample_heads(5, 16, RngStream(7, 0)):
-            rec = shift_attack(logits, targets, head)
-            assert rec.passed, rec
+        record = check_shift_attack(logits, targets, 5, RngStream(7, 0))
+        assert record["passed"], record
+        assert record == shift_attack_oracle(logits, targets, 5, RngStream(7, 0))
 
     def test_check_keeps_no_shifted_logits_per_head(self):
         # paper shape: 152 positions of 512 logits (623 KB) against 50
@@ -173,9 +253,8 @@ class TestShiftAttack:
         assert peak < 4 << 20
 
     def test_rejects_nonfinite(self):
-        head = DownstreamHead(np.ones(2), np.zeros(2))
         with pytest.raises(InvalidArgumentError):
-            shift_attack(np.array([[np.inf, 0.0]]), np.array([0]), head)
+            check_shift_attack(np.array([[np.inf, 0.0]]), np.array([0]), 1, RngStream(0, 0))
 
 
 def complex_attention(x, score):
@@ -226,18 +305,19 @@ class TestAttentionJacobianBound:
     def test_zero_lambda_uniform_attention(self):
         rng = np.random.default_rng(8)
         rows = rng.normal(size=(5, 3))
-        rep = attention_jacobian_bound(rows, np.zeros((3, 3)))
-        np.testing.assert_allclose(rep.attention, 1.0 / 5, atol=1e-14)
-        assert rep.bound_value >= rep.measured
+        zero = np.zeros((3, 3))
+        weights = attention_weights(rows @ zero, rows, causal=False)
+        np.testing.assert_allclose(weights, 1.0 / 5, atol=1e-14)
+        assert attention_jacobian_bound(rows, zero).margin >= 0.0
         # uniform attention is mean-pooling; its Jacobian norm is exactly 1
-        assert rep.measured == pytest.approx(1.0, abs=1e-5)
+        assert spectral_norm(jacobian_fd(rows, zero)) == pytest.approx(1.0, abs=1e-5)
 
     def test_single_row_identity_map(self):
         rng = np.random.default_rng(9)
         rows = rng.normal(size=(1, 4))
-        rep = attention_jacobian_bound(rows, rng.normal(size=(4, 4)))
-        assert rep.measured == pytest.approx(1.0, abs=1e-6)
-        assert rep.margin >= -1e-6
+        score = rng.normal(size=(4, 4))
+        assert spectral_norm(jacobian_fd(rows, score)) == pytest.approx(1.0, abs=1e-6)
+        assert attention_jacobian_bound(rows, score).margin >= -1e-6
 
 
 class TestOptimalScoreMatrix:
@@ -269,6 +349,38 @@ class TestOptimalScoreMatrix:
             sol = optimal_score_matrix_solution(rows, 2)
             best = rank_m_descent(rows, 2, starts=20, iters=300, stream=stream.child(100 + trial))
             assert best >= sol.objective_value - 1e-6
+
+    @pytest.mark.parametrize(
+        "n, d, m, starts, iters, staggered",
+        [
+            (12, 4, 2, 1, 300, False),  # one restart
+            (15, 5, 1, 6, 300, True),  # m = 1; the restarts converge at steps 255..282
+            (15, 5, 1, 6, 268, True),  # the step cap stops three of those restarts
+            (9, 3, 3, 4, 300, False),  # m = d; every restart runs to the cap
+        ],
+    )
+    def test_descent_matches_oracle(self, n, d, m, starts, iters, staggered):
+        stream = RngStream(17, 0)
+        rows = stream.gaussians(n, d).reshape(n, d)
+        stops = []
+        want = rank_m_descent_oracle(
+            rows, m, starts=starts, iters=iters, stream=stream.child(1), stops=stops
+        )
+        assert (len(set(stops)) > 1) == staggered  # restarts leave the stack at different steps
+        assert rank_m_descent(rows, m, starts=starts, iters=iters, stream=stream.child(1)) == want
+
+    @pytest.mark.slow
+    def test_descent_matches_oracle_on_criterion_3_instances(self):
+        for rows, m, child in criterion_3_instances():
+            want = rank_m_descent_oracle(rows, m, starts=20, iters=300, stream=RngStream(2026, child))
+            got = rank_m_descent(rows, m, starts=20, iters=300, stream=RngStream(2026, child))
+            assert got == want
+
+    @pytest.mark.parametrize("rank", [0, 4])
+    def test_descent_rejects_rank_outside_1_to_d(self, rank):
+        rows = np.random.default_rng(18).normal(size=(8, 3))
+        with pytest.raises(InvalidArgumentError):
+            rank_m_descent(rows, rank, starts=2, iters=5, stream=RngStream(18, 0))
 
     def test_identity_matches_trailing_sum_on_random_instances(self):
         stream = RngStream(12, 0)

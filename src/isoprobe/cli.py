@@ -94,14 +94,21 @@ class Run:
 
     def windows(self, tok_cfg, context_length, horizon=0, stride=1, limit=None):
         """Tokenized windows of every loaded dataset, in name order, as
-        one (windows, context_length + horizon) array."""
+        one (windows, context_length + horizon) array; no window at all
+        is a config error naming context_length."""
         # the empty block keeps the shape when no dataset is loaded
         blocks = [np.empty((0, context_length + horizon), dtype=np.int64)]
         blocks.extend(
             tokenize_windows(series.values, tok_cfg, context_length, horizon, stride, limit)
             for _, series in sorted(self.series.items())
         )
-        return np.concatenate(blocks)
+        windows = np.concatenate(blocks)
+        if not len(windows):
+            raise ConfigError(
+                f"config field context_length: no dataset holds a window of "
+                f"{context_length + horizon} values"
+            )
+        return windows
 
     def write_doc(self, filename, kind, **fields):
         """Write a versioned JSON document into the output directory."""
@@ -242,14 +249,17 @@ def _synth(run):
     length, seed, standardize = opt["length"], run.seed, opt["standardize"]
     (run.out_dir / "datasets").mkdir(exist_ok=True)
     if opt["mode"] == "table":
+        for key in ("count", "max_kernels"):
+            if opt[key] is not None:
+                raise ConfigError(f"config field {key}: table mode does not read it")
         tasks = [
             ("table", (name, spec), length, seed, i, standardize)
             for i, (name, spec) in enumerate(table_dataset_specs())
         ]
     elif opt["mode"] == "kernelsynth":
         tasks = [
-            ("kernelsynth", (default_bank(), opt["max_kernels"]), length, seed, i, standardize)
-            for i in range(opt["count"])
+            ("kernelsynth", (default_bank(), opt["max_kernels"] or 5), length, seed, i, standardize)
+            for i in range(opt["count"] or 10)
         ]
     else:
         raise ConfigError(
@@ -314,10 +324,6 @@ def _embed(run):
     windows = run.windows(
         run.tok_cfg, context_length, stride=opt["stride"], limit=opt["max_windows"]
     )
-    if len(windows) == 0:
-        raise ConfigError(
-            f"config field context_length: no dataset holds a window of {context_length} values"
-        )
     dump = dump_embeddings(run.params, windows, layer_ids=opt["layers"])
     dump_path = dump.write(run.out_dir / "embeddings.isoemb")
     click.echo(f"embed: {dump.record_count} records -> {dump_path}")
@@ -384,6 +390,8 @@ def _verify(run):
 def _eval(run):
     """Run a context-length or noise sweep and report verdicts."""
     opt = run.opts
+    if opt["variable"] == "context_length" and opt["context_length"] is not None:
+        raise ConfigError("config field context_length: a context_length sweep does not read it")
     sweep_cfg = SweepConfig(
         variable=opt["variable"],
         values=tuple(opt["values"]),
@@ -418,6 +426,8 @@ _SECTION_FILES = {
 
 def _report(run):
     """Merge run artifacts into one consolidated JSON report."""
+    if not run.opts["runs"]:
+        raise ConfigError("config field runs: expected at least one run directory")
     sections = {}
     for run_dir in map(Path, run.opts["runs"]):
         manifest = RunManifest.read(run_dir)
@@ -454,7 +464,8 @@ STAGES = (
         "synth",
         _synth,
         {"mode": (str, "table"), "length": (int, 1024, 2), "standardize": (bool, True),
-         "count": (int, 10, 1), "max_kernels": (int, 5, 1)},
+         # count and max_kernels are read in kernelsynth mode only
+         "count": (int, None, 1), "max_kernels": (int, None, 1)},
     ),
     Stage(
         "train",

@@ -10,10 +10,12 @@ approximation, and the partition-function isotropy ratio.
 The ``check_*`` functions are the verify suite: each draws its instances
 from a caller-supplied ``RngStream`` and returns the
 ``{"name", "passed", "details"}`` record of ``verification_report.json``;
-``run_checks`` runs all five on one stream, in report order.  The two
-hot checks are array code: the shift attack takes the unshifted softmax
-and loss once and then each head in one pass over every logit row, and
-the descent steps all its restarts as one stack of score matrices.
+``run_checks`` runs all five on one stream, in report order.  The hot
+checks are array code: the shift attack takes the unshifted softmax and
+loss once and then each head in one pass over every logit row; the
+descent steps all its restarts as one stack of score matrices, scored by
+one objective call per step; and the finite-difference Jacobian moves
+every entry of its input in one stacked attention pass.
 
 Attention here is deliberately the unmasked map used in the bound
 statements; the trained model applies the same map causally.
@@ -95,25 +97,19 @@ def collect_window_logits(params, windows):
 
 def jacobian_fd(rows, score_matrix, h=None):
     """Central-difference Jacobian of unmasked attention at rows,
-    flattened row-major on both sides."""
+    flattened row-major on both sides.  The n d copies of x with +h in one
+    entry, then the n d with -h, pass through attention as one stack."""
     x = as_matrix(rows, "rows")
+    size = x.size
+    if not size:
+        return np.empty((0, 0))  # no entry to move
     if h is None:
-        peak = float(np.max(np.abs(x))) if x.size else 0.0
-        h = 1e-6 * (1.0 + peak)
-    n, d = x.shape
-    jac = np.empty((n * d, n * d))
-    for j in range(n):
-        for e in range(d):
-            plus = x.copy()
-            plus[j, e] += h
-            minus = x.copy()
-            minus[j, e] -= h
-            diff = (
-                attention_weights(plus @ score_matrix, plus, False) @ plus
-                - attention_weights(minus @ score_matrix, minus, False) @ minus
-            )
-            jac[:, j * d + e] = diff.ravel() / (2.0 * h)
-    return jac
+        h = 1e-6 * (1.0 + float(np.max(np.abs(x))))
+    moved = np.repeat(x[None], 2 * size, axis=0)
+    entry = np.arange(size)
+    moved.reshape(2, size, size)[:, entry, entry] += np.array([[h], [-h]])
+    out = attention_weights(moved @ score_matrix, moved, False) @ moved
+    return ((out[:size] - out[size:]).reshape(size, size) / (2.0 * h)).T
 
 
 @dataclass(frozen=True)
@@ -169,11 +165,14 @@ def center_rows(rows):
 
 
 def reconstruction_objective(centered_rows, score_matrix):
-    """sum_i |psi_i - (rows.T @ rows) @ score_matrix @ psi_i|^2 on centered rows."""
+    """sum_i |psi_i - (rows.T @ rows) @ score_matrix @ psi_i|^2 on centered
+    rows, for one (d, d) score matrix (a float) or an (S, d, d) stack (S
+    values, each from the products and sum of its own 2-D call)."""
     x = np.asarray(centered_rows, dtype=np.float64)
     corr = x.T @ x
-    resid = x - x @ (corr @ score_matrix).T
-    return float(np.sum(resid * resid))
+    resid = x - x @ (corr @ score_matrix).swapaxes(-1, -2)
+    value = np.sum(resid * resid, axis=(-2, -1))
+    return float(value) if value.ndim == 0 else value
 
 
 def optimal_score_matrix_solution(rows, rank):
@@ -244,7 +243,7 @@ def rank_m_descent(rows, rank, *, starts=20, iters=300, stream):
     norms = np.sqrt(flat @ flat.swapaxes(-1, -2))
     score *= 1.0 / (top * np.maximum(norms, 1e-12))
     score = _project_rank_m_symmetric(score, m)
-    objective = np.array([reconstruction_objective(x, s) for s in score])
+    objective = reconstruction_objective(x, score)
     live = np.arange(starts)  # the restarts still in the stack
     eye = np.eye(d)
     for _ in range(iters):
@@ -252,7 +251,7 @@ def rank_m_descent(rows, rank, *, starts=20, iters=300, stream):
             break
         grad = -2.0 * corr @ (eye - corr @ score) @ corr
         score = _project_rank_m_symmetric(score - step * grad, m)
-        value = np.array([reconstruction_objective(x, s) for s in score])
+        value = reconstruction_objective(x, score)
         prev = objective[live]
         objective[live] = value
         # `not <` rather than `>=`: a NaN objective does not stop its restart

@@ -86,7 +86,6 @@ def test_criterion_2_jacobian_bound():
     report(2, passed, f"FD Jacobian norm within proven bound: {got}, {elapsed:.1f}s")
 
 
-@pytest.mark.slow
 def test_criterion_3_optimal_score_matrix():
     started = time.time()
     check = check_optimal_score_matrix(100, 20, 300, RngStream(2026, 0))

@@ -204,15 +204,15 @@ class TestSynth:
 
         monkeypatch.setattr("isoprobe.kernels.cholesky_psd", refuse)
         if mode == "table":
-            index, name = 0, "linear_1"
+            index, name, count = 0, "linear_1", {}
         else:  # the first tree with a dense Gram matrix is the first to fail
             index = next(
                 i for i in itertools.count()
                 if not sample_kernel_tree(default_bank(), 5, RngStream(7, i)).is_diagonal
             )
-            name = f"synth_{index:03d}"
+            name, count = f"synth_{index:03d}", {"count": index + 1}
         cfg = write_config(tmp_path / "s.cfg", out=str(tmp_path / "s"), seed=7, length=64,
-                           mode=mode, count=index + 1)
+                           mode=mode, **count)
         assert run_cli("synth", "--config", cfg) == 5
         err = capsys.readouterr().err
         assert f"dataset {name} (seed 7, stream id {index}): " in err
@@ -620,6 +620,13 @@ class TestConfigErrors:
             ("embed", "max_windows", 0),
             pytest.param("embed", "layers", [], id="embed-layers-empty"),
             ("embed", "context_length", 4096),  # longer than every series
+            ("train", "context_length", 4096),
+            ("verify", "context_length", 4096),
+            # a key the chosen mode does not read
+            ("synth", "count", 3),  # table mode
+            ("synth", "max_kernels", 3),
+            ("eval", "context_length", 8),  # a context_length sweep
+            pytest.param("report", "runs", [], id="report-runs-empty"),
             # a list-valued key checks its elements' type
             pytest.param("embed", "layers", [1.5], id="embed-layers-float"),
             pytest.param("embed", "layers", ["a"], id="embed-layers-str"),
@@ -640,8 +647,8 @@ class TestConfigErrors:
             "synth": {},
             "train": data,
             "analyze": {"embeddings": str(dirs["embed"]), "k_min": 4},
-            "eval": {"model": str(dirs["train"]), **data, "variable": "noise",
-                     "values": [0.0, 0.05]},
+            "eval": {"model": str(dirs["train"]), **data, "variable": "context_length",
+                     "values": [4, 8], "seeds": 1},
             "report": {},
         }.get(command, {"model": str(dirs["train"]), **data})
         cfg = write_config(tmp_path / "c.cfg", out=str(tmp_path / "o"), **{**upstream, key: value})

@@ -66,6 +66,14 @@ def shift_attack_oracle(logits, targets, heads, stream):
     }
 
 
+def reconstruction_objective_oracle(centered_rows, score_matrix):
+    """The objective of one 2-D score matrix, as a float."""
+    x = np.asarray(centered_rows, dtype=np.float64)
+    corr = x.T @ x
+    resid = x - x @ (corr @ score_matrix).T
+    return float(np.sum(resid * resid))
+
+
 def rank_m_descent_oracle(rows, rank, *, starts, iters, stream, stops=None):
     """The descent one restart at a time, each projection one 2-D eigh;
     appends to ``stops``, if given, the step count each restart ran."""
@@ -88,11 +96,11 @@ def rank_m_descent_oracle(rows, rank, *, starts, iters, stream, stops=None):
         score_matrix = w @ w.T
         score_matrix *= 1.0 / (top * max(float(np.linalg.norm(score_matrix)), 1e-12))
         score_matrix = project(score_matrix)
-        prev = reconstruction_objective(x, score_matrix)
+        prev = reconstruction_objective_oracle(x, score_matrix)
         for ran in range(1, iters + 1):
             grad = -2.0 * corr @ (np.eye(d) - corr @ score_matrix) @ corr
             score_matrix = project(score_matrix - step * grad)
-            value = reconstruction_objective(x, score_matrix)
+            value = reconstruction_objective_oracle(x, score_matrix)
             if prev - value < 1e-14 * max(prev, 1.0):
                 prev = value
                 break
@@ -275,7 +283,44 @@ def complex_step_jacobian(x, score, h=1e-30):
     return jac
 
 
+def jacobian_fd_oracle(x, score_matrix, h):
+    """The central-difference Jacobian one perturbed entry at a time."""
+    n, d = x.shape
+    jac = np.empty((n * d, n * d))
+    for j in range(n):
+        for e in range(d):
+            plus = x.copy()
+            plus[j, e] += h
+            minus = x.copy()
+            minus[j, e] -= h
+            diff = (
+                attention_weights(plus @ score_matrix, plus, False) @ plus
+                - attention_weights(minus @ score_matrix, minus, False) @ minus
+            )
+            jac[:, j * d + e] = diff.ravel() / (2.0 * h)
+    return jac
+
+
 class TestJacobianFd:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_per_entry_oracle(self, n):
+        rng = np.random.default_rng(60 + n)
+        for d in range(1, 7):
+            x = rng.normal(size=(n, d)) * rng.uniform(0.1, 3.0)
+            x[rng.integers(n)] = -0.0  # a row of negative zeros
+            score = rng.normal(size=(d, d))
+            h = float(rng.uniform(1e-7, 1e-3))
+            want = jacobian_fd_oracle(x, score, h)
+            assert jacobian_fd(x, score, h=h).tobytes() == want.tobytes()
+            default_h = 1e-6 * (1.0 + float(np.max(np.abs(x))))
+            want = jacobian_fd_oracle(x, score, default_h)
+            assert jacobian_fd(x, score).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_input_gives_empty_jacobian(self, shape):
+        score = np.zeros((shape[1], shape[1]))
+        assert jacobian_fd(np.zeros(shape), score).shape == (0, 0)
+
     def test_fixed_weights_linear_map_kronecker(self):
         # a zero score matrix fixes the weights at 1/n: a linear map
         rng = np.random.default_rng(6)
@@ -375,6 +420,27 @@ class TestOptimalScoreMatrix:
             want = rank_m_descent_oracle(rows, m, starts=20, iters=300, stream=RngStream(2026, child))
             got = rank_m_descent(rows, m, starts=20, iters=300, stream=RngStream(2026, child))
             assert got == want
+
+    @pytest.mark.parametrize("starts", [1, 20])
+    def test_stacked_objective_matches_per_matrix_oracle(self, starts):
+        stream = RngStream(19, starts)
+        for n, d in [(6, 2), (13, 3), (24, 5)]:
+            x = center_rows(stream.gaussians(n, d).reshape(n, d))
+            x[0] = -0.0
+            stack = stream.gaussians(starts, d, d)
+            got = reconstruction_objective(x, stack)
+            want = np.array([reconstruction_objective_oracle(x, s) for s in stack])
+            assert got.shape == (starts,) and got.tobytes() == want.tobytes()
+
+    def test_closed_form_objective_matches_oracle(self):
+        stream = RngStream(20, 0)
+        for n, d, m in [(6, 2, 1), (13, 4, 2), (24, 5, 5)]:
+            rows = stream.gaussians(n, d).reshape(n, d)
+            sol = optimal_score_matrix_solution(rows, m)
+            assert type(sol.objective_value) is float
+            assert sol.objective_value == reconstruction_objective_oracle(
+                center_rows(rows), sol.matrix
+            )
 
     @pytest.mark.parametrize("rank", [0, 4])
     def test_descent_rejects_rank_outside_1_to_d(self, rank):

@@ -104,6 +104,8 @@ class EmbeddingDump:
         layer_count = int(np.frombuffer(raw, "<u4", count=1, offset=off + 4)[0])
         dim = int(np.frombuffer(raw, "<u4", count=1, offset=off + 8)[0])
         n = int(np.frombuffer(raw, "<u8", count=1, offset=off + 12)[0])
+        if dim < 1:
+            raise InvalidArgumentError(f"{path}: header declares dim {dim}; it must be positive")
         body = raw[HEADER_SIZE:]
         try:
             dtype = _record_dtype(dim)

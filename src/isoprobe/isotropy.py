@@ -9,6 +9,7 @@ pure function of (data, seed).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -111,41 +112,36 @@ class Clustering:
     mean_silhouette: float | None = None
 
 
-def _dist_sq(x, x_sq, centroids):
-    """Squared distances of the rows x to one (k, D) set of centroids, or
-    to each set of an (R, k, D) stack, as (n, k) or (R, n, k)."""
-    d2 = 2.0 * x @ np.swapaxes(centroids, -1, -2)
-    np.subtract(x_sq[:, None], d2, out=d2)
+def _dist_sq(twice, x_sq, centroids):
+    """Squared distances of the rows x, given as 2x and |x|^2 tiled to
+    (n, k), to each set of an (R, k, D) stack of centroids, as (R, n, k)."""
+    d2 = twice @ np.swapaxes(centroids, -1, -2)
+    np.subtract(x_sq, d2, out=d2)
     d2 += np.sum(centroids * centroids, axis=-1)[..., None, :]
     return np.maximum(d2, 0.0, out=d2)
 
 
 def _pair_dist_sq(left, left_sq, right, right_sq):
-    """Squared distances of the rows of left to the rows of right, as
-    (len(left), len(right)), from their squared norms: the expanded
-    -2 L R^T + (|l|^2 + |r|^2), with each entry within its round-off
-    bound of 0 recomputed from the difference, so it reads exactly 0
-    where the difference form does."""
+    """Squared distances of the rows of left, (..., p, D), to the rows of
+    right, as (..., p, len(right)), from their squared norms: the
+    expanded -2 L R^T + (|l|^2 + |r|^2), with each entry within its
+    round-off bound of 0 recomputed from the difference, so it reads
+    exactly 0 where the difference form does.  Each (p, D) slice of a
+    stacked left gets the bits of a call on its own."""
     # the expanded form's round-off is at most slack * (|l|^2 + |r|^2),
     # plus subnormal rounding far below the smallest normal float
     slack = (2 * right.shape[1] + 8) * np.finfo(np.float64).eps
     d2 = (-2.0 * left) @ right.T
-    d2 += right_sq + left_sq[:, None]
-    bound = slack * (right_sq.max() + left_sq[:, None]) + np.finfo(np.float64).tiny
+    d2 += right_sq + left_sq[..., None]
+    bound = slack * (right_sq.max() + left_sq[..., None]) + np.finfo(np.float64).tiny
     near = np.nonzero(d2 <= bound)
-    d2[near] = np.sum((left[near[0]] - right[near[1]]) ** 2, axis=1)
+    d2[near] = np.sum((left[near[:-1]] - right[near[-1]]) ** 2, axis=1)
     return d2
 
 
 def _kmeans_pp_init(rows, inverse, rows_sq, k, stream):
-    """k-means++ seeding (Arthur and Vassilvitskii 2007) of the full rows
-    rows[inverse], from the distinct rows and their squared norms.
-
-    Each pick indexes the full rows and draws what a seeding on them
-    draws; the distances run on the distinct rows (`_pair_dist_sq` of
-    the picked row, so one near 0 reads what the difference form reads
-    and the all-zero fallback fires where it would) and are gathered by
-    `inverse` for the pick."""
+    """k-means++ seeding of one init, drawing as it picks: the all-zero
+    fallback of `_kmeans_pp_seeds`."""
     n = inverse.size
     picks = [inverse[stream.uniform_choice(n)]]
     d2 = np.full(rows.shape[0], np.inf)
@@ -163,6 +159,46 @@ def _kmeans_pp_init(rows, inverse, rows_sq, k, stream):
     return rows[picks]
 
 
+def _kmeans_pp_seeds(prep, ks, restarts, stream):
+    """k-means++ seeding (Arthur and Vassilvitskii 2007) of `restarts`
+    inits per k in ks on the full rows prep.rows[prep.inverse], as one
+    (restarts, k, D) stack per k.
+
+    Every init's draws come first, in k then restart order: one
+    uniform_choice(n), then k - 1 uniform()s.  Then every init with
+    picks left takes its next one at once: one stacked `_pair_dist_sq`
+    of the picked rows, gathered by inverse for the full rows, and each
+    draw u picks the first full row whose distance cumsum exceeds
+    u * total.  Where an init's distances sum to 0, k-means++ draws a
+    uniform pick instead; then the stream is restored and every init
+    runs `_kmeans_pp_init` in turn."""
+    rows, inverse, rows_sq = prep.rows, prep.inverse, prep.sq
+    n, most = inverse.size, max(ks)
+    state = stream.generator.bit_generator.state
+    sizes = np.repeat(ks, restarts)
+    picks, draws = np.empty((sizes.size, most), dtype=np.int64), np.empty((sizes.size, most - 1))
+    for i, k in enumerate(sizes):
+        picks[i, 0] = inverse[stream.uniform_choice(n)]
+        draws[i, : k - 1] = stream.uniforms(k - 1)
+    d2 = np.full((sizes.size, rows.shape[0]), np.inf)
+    for step in range(1, most):
+        live = sizes > step
+        j = picks[live, step - 1]
+        dist = _pair_dist_sq(rows[j, None], rows_sq[j, None], rows, rows_sq)[:, 0]
+        d2[live] = np.minimum(dist, d2[live], out=dist)
+        full = dist[:, inverse]
+        total = full.sum(axis=1)
+        if (total <= 0.0).any():
+            stream.generator.bit_generator.state = state
+            inits = [_kmeans_pp_init(*prep[:3], k, stream) for k in sizes]
+            return [np.stack(inits[i : i + restarts]) for i in range(0, len(inits), restarts)]
+        cdf = np.cumsum(full, axis=1, out=full)
+        below = np.count_nonzero(cdf <= (draws[live, step - 1] * total)[:, None], axis=1)
+        picks[live, step] = inverse[np.minimum(below, n - 1)]
+    stacks = picks.reshape(len(ks), restarts, most)
+    return [rows[stack[:, :k]] for k, stack in zip(ks, stacks)]
+
+
 def _distinct_rows(x):
     """The byte-equal rows of x collapsed: the distinct rows in order of
     first occurrence, and each row's index among them.  Rows are keyed
@@ -178,14 +214,17 @@ def _distinct_rows(x):
     return x[first[order]], rank[inverse]
 
 
+# distinct rows, each full row's index among them, squared norms, copy counts,
+# the full rows grouped by distinct row (each group at starts) and 2 * rows
+_SelectionRows = namedtuple("_SelectionRows", "rows inverse sq weights copies starts twice")
+
+
 def _selection_rows(data):
-    """The distinct rows of a matrix, each full row's index among them
-    (`_distinct_rows`) and their squared norms: what k-means and the
-    silhouette of one selection share.  Two rows are at most 4 * max
-    squared norm apart, so every distance sum they form over the n rows
-    stays below 4 n max; past the float range it raises
-    NumericFailureError, as the expanded distances would read
-    inf - inf = NaN."""
+    """The distinct rows of a matrix (`_distinct_rows`) and what every k
+    and the silhouette of one selection share.  Two rows are at most
+    4 * max squared norm apart, so every distance sum they form over the
+    n rows stays below 4 n max; past the float range it raises
+    NumericFailureError, as the expanded distances would read NaN."""
     rows, inverse = _distinct_rows(data)
     with np.errstate(over="ignore"):
         rows_sq = np.sum(rows * rows, axis=1)
@@ -195,15 +234,17 @@ def _selection_rows(data):
             f"rows too large for k-means distances: squared norm {largest:.3g} "
             f"over {inverse.size} rows overflows"
         )
-    return rows, inverse, rows_sq
+    weights = np.bincount(inverse, minlength=rows.shape[0])
+    copies, starts = np.argsort(inverse, kind="stable"), np.cumsum(weights) - weights
+    return _SelectionRows(rows, inverse, rows_sq, weights, copies, starts, 2.0 * rows)
 
 
-def _lloyd(rows, inverse, inits, max_iter, tol):
+def _lloyd(prep, inits, max_iter, tol):
     """Lloyd iteration of every restart at once, on the byte-equal
-    distinct rows, each weighted by its copies (full row p is
-    rows[inverse[p]]), from an (R, k, D) stack of centroids that the
-    caller seeded on the full rows.  Returns one Clustering per restart,
-    with the full rows' assignment.
+    distinct rows of `_selection_rows`, each weighted by its copies
+    (full row p is rows[inverse[p]]), from an (R, k, D) stack of
+    centroids seeded on the full rows.  Returns one Clustering per
+    restart, with the full rows' assignment.
 
     Per iteration: one one-hot product, (members.T @ rows) / counts,
     whose one-hot columns carry the multiplicities.  An empty cluster is
@@ -211,36 +252,31 @@ def _lloyd(rows, inverse, inits, max_iter, tol):
     losing it; later repairs may take more copies of that row.  Ties go
     to the copy with the lowest full-row index, as on the full rows.  A
     restart leaves the active stack once its centroids move less than
-    tol, or after max_iter iterations.
+    tol, or after max_iter iterations; the stack's flat indices are
+    built once, and again only when a restart leaves it.
 
     Every product is a stacked matmul whose slices have the shapes of
     one restart's own products, (m, D) @ (D, k) and (k, m) @ (m, D),
     so each restart's bits are those of a run on its own: BLAS may
     round a row differently inside one wide concatenated product."""
     restarts, k = inits.shape[:2]
+    rows, weights, copies, starts = prep.rows, prep.weights, prep.copies, prep.starts
     m = rows.shape[0]
-    weights = np.bincount(inverse, minlength=m)
-    rows_sq = np.sum(rows * rows, axis=1)
-    copies = np.argsort(inverse, kind="stable")  # full rows by distinct row
-    starts = np.cumsum(weights) - weights
-    final = inits.copy()
-    iterations = np.zeros(restarts, dtype=np.int64)
-    active = np.arange(restarts)
-    centroids = inits
-    for _ in range(max_iter):
-        iterations[active] += 1
-        d2 = _dist_sq(rows, rows_sq, centroids)
+    sq = np.repeat(prep.sq[:, None], k, axis=1)  # tiled, so each subtraction is one long run
+    final, iterations = inits.copy(), np.full(restarts, max_iter)
+    active, centroids = np.arange(restarts), inits
+    for it in range(max_iter):
+        if it == 0 or not moving.all():  # the stack's flat bincount and one-hot indices
+            size, stack = active.size, np.arange(active.size)[:, None]
+            cells, one_hot, tiled = stack * k, (stack * m + np.arange(m)) * k, np.tile(weights, size)
+        d2 = _dist_sq(prep.twice, sq, centroids)
         assignment = np.argmin(d2, axis=2)
-        stack = np.arange(active.size)[:, None]
-        left = np.repeat(weights[None], active.size, axis=0)  # copies still in their nearest cluster
-        counts = np.bincount(
-            (stack * k + assignment).ravel(), weights=left.ravel(), minlength=active.size * k
-        ).reshape(-1, k)
-        members = np.zeros((active.size, m, k))
+        counts = np.bincount((cells + assignment).ravel(), tiled, size * k).reshape(size, k)
+        members = np.zeros((size, m, k))
+        members.ravel()[one_hot + assignment] = weights
         # each restart with an empty cluster repairs it on its own
-        empty = [] if counts.all() else np.flatnonzero((counts == 0).any(axis=1))
-        for a in empty:
-            r_assign, r_counts, r_left = assignment[a], counts[a], left[a]
+        for a in [] if counts.all() else np.flatnonzero((counts == 0).any(axis=1)):
+            r_assign, r_counts, r_left = assignment[a], counts[a], weights.copy()
             r_own = d2[a, np.arange(m), r_assign]
             for c in np.flatnonzero(r_counts == 0):
                 eligible = np.flatnonzero((r_left > 0) & (r_counts[r_assign] >= 2))
@@ -251,34 +287,44 @@ def _lloyd(rows, inverse, inits, max_iter, tol):
                 r_left[far] -= 1
                 r_counts[c] = 1
                 members[a, far, c] = 1.0
-        members[stack, np.arange(m), assignment] = left
+            members[a, np.arange(m), r_assign] = r_left  # copies still in their nearest cluster
         new_centroids = (np.swapaxes(members, 1, 2) @ rows) / counts[:, :, None]
-        shift = np.max(np.linalg.norm(new_centroids - centroids, axis=2), axis=1)
-        final[active] = new_centroids
+        step = new_centroids - centroids
+        shift = np.sqrt(np.max(np.sum(step * step, axis=2), axis=1))  # the largest centroid move
+        centroids = new_centroids
         moving = ~(shift < tol)  # a NaN shift keeps iterating, as one restart alone would
-        active, centroids = active[moving], new_centroids[moving]
-        if not active.size:
-            break
-    d2 = _dist_sq(rows, rows_sq, final)
+        if not moving.all():
+            final[active[~moving]] = centroids[~moving]
+            iterations[active[~moving]] = it + 1
+            active, centroids = active[moving], centroids[moving]
+            if not active.size:
+                break
+    final[active] = centroids
+    d2 = _dist_sq(prep.twice, sq, final)
     assignment = np.argmin(d2, axis=2)
     own = d2[np.arange(restarts)[:, None], np.arange(m), assignment]
     inertias = (own * weights).sum(axis=1)
+    assignment = assignment[:, prep.inverse]
     return [
-        Clustering(k, assignment[r][inverse], final[r], float(inertias[r]), int(iterations[r]))
+        Clustering(k, assignment[r], final[r], float(inertias[r]), int(iterations[r]))
         for r in range(restarts)
     ]
 
 
-def kmeans(x, k, stream, *, restarts=5, max_iter=300, tol=1e-8, distinct=None):
+_RESTARTS = 5  # k-means++ restarts per k, in kmeans and in a selection
+
+
+def kmeans(x, k, stream, *, restarts=_RESTARTS, max_iter=300, tol=1e-8, distinct=None, inits=None):
     """Best-of-restarts k-means++ with Lloyd iteration.
 
-    Every restart's k-means++ init is drawn first, picking full rows in
-    restart order (Lloyd draws nothing); then one Lloyd runs them all
-    on the byte-equal distinct rows weighted by their multiplicity.
-    Empty clusters are repaired by reseeding to the farthest point; the
-    winner is the restart with the lowest within-cluster sum of squares,
-    the first one on ties.  `distinct` is `_selection_rows(x)`, passed
-    by a caller that clusters the same rows more than once.
+    Every restart's k-means++ init is drawn first, in one
+    `_kmeans_pp_seeds` pass (Lloyd draws nothing); then one Lloyd runs
+    them all on the byte-equal distinct rows weighted by their
+    multiplicity.  Empty clusters are repaired by reseeding to the
+    farthest point; the winner is the restart with the lowest
+    within-cluster sum of squares, the first one on ties.  `distinct` is
+    `_selection_rows(x)`, and `inits` an (R, k, D) stack of seeds, from
+    a caller that clusters the same rows for several k.
     """
     data = as_matrix(x, "data")
     n = data.shape[0]
@@ -286,12 +332,11 @@ def kmeans(x, k, stream, *, restarts=5, max_iter=300, tol=1e-8, distinct=None):
         raise InvalidArgumentError(f"k must be in [1, {n}], got {k}")
     if restarts < 1:
         raise InvalidArgumentError(f"restarts must be >= 1, got {restarts}")
-    rows, inverse, rows_sq = _selection_rows(data) if distinct is None else distinct
-    inits = np.stack(
-        [_kmeans_pp_init(rows, inverse, rows_sq, k, stream) for _ in range(restarts)]
-    )
+    prep = _selection_rows(data) if distinct is None else distinct
+    if inits is None:
+        (inits,) = _kmeans_pp_seeds(prep, [k], restarts, stream)
     best = None
-    for clustering in _lloyd(rows, inverse, inits, max_iter, tol):
+    for clustering in _lloyd(prep, inits, max_iter, tol):
         if best is None or clustering.inertia < best.inertia:
             best = clustering
     return best
@@ -325,7 +370,7 @@ def silhouette(x, clusterings, *, distinct=None):
     n = data.shape[0]
     if min((c.k for c in clusterings), default=0) < 2:
         raise InvalidArgumentError("silhouette needs at least 2 clusters")
-    rows, inverse, _ = _selection_rows(data) if distinct is None else distinct
+    rows, inverse = (_selection_rows(data) if distinct is None else distinct)[:2]
     m = rows.shape[0]
     assignments = [np.asarray(c.assignment) for c in clusterings]
     offsets = np.cumsum([0] + [c.k for c in clusterings])
@@ -370,9 +415,10 @@ class ClusterSelection:
 def select_cluster_count(x, k_range, stream):
     """Pick the cluster count with the highest mean silhouette.
 
-    k-means runs for every feasible k first, in k order on the stream;
-    then one silhouette pass scores them all.  The rows are collapsed to
-    their distinct rows once, for every k and the silhouette.  Ties
+    The rows are collapsed to their distinct rows and set up once, for
+    every k and the silhouette.  One k-means++ pass seeds every (k,
+    restart) in k order on the stream; then kmeans runs each k's Lloyd
+    from its seeds, and one silhouette pass scores them all.  Ties
     resolve to the smallest k; a winning silhouette below 0.3 sets the
     low_silhouette flag (weak cluster structure)."""
     data = as_matrix(x, "data")
@@ -380,7 +426,10 @@ def select_cluster_count(x, k_range, stream):
     if not candidates:
         raise InvalidArgumentError("no feasible cluster counts in range")
     distinct = _selection_rows(data)
-    clusterings = [kmeans(data, k, stream, distinct=distinct) for k in candidates]
+    seeds = _kmeans_pp_seeds(distinct, candidates, _RESTARTS, stream)
+    clusterings = [
+        kmeans(data, k, stream, distinct=distinct, inits=s) for k, s in zip(candidates, seeds)
+    ]
     scored = silhouette(data, clusterings, distinct=distinct)
     for clustering, (_, mean_score) in zip(clusterings, scored):
         clustering.mean_silhouette = mean_score

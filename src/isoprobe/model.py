@@ -33,6 +33,7 @@ samples of one prompt share its cache in PagedAttention (Kwon et al.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -210,9 +211,16 @@ def attention_weights(queries, keys, causal):
     keys = np.asarray(keys, dtype=np.float64)
     scores = queries @ np.swapaxes(keys, -1, -2)
     if causal:
-        q, n = scores.shape[-2:]
-        scores[..., ~np.tril(np.ones((q, n), dtype=bool), n - q)] = -np.inf
+        scores[..., _future_mask(*scores.shape[-2:])] = -np.inf
     return _finite_softmax(scores, "attention weights")
+
+
+@functools.lru_cache(maxsize=64)
+def _future_mask(q, n):
+    """Keys after each query row i's position n - q + i; shared, so read-only."""
+    mask = ~np.tril(np.ones((q, n), dtype=bool), n - q)
+    mask.flags.writeable = False
+    return mask
 
 
 def causal_pass(params, windows, *, last_queries=None):

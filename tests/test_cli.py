@@ -950,6 +950,21 @@ class TestMalformedArtifacts:
         assert f"{dump_path}: layer {dump.layers[5]} record 5 holds nan at coordinate 3" in err
         assert "Traceback" not in err
 
+    def test_zero_width_dump_exits_2_naming_file(self, pipeline, tmp_path, capsys):
+        dirs, _ = pipeline
+        dump = EmbeddingDump.read(dirs["embed"] / "embeddings.isoemb")
+        flat = EmbeddingDump(
+            dim=0, layers=dump.layers, token_ids=dump.token_ids,
+            context_ids=dump.context_ids, vectors=dump.vectors[:, :0],
+        )
+        up = tmp_path / "up"
+        forge_run(up, {"embeddings.isoemb": flat.write(tmp_path / "x.isoemb").read_bytes()})
+        cfg = write_config(tmp_path / "c.cfg", out=str(tmp_path / "out"), embeddings=str(up))
+        assert run_cli("analyze", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert f"{up / 'embeddings.isoemb'}: header declares dim 0" in err
+        assert "Traceback" not in err
+
 
 class TestForgedModels:
     """A model that loads but cannot run ends in a typed error and its exit

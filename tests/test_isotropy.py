@@ -576,6 +576,15 @@ class TestChunkedSilhouette:
         assert_silhouettes_within_bound(got, silhouette_block_oracle(x, clusterings))
 
 
+def dist_sq_oracle(x, x_sq, centroids):
+    """Squared distances of the rows x to the (k, D) centroids, as
+    (n, k), in the expanded form Lloyd uses."""
+    d2 = 2.0 * x @ centroids.T
+    np.subtract(x_sq[:, None], d2, out=d2)
+    d2 += np.sum(centroids * centroids, axis=-1)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
+
+
 def lloyd_oracle(x, centroids, max_iter, tol):
     """Lloyd iteration on every full row (no deduplication)."""
     n, k = x.shape[0], centroids.shape[0]
@@ -583,7 +592,7 @@ def lloyd_oracle(x, centroids, max_iter, tol):
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        d2 = isotropy._dist_sq(x, x_sq, centroids)
+        d2 = dist_sq_oracle(x, x_sq, centroids)
         assignment = np.argmin(d2, axis=1)
         own = d2[np.arange(n), assignment]
         counts = np.bincount(assignment, minlength=k)
@@ -603,7 +612,7 @@ def lloyd_oracle(x, centroids, max_iter, tol):
         centroids = new_centroids
         if shift < tol:
             break
-    d2 = isotropy._dist_sq(x, x_sq, centroids)
+    d2 = dist_sq_oracle(x, x_sq, centroids)
     assignment = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(n), assignment].sum())
     return assignment, centroids, inertia, iterations
@@ -619,7 +628,7 @@ def lloyd_restart_oracle(rows, inverse, centroids, max_iter, tol):
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        d2 = isotropy._dist_sq(rows, rows_sq, centroids)
+        d2 = dist_sq_oracle(rows, rows_sq, centroids)
         assignment = np.argmin(d2, axis=1)
         own = d2[np.arange(m), assignment]
         counts = np.bincount(assignment, weights=weights, minlength=k)
@@ -645,7 +654,7 @@ def lloyd_restart_oracle(rows, inverse, centroids, max_iter, tol):
         centroids = new_centroids
         if shift < tol:
             break
-    d2 = isotropy._dist_sq(rows, rows_sq, centroids)
+    d2 = dist_sq_oracle(rows, rows_sq, centroids)
     assignment = np.argmin(d2, axis=1)
     inertia = float((d2[np.arange(m), assignment] * weights).sum())
     return assignment[inverse], centroids, inertia, iterations
@@ -653,7 +662,8 @@ def lloyd_restart_oracle(rows, inverse, centroids, max_iter, tol):
 
 def kmeans_pp_init_oracle(x, k, stream):
     """k-means++ seeding with difference-form distances over every full
-    row, the reference for the expanded distinct-row `_kmeans_pp_init`."""
+    row, the reference for the expanded distinct-row seeding pass
+    `_kmeans_pp_seeds` and its one-init fallback `_kmeans_pp_init`."""
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[stream.uniform_choice(n)]
@@ -779,9 +789,9 @@ class TestFusedSelection:
         base = rng.normal(size=(100, 6)) + 3.0
         x = base[rng.permutation(np.repeat(np.arange(100), rng.integers(1, 6, size=100)))]
         init = base[rng.choice(100, size=7, replace=False)]
-        rows, inverse = isotropy._distinct_rows(x)
-        assert rows.shape[0] == 100 < x.shape[0]
-        centroids = isotropy._lloyd(rows, inverse, init[None], 1, 0.0)[0].centroids
+        prep = isotropy._selection_rows(x)
+        assert prep.rows.shape[0] == 100 < x.shape[0]
+        centroids = isotropy._lloyd(prep, init[None], 1, 0.0)[0].centroids
         d2 = ((x[:, None, :] - init[None, :, :]) ** 2).sum(axis=2)
         first = np.argmin(d2, axis=1)
         means = np.array([x[first == c].mean(axis=0) for c in range(7)])
@@ -827,7 +837,7 @@ class TestStackedLloyd:
         if rows is far_off_rows:
             inits[1, :2] = 50.0 + np.arange(2)[:, None]
         distinct, inverse = isotropy._distinct_rows(x)
-        stacked = isotropy._lloyd(distinct, inverse, inits, max_iter, tol)
+        stacked = isotropy._lloyd(isotropy._selection_rows(x), inits, max_iter, tol)
         assert len(stacked) == 5
         for init, got in zip(inits, stacked):
             want = lloyd_restart_oracle(distinct, inverse, init, max_iter, tol)
@@ -841,7 +851,7 @@ class TestStackedLloyd:
         x = np.random.default_rng(71).normal(size=(300, 4))
         stream = RngStream(72, 0)
         inits = np.stack([kmeans_pp_init_oracle(x, 7, stream) for _ in range(5)])
-        stacked = isotropy._lloyd(x, np.arange(300), inits, 300, 1e-8)
+        stacked = isotropy._lloyd(isotropy._selection_rows(x), inits, 300, 1e-8)
         assert len({c.iterations for c in stacked}) > 1
         for init, got in zip(inits, stacked):
             want = lloyd_restart_oracle(x, np.arange(300), init, 300, 1e-8)
@@ -852,8 +862,8 @@ class TestStackedLloyd:
         # restarts 1 and 3 tie at the lowest inertia: the first one wins
         real = isotropy._lloyd
 
-        def tied(rows, inverse, inits, max_iter, tol):
-            out = real(rows, inverse, inits, max_iter, tol)
+        def tied(prep, inits, max_iter, tol):
+            out = real(prep, inits, max_iter, tol)
             for r, inertia in enumerate([3.0, 1.0, 2.0, 1.0, 1.5]):
                 out[r].inertia, out[r].iterations = inertia, r
             return out
@@ -870,24 +880,67 @@ def underflow_rows():
     return x
 
 
-def assert_same_picks(x, k, restarts=5):
-    """The expanded distinct-row init against the difference-form oracle:
-    the same centroid bytes for every restart, and the same stream state."""
-    stream, oracle_stream = RngStream(74, k), RngStream(74, k)
-    distinct = isotropy._selection_rows(x)
-    for _ in range(restarts):
-        got = isotropy._kmeans_pp_init(*distinct, k, stream)
-        assert got.tobytes() == kmeans_pp_init_oracle(x, k, oracle_stream).tobytes()
+def assert_same_picks(x, ks, stream, oracle_stream, restarts=5):
+    """The seeding pass of every k in ks at once against the difference-
+    form oracle run per k and restart: the same centroid bytes for every
+    init, and the same stream state."""
+    seeds = isotropy._kmeans_pp_seeds(isotropy._selection_rows(x), ks, restarts, stream)
+    assert len(seeds) == len(ks)
+    for k, stack in zip(ks, seeds):
+        assert stack.shape == (restarts, k, x.shape[1])
+        for got in stack:
+            assert got.tobytes() == kmeans_pp_init_oracle(x, k, oracle_stream).tobytes()
     assert rng_state(stream) == rng_state(oracle_stream)
 
 
+SEEDED_ROWS = [signed_zero_rows, repeated_rows, interleaved_rows, wide_rows, underflow_rows]
+
+
 class TestKmeansPlusPlusInit:
-    @pytest.mark.parametrize(
-        "rows", [signed_zero_rows, repeated_rows, interleaved_rows, wide_rows, underflow_rows]
-    )
+    @pytest.mark.parametrize("rows", SEEDED_ROWS)
     @pytest.mark.parametrize("k", range(1, 13))
     def test_picks_match_difference_form_oracle(self, rows, k):
-        assert_same_picks(rows(), k)
+        assert_same_picks(rows(), [k], RngStream(74, k), RngStream(74, k))
+
+    @pytest.mark.parametrize("rows", SEEDED_ROWS)
+    @pytest.mark.parametrize("ks", [range(2, 13), [5, 2, 12, 3], [1, 3]], ids=str)
+    def test_every_k_in_one_pass_matches_oracle(self, rows, ks):
+        assert_same_picks(rows(), list(ks), RngStream(78, 0), RngStream(78, 0))
+
+    @pytest.mark.parametrize("rows", SEEDED_ROWS)
+    def test_only_all_zero_distances_take_the_fallback(self, rows, monkeypatch):
+        # underflow_rows' difference-form distances sum to 0 once the picks
+        # cover its 3 groups; the others hold 4 or more distinct values,
+        # so at k <= 4 they seed in one lockstep pass
+        calls = []
+        real = isotropy._kmeans_pp_init
+        monkeypatch.setattr(
+            isotropy, "_kmeans_pp_init", lambda *args: calls.append(args[3]) or real(*args)
+        )
+        assert_same_picks(rows(), [2, 4], RngStream(79, 0), RngStream(79, 0), restarts=2)
+        assert calls == ([2, 2, 4, 4] if rows is underflow_rows else [])
+
+    @pytest.mark.parametrize("rows", [blob_rows, *SEEDED_ROWS])
+    def test_selection_matches_per_k_kmeans_loop_bit_for_bit(self, rows):
+        # one seeding pass for every k draws and picks what one kmeans
+        # call per k, in k order on the same stream, does
+        x = rows()
+        stream, loop_stream = RngStream(80, 0), RngStream(80, 0)
+        sel = select_cluster_count(x, range(2, 11), stream)
+        clusterings = [kmeans(x, k, loop_stream) for k in range(2, 11)]
+        scored = silhouette(x, clusterings)
+        assert sel.scores == {c.k: mean for c, (_, mean) in zip(clusterings, scored)}
+        assert_same_clustering(sel.clustering, clusterings[sel.best_k - 2], True)
+        assert rng_state(stream) == rng_state(loop_stream)
+
+    def test_selection_calls_kmeans_once_per_feasible_k(self, monkeypatch):
+        calls = []
+        real = isotropy.kmeans
+        monkeypatch.setattr(
+            isotropy, "kmeans", lambda x, k, *args, **kw: calls.append(k) or real(x, k, *args, **kw)
+        )
+        select_cluster_count(repeated_rows(), range(0, 20), RngStream(81, 0))
+        assert calls == list(range(2, 13))
 
     def test_zero_distances_fall_back_to_uniform_draws(self):
         # within each of the 3 groups of underflow_rows every difference-
@@ -895,13 +948,15 @@ class TestKmeansPlusPlusInit:
         # each later pick is a fallback uniform draw
         x = underflow_rows()
         distinct = isotropy._selection_rows(x)
-        assert distinct[0].shape[0] == 12
+        assert distinct.rows.shape[0] == 12
         assert np.all(np.sum((x[:4] - x[0]) ** 2, axis=1) == 0.0)
         stream, draws = RngStream(75, 0), []
         real = stream.uniform_choice
         stream.uniform_choice = lambda n: draws.append(n) or real(n)
-        isotropy._kmeans_pp_init(*distinct, 12, stream)
-        assert draws == [12] * (1 + 12 - 3)
+        isotropy._kmeans_pp_seeds(distinct, [12], 1, stream)
+        # the lockstep pass's first pick, whose draw the restore undoes,
+        # then the fallback's own draws
+        assert draws == [12] + [12] * (1 + 12 - 3)
 
     @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
     def test_overflowing_rows_raise_before_any_draw(self, scale):
@@ -969,13 +1024,7 @@ def test_picks_match_difference_form_on_criterion_8_matrices(criterion_8_points)
     # every k-means++ pick of the 80 sweep points, with each point's own
     # stream state, is the difference-form oracle's
     for matrix, k_range, recorded in criterion_8_points:
-        stream, oracle_stream = copy.deepcopy(recorded), copy.deepcopy(recorded)
-        distinct = isotropy._selection_rows(matrix)
-        for k in k_range:
-            for _ in range(5):
-                got = isotropy._kmeans_pp_init(*distinct, k, stream)
-                assert got.tobytes() == kmeans_pp_init_oracle(matrix, k, oracle_stream).tobytes()
-        assert rng_state(stream) == rng_state(oracle_stream)
+        assert_same_picks(matrix, list(k_range), copy.deepcopy(recorded), copy.deepcopy(recorded))
 
 
 @pytest.mark.slow
@@ -1011,7 +1060,7 @@ class TestDistinctRows:
         rng = np.random.default_rng(62)
         x = rng.normal(size=(120, 3))
         init = np.vstack([x[:4], np.full((2, 3), 50.0)])
-        (got,) = isotropy._lloyd(x, np.arange(120), init[None], 300, 1e-8)
+        (got,) = isotropy._lloyd(isotropy._selection_rows(x), init[None], 300, 1e-8)
         want = lloyd_oracle(x, init, 300, 1e-8)
         np.testing.assert_array_equal(got.assignment, want[0])
         assert got.centroids.tobytes() == want[1].tobytes()

@@ -87,15 +87,11 @@ class Run:
     def seed(self):
         return self.opts["seed"]
 
-    def model_default(self, key):
-        """A config value that defaults to the trained model's own setting."""
-        value = self.opts[key]
-        return self.meta[key] if value is None else value
-
     def windows(self, tok_cfg, context_length, horizon=0, stride=1, limit=None):
         """Tokenized windows of every loaded dataset, in name order, as
         one (windows, context_length + horizon) array; no window at all
-        is a config error naming context_length."""
+        is a config error naming context_length (the config's, or the
+        model's once a model is loaded) and the datasets."""
         # the empty block keeps the shape when no dataset is loaded
         blocks = [np.empty((0, context_length + horizon), dtype=np.int64)]
         blocks.extend(
@@ -104,8 +100,10 @@ class Run:
         )
         windows = np.concatenate(blocks)
         if not len(windows):
+            source = "config field" if self.meta is None else "model"
             raise ConfigError(
-                f"config field context_length: no dataset holds a window of "
+                f"{source} context_length {context_length}: none of the datasets "
+                f"[{', '.join(sorted(self.series))}] holds a window of "
                 f"{context_length + horizon} values"
             )
         return windows
@@ -224,18 +222,15 @@ def run_stage(stage, config_path, overrides, workers):
 
 
 def _synth_task(task):
-    mode, payload, length, seed, index, standardize = task
+    mode, payload, length, seed, index = task
     stream = RngStream(seed, index)
     name = payload[0] if mode == "table" else f"synth_{index:03d}"
     try:
         if mode == "table":
             spec = payload[1]
-            series = single_kernel_series(spec, length, stream, standardize_output=standardize)
+            series = single_kernel_series(spec, length, stream)
         else:
-            bank, max_kernels = payload
-            series = kernelsynth_sample(
-                bank, max_kernels, length, stream, standardize_output=standardize
-            )
+            series = kernelsynth_sample(*payload, length, stream)
     except GenerationFailureError as exc:
         exc.add_context(f"dataset {name} (seed {seed}, stream id {index})")
         raise
@@ -246,19 +241,19 @@ def _synth_task(task):
 def _synth(run):
     """Generate synthetic GP datasets (CSV + JSON sidecar + manifest)."""
     opt = run.opts
-    length, seed, standardize = opt["length"], run.seed, opt["standardize"]
+    length, seed = opt["length"], run.seed
     (run.out_dir / "datasets").mkdir(exist_ok=True)
     if opt["mode"] == "table":
         for key in ("count", "max_kernels"):
             if opt[key] is not None:
                 raise ConfigError(f"config field {key}: table mode does not read it")
         tasks = [
-            ("table", (name, spec), length, seed, i, standardize)
+            ("table", (name, spec), length, seed, i)
             for i, (name, spec) in enumerate(table_dataset_specs())
         ]
     elif opt["mode"] == "kernelsynth":
         tasks = [
-            ("kernelsynth", (default_bank(), opt["max_kernels"] or 5), length, seed, i, standardize)
+            ("kernelsynth", (default_bank(), opt["max_kernels"] or 5), length, seed, i)
             for i in range(opt["count"] or 10)
         ]
     else:
@@ -279,15 +274,13 @@ def _train(run):
     opt = run.opts
     if opt["rank"] > opt["dim"]:
         raise ConfigError(f"config field rank: {opt['rank']} exceeds dim {opt['dim']}")
-    tok_cfg = TokenizerConfig(
-        vocab_size=opt["vocab_size"], low=opt["clip_low"], high=opt["clip_high"]
-    )
+    tok_cfg = TokenizerConfig(vocab_size=opt["vocab_size"])
     # the TrainConfig fields that the checkpoint sidecar also records
     recorded = {
         key: opt[key]
         for key in ("learning_rate", "steps", "batch_size", "context_length", "horizon")
     }
-    train_cfg = TrainConfig(seed=run.seed, log_every=opt["log_every"], **recorded)
+    train_cfg = TrainConfig(seed=run.seed, **recorded)
     windows = run.windows(tok_cfg, train_cfg.context_length, train_cfg.horizon, opt["stride"])
     result = train(
         windows,
@@ -320,9 +313,8 @@ def _embed(run):
     opt = run.opts
     if opt["layers"] == []:
         raise ConfigError("config field layers: expected at least one layer id")
-    context_length = run.model_default("context_length")
     windows = run.windows(
-        run.tok_cfg, context_length, stride=opt["stride"], limit=opt["max_windows"]
+        run.tok_cfg, run.meta["context_length"], stride=opt["stride"], limit=opt["max_windows"]
     )
     dump = dump_embeddings(run.params, windows, layer_ids=opt["layers"])
     dump_path = dump.write(run.out_dir / "embeddings.isoemb")
@@ -344,7 +336,6 @@ def _analyze(run):
             RngStream(run.seed, layer),
             pair_budget=opt["pair_budget"],
             k_range=range(opt["k_min"], opt["k_max"] + 1),
-            eps_values=tuple(opt["eps"]),
         )
         layers.append(report.to_dict())
         for row in pca_plot_rows(report):
@@ -362,8 +353,9 @@ def _verify(run):
     opt = run.opts
     # the first `keep` windows of each dataset hold the first `keep` of all
     keep = opt["trace_windows"]
-    context_length, horizon = run.model_default("context_length"), run.model_default("horizon")
-    windows = run.windows(run.tok_cfg, context_length, horizon, 16, keep)[:keep]
+    windows = run.windows(
+        run.tok_cfg, run.meta["context_length"], run.meta["horizon"], 16, keep
+    )[:keep]
     sizes = ("heads", "bound_instances", "score_matrix_instances", "descent_starts",
              "descent_iters")
     checks = run_checks(
@@ -390,14 +382,12 @@ def _verify(run):
 def _eval(run):
     """Run a context-length or noise sweep and report verdicts."""
     opt = run.opts
-    if opt["variable"] == "context_length" and opt["context_length"] is not None:
-        raise ConfigError("config field context_length: a context_length sweep does not read it")
     sweep_cfg = SweepConfig(
         variable=opt["variable"],
         values=tuple(opt["values"]),
         seeds=tuple(range(run.seed, run.seed + opt["seeds"])),
-        horizon=run.model_default("horizon"),
-        context_length=run.model_default("context_length"),
+        horizon=run.meta["horizon"],
+        context_length=run.meta["context_length"],
         **{key: opt[key] for key in ("windows", "sample_count", "pair_budget", "k_max")},
     )
     datasets = {name: s.values for name, s in run.series.items()}
@@ -463,16 +453,15 @@ STAGES = (
     Stage(
         "synth",
         _synth,
-        {"mode": (str, "table"), "length": (int, 1024, 2), "standardize": (bool, True),
+        {"mode": (str, "table"), "length": (int, 1024, 2),
          # count and max_kernels are read in kernelsynth mode only
          "count": (int, None, 1), "max_kernels": (int, None, 1)},
     ),
     Stage(
         "train",
         _train,
-        {"vocab_size": (int, 512, 2), "clip_low": (float, -15.0), "clip_high": (float, 15.0),
-         "learning_rate": (float, 0.05), "steps": (int, 5000, 1), "batch_size": (int, 32, 1),
-         "context_length": (int, 16, 2), "horizon": (int, 4, 1), "log_every": (int, 50, 1),
+        {"vocab_size": (int, 512, 2), "learning_rate": (float, 0.05), "steps": (int, 5000, 1),
+         "batch_size": (int, 32, 1), "context_length": (int, 16, 2), "horizon": (int, 4, 1),
          "stride": (int, 1, 1), "dim": (int, 64, 1), "rank": (int, 16, 1),
          "layers": (int, 2, 1)},
         inputs=("data",),
@@ -480,24 +469,19 @@ STAGES = (
     Stage(
         "embed",
         _embed,
-        # context_length defaults to the model's
-        {"context_length": (int, None, 2), "stride": (int, 4, 1), "max_windows": (int, 64, 1),
-         "layers": (list[int], None)},
+        {"stride": (int, 4, 1), "max_windows": (int, 64, 1), "layers": (list[int], None)},
         inputs=("model", "data"),
     ),
     Stage(
         "analyze",
         _analyze,
-        {"pair_budget": (int, 10000, 1), "k_min": (int, 2, 2), "k_max": (int, 10),
-         "eps": (list[float], [0.8, 0.9])},
+        {"pair_budget": (int, 10000, 1), "k_min": (int, 2, 2), "k_max": (int, 10)},
         inputs=("embeddings",),
     ),
     Stage(
         "verify",
         _verify,
-        # context_length and horizon default to the model's
-        {"context_length": (int, None, 2), "horizon": (int, None, 1), "trace_windows": (int, 8, 1),
-         "heads": (int, 50, 1), "bound_instances": (int, 200, 1),
+        {"trace_windows": (int, 8, 1), "heads": (int, 50, 1), "bound_instances": (int, 200, 1),
          "score_matrix_instances": (int, 100, 1), "descent_starts": (int, 20, 1),
          "descent_iters": (int, 300, 1)},
         inputs=("model", "data"),
@@ -505,10 +489,8 @@ STAGES = (
     Stage(
         "eval",
         _eval,
-        # horizon and context_length default to the model's
         {"variable": (str, REQUIRED), "values": (list[float], REQUIRED), "seeds": (int, 20, 1),
-         "horizon": (int, None, 1), "windows": (int, 32, 1), "sample_count": (int, 20, 1),
-         "context_length": (int, None, 2), "pair_budget": (int, 10000, 1),
+         "windows": (int, 32, 1), "sample_count": (int, 20, 1), "pair_budget": (int, 10000, 1),
          "k_max": (int, 10, 2)},
         inputs=("model", "data"),
     ),

@@ -12,7 +12,7 @@ class IsoprobeError(Exception):
 
     def add_context(self, context):
         """Prefix ``context`` to the message, e.g. the dataset or sweep row
-        being processed; the type, attributes and exit code stay."""
+        being processed; the type and exit code stay."""
         self.args = (f"{context}: {self}",)
         return self
 
@@ -58,22 +58,14 @@ class NumericFailureError(IsoprobeError):
 
     exit_code = 5
 
-    def __init__(self, message, *, iterations=None, parameter=None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.parameter = parameter
-
 
 class NotPositiveSemidefiniteError(NumericFailureError):
     """Cholesky failed even after exhausting the jitter ladder."""
 
 
 class GenerationFailureError(NumericFailureError):
-    """GP sampling failed; carries the kernel tree that caused it."""
-
-    def __init__(self, message, *, kernel_tree=None):
-        super().__init__(message)
-        self.kernel_tree = kernel_tree
+    """GP sampling failed; the CLI names the dataset, seed and stream id
+    that regenerate the kernel tree."""
 
 
 class TrainingFailureError(NumericFailureError):

@@ -239,10 +239,7 @@ def sample_gp(kernel, length, stream):
     try:
         chol = cholesky_psd(gram)
     except Exception as exc:
-        raise GenerationFailureError(
-            f"GP covariance factorization failed: {exc}",
-            kernel_tree=kernel.to_dict(),
-        ) from exc
+        raise GenerationFailureError(f"GP covariance factorization failed: {exc}") from exc
     return chol.lower @ z, chol.jitter
 
 

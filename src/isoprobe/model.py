@@ -55,13 +55,6 @@ CHECKPOINT_MAGIC = b"ISOP"
 CHECKPOINT_VERSION = 1
 
 
-def softmax(logits):
-    """Numerically stable softmax along the last axis of the logits, in
-    one new buffer; the logits are left unchanged."""
-    z = np.asarray(logits, dtype=np.float64)
-    return _normalize(z - z.max(axis=-1, keepdims=True))[0]
-
-
 def _normalize(shifted):
     """Softmax of max-shifted logits, in place in their own buffer:
     (probabilities, row sums of the exponentials)."""
@@ -95,14 +88,11 @@ def mean_nll(logits, targets):
 
 @dataclass
 class AttentionLayer:
+    """One layer's rank-m factors of the score matrix W_Q @ W_K.T, which
+    the model attends through and never forms."""
+
     w_q: np.ndarray  # (D, m)
     w_k: np.ndarray  # (D, m)
-
-    @property
-    def score_matrix(self):
-        """The bilinear score matrix W_Q @ W_K.T (rank <= m).  The model
-        attends through the two factors and never forms it."""
-        return self.w_q @ self.w_k.T
 
 
 @dataclass
@@ -180,12 +170,13 @@ def init_params(vocab_size, dim, rank, layer_count, stream):
     return ModelParams(embed, layers)
 
 
-def _finite_softmax(logits, what):
-    """softmax of a fresh float64 logit buffer, in place, refusing a
-    non-finite result: an overflow upstream leaves inf - inf = NaN rows,
-    which would sample as token 0.  After the max-shift every entry is
-    NaN or at most 1, and the row maximum is 1, so a row's probabilities
-    are all finite exactly when its sum is."""
+def softmax(logits, what):
+    """Numerically stable softmax along the last axis of a fresh float64
+    logit buffer, in place, refusing a non-finite result (``what`` names
+    the values in the error): an overflow upstream leaves inf - inf = NaN
+    rows, which would sample as token 0.  After the max-shift every entry
+    is NaN or at most 1, and the row maximum is 1, so a row's
+    probabilities are all finite exactly when its sum is."""
     logits -= logits.max(axis=-1, keepdims=True)
     probs, total = _normalize(logits)
     if not np.all(np.isfinite(total)):
@@ -212,7 +203,7 @@ def attention_weights(queries, keys, causal):
     scores = queries @ np.swapaxes(keys, -1, -2)
     if causal:
         scores[..., _future_mask(*scores.shape[-2:])] = -np.inf
-    return _finite_softmax(scores, "attention weights")
+    return softmax(scores, "attention weights")
 
 
 @functools.lru_cache(maxsize=64)
@@ -267,7 +258,7 @@ def forward(tokens, params):
     """
     activations, _ = causal_pass(params, tokens)
     logits = (activations[-1][:, -1:] @ params.embed.T)[:, 0]
-    return ForwardTrace(activations, logits, _finite_softmax(logits.copy(), "head probabilities"))
+    return ForwardTrace(activations, logits, softmax(logits.copy(), "head probabilities"))
 
 
 def grad(params, windows, context_length, horizon):
@@ -324,9 +315,7 @@ def grad(params, windows, context_length, horizon):
         (f"layer{idx}", g) for idx, pair in enumerate(d_layers) for g in pair
     ]:
         if not np.all(np.isfinite(grad_arr)):
-            raise NumericFailureError(
-                f"non-finite gradient for parameter {name}", parameter=name
-            )
+            raise NumericFailureError(f"non-finite gradient for parameter {name}")
     return Gradients(d_embed, d_layers), total_loss
 
 
@@ -369,8 +358,7 @@ def train(windows, cfg, *, dim=64, rank=16, layer_count=2, vocab_size=512):
         elif step_loss > 1e3 * initial:
             raise TrainingFailureError(
                 f"training diverged at step {step}: loss {step_loss:g} "
-                f"vs initial {initial:g}",
-                iterations=step,
+                f"vs initial {initial:g}"
             )
         params.embed -= cfg.learning_rate * grads.embed
         for layer, (dwq, dwk) in zip(params.layers, grads.layers):
@@ -441,12 +429,12 @@ def forecast(params, trace, horizon, sample_count=20, *, stream, tok_cfg, scale)
             keys[:, :, step] = row @ layer.w_k
             query = row @ layer.w_q
             own = np.einsum("csjm,csm->csj", keys[:, :, : step + 1], query)
-            weights = _finite_softmax(
+            weights = softmax(
                 np.concatenate([query @ shared_keys, own], axis=-1), "attention weights"
             )
             row = weights[..., :n] @ context_rows
             row += np.einsum("csj,csjd->csd", weights[..., n:], rows[:, :, : step + 1])
-        probs = _finite_softmax(row @ params.embed.T, "head probabilities")
+        probs = softmax(row @ params.embed.T, "head probabilities")
     values = detokenize(trajectories, np.reshape(scale, (-1, 1, 1)), tok_cfg)
     return trajectories, values.mean(axis=1)
 

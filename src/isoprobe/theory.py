@@ -33,7 +33,8 @@ from .errors import (
     InvalidArgumentError,
     RankDeficiencyError,
 )
-from .model import attention_weights, causal_pass, mean_nll, softmax
+from . import model
+from .model import attention_weights, causal_pass, mean_nll
 from .numerics import as_matrix, spectral_norm, sym_eigendecompose
 
 
@@ -332,10 +333,14 @@ def check_shift_attack(logits, targets, heads, stream):
 
 
 def check_softmax_shift(logits):
-    """Softmax of (at most 64 of) the logit rows ignores constant shifts."""
+    """Softmax of (at most 64 of) the logit rows ignores constant shifts.
+    It is the model's own softmax, the one its heads and attention run,
+    looked up on the model module at call time, each call on a fresh
+    buffer."""
     rows = logits[:64, None, :]
-    shifted = softmax(rows + np.array([-10.0, 3.7, 100.0])[:, None])
-    max_tv = 0.5 * float(np.abs(shifted - softmax(rows)).sum(axis=-1).max())
+    shifted = model.softmax(rows + np.array([-10.0, 3.7, 100.0])[:, None], "shifted logits")
+    unshifted = model.softmax(rows.copy(), "logits")
+    max_tv = 0.5 * float(np.abs(shifted - unshifted).sum(axis=-1).max())
     return _record("softmax_shift_invariance", max_tv <= 1e-12, max_tv_distance=max_tv)
 
 

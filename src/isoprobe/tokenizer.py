@@ -44,21 +44,6 @@ class TokenizerConfig:
         }
 
 
-def fit_scale(context):
-    """Mean absolute value of the context; falls back to 1 for all zeros.
-
-    Fit on the context window only, never the forecast region.
-    """
-    x = np.asarray(context, dtype=np.float64)
-    if x.size == 0:
-        raise InvalidArgumentError("cannot fit a scale on an empty context")
-    if not np.all(np.isfinite(x)):
-        bad = int(np.flatnonzero(~np.isfinite(x))[0])
-        raise InvalidArgumentError(f"non-finite context value at index {bad}")
-    scale = float(np.mean(np.abs(x)))
-    return scale if scale > 0.0 else 1.0
-
-
 def _bin(scaled, cfg):
     """Token ids of scaled values, any shape; clips ``scaled`` in place."""
     np.clip(scaled, cfg.low, cfg.high, out=scaled)
@@ -83,9 +68,10 @@ def tokenize_windows(values, cfg, context_length, horizon=0, stride=1, limit=Non
     values, one every ``stride`` steps, the first ``limit`` only when
     given, as one (windows, span) int64 array.
 
-    Each window is scaled by ``fit_scale`` of its first ``context_length``
-    values, its context, and binned as ``tokenize`` bins it, in one array
-    pass over all windows.  A non-finite value in a window raises
+    Each window is divided by the mean absolute value of its first
+    ``context_length`` values, its context (1 when they are all zero),
+    and binned as ``tokenize`` bins it, in one array pass over all
+    windows.  A non-finite value in a window raises
     InvalidArgumentError naming its index in ``values``.
     """
     if context_length < 1:
@@ -101,8 +87,9 @@ def tokenize_windows(values, cfg, context_length, horizon=0, stride=1, limit=Non
 def _scaled_windows(windows, starts, cfg, context_length):
     """Token ids and scales of a (B, span) stack of series windows, row
     b starting at index starts[b] of the series: each row is divided by
-    ``fit_scale`` of its first ``context_length`` values and binned as
-    ``tokenize`` bins it, in one array pass.  A non-finite value raises
+    the mean absolute value of its first ``context_length`` values (1
+    when they are all zero) and binned as ``tokenize`` bins it, in one
+    array pass.  A non-finite value raises
     InvalidArgumentError naming its index in the series."""
     bad = ~np.isfinite(windows)
     if bad.any():

@@ -45,6 +45,15 @@ def write_config(path, **kv):
     return path
 
 
+def write_float_config(path, out, line):
+    """A config whose third line is `line`, setting train's scalar
+    learning_rate or an element of eval's values; returns the command."""
+    command = "eval" if line.startswith("values") else "train"
+    rest = 'model = "m"\nvariable = "noise_sigma"\n' if command == "eval" else ""
+    Path(path).write_text(f'out = "{out}"\ndata = "d"\n{line}\n{rest}')
+    return command
+
+
 def build_pipeline(root, seed=11):
     """Run synth -> train -> embed -> analyze -> verify -> eval -> report
     with a smoke-scale config; returns the per-stage run dirs."""
@@ -236,7 +245,7 @@ class TestPipelineArtifacts:
         with (dirs["train"] / "loss_curve.csv").open(newline="") as handle:
             assert handle.readline() == "step,loss\n"
             rows = list(csv.reader(handle))
-        # one numeric row per log_every (default 50) of the 200 steps
+        # one numeric row per TrainConfig.log_every (50) of the 200 steps
         assert [int(step) for step, _ in rows] == [0, 50, 100, 150]
         assert all(math.isfinite(float(loss)) for _, loss in rows)
 
@@ -334,18 +343,14 @@ class TestPipelineArtifacts:
             return real(values, cfg, context_length, horizon, *args)
 
         monkeypatch.setattr(cli, "tokenize_windows", recorded)
-        sizes = dict(heads=2, bound_instances=2, score_matrix_instances=1, descent_starts=1,
-                     descent_iters=5, trace_windows=2)
-        # the model's context 8 and horizon 2 unless the config sets them
-        for name, keys, want in (("model", {}, (8, 2)),
-                                 ("config", {"context_length": 4, "horizon": 1}, (4, 1))):
-            cfg = write_config(
-                tmp_path / f"{name}.cfg", out=str(tmp_path / name), model=str(tmp_path / "t"),
-                data=str(dirs["synth"]), datasets=["seasonality_2"], **sizes, **keys,
-            )
-            assert run_cli("verify", "--config", cfg) == 0
-            assert spans == [want]
-            spans.clear()
+        cfg = write_config(
+            tmp_path / "v.cfg", out=str(tmp_path / "v"), model=str(tmp_path / "t"),
+            data=str(dirs["synth"]), datasets=["seasonality_2"], heads=2, bound_instances=2,
+            score_matrix_instances=1, descent_starts=1, descent_iters=5, trace_windows=2,
+        )
+        assert run_cli("verify", "--config", cfg) == 0
+        # the model's context 8 and horizon 2
+        assert spans == [(8, 2)]
 
     def test_verify_report_all_passed(self, pipeline):
         dirs, _ = pipeline
@@ -569,19 +574,47 @@ class TestConfigErrors:
         assert run_cli(command, "--config", cfg) == 2
         assert "config field stride" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("log_every", [0, -5])
-    def test_log_every_below_one_exits_2_before_training(
-        self, pipeline, tmp_path, capsys, log_every
+    # keys whose value is the library's default or the trained model's own
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("synth", "standardize", True),
+            ("train", "clip_low", -15.0),
+            ("train", "clip_high", 15.0),
+            ("train", "log_every", 50),
+            pytest.param("analyze", "eps", [0.8, 0.9], id="analyze-eps"),
+            ("embed", "context_length", 16),
+            ("verify", "context_length", 16),
+            ("verify", "horizon", 4),
+            ("eval", "context_length", 16),
+            ("eval", "horizon", 4),
+        ],
+    )
+    def test_key_no_stage_declares_exits_2_naming_it(
+        self, tmp_path, capsys, command, key, value
+    ):
+        cfg = write_config(tmp_path / "c.cfg", out=str(tmp_path / "o"), **{key: value})
+        assert run_cli(command, "--config", cfg) == 2
+        assert f"{command}: unknown config key {key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["embed", "verify"])
+    def test_data_shorter_than_the_model_window_exits_2(
+        self, pipeline, tmp_path, capsys, command
     ):
         dirs, _ = pipeline
-        out = tmp_path / "o"
+        short = tmp_path / "short"
+        synth_cfg = write_config(tmp_path / "s.cfg", out=str(short), length=8)
+        assert run_cli("synth", "--config", synth_cfg) == 0
         cfg = write_config(
-            tmp_path / "c.cfg", out=str(out), data=str(dirs["synth"]),
-            datasets=["seasonality_2"], steps=2, log_every=log_every,
+            tmp_path / "c.cfg", out=str(tmp_path / "o"), model=str(dirs["train"]),
+            data=str(short), datasets=["seasonality_2", "trend_1"],
         )
-        assert run_cli("train", "--config", cfg) == 2
-        assert "log_every" in capsys.readouterr().err
-        assert not (out / "model.isop").exists()
+        assert run_cli(command, "--config", cfg) == 2
+        err = capsys.readouterr().err
+        # 8 values against the model's context of 16
+        assert "model context_length 16: none of the datasets [seasonality_2, trend_1]" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "command, key, value",
@@ -600,10 +633,6 @@ class TestConfigErrors:
             ("verify", "descent_starts", 0),
             ("verify", "descent_iters", 0),
             ("verify", "trace_windows", 0),
-            ("verify", "context_length", 1),
-            ("verify", "horizon", 0),
-            ("eval", "context_length", 1),
-            ("eval", "horizon", 0),
             ("synth", "length", 1),
             ("synth", "count", 0),
             ("synth", "max_kernels", 0),
@@ -616,22 +645,17 @@ class TestConfigErrors:
             ("train", "rank", 0),
             ("train", "layers", 0),
             ("train", "rank", 65),  # above the default dim 64
-            ("embed", "context_length", 1),
             ("embed", "max_windows", 0),
             pytest.param("embed", "layers", [], id="embed-layers-empty"),
-            ("embed", "context_length", 4096),  # longer than every series
-            ("train", "context_length", 4096),
-            ("verify", "context_length", 4096),
+            ("train", "context_length", 4096),  # longer than every series
             # a key the chosen mode does not read
             ("synth", "count", 3),  # table mode
             ("synth", "max_kernels", 3),
-            ("eval", "context_length", 8),  # a context_length sweep
             pytest.param("report", "runs", [], id="report-runs-empty"),
             # a list-valued key checks its elements' type
             pytest.param("embed", "layers", [1.5], id="embed-layers-float"),
             pytest.param("embed", "layers", ["a"], id="embed-layers-str"),
             pytest.param("embed", "layers", [True], id="embed-layers-bool"),
-            pytest.param("analyze", "eps", [0.8, "x"], id="analyze-eps-str"),
             pytest.param("eval", "values", ["a", 2], id="eval-values-str"),
             pytest.param("eval", "values", [False, 0.05], id="eval-values-bool"),
             pytest.param("train", "datasets", [1], id="train-datasets-int"),
@@ -658,22 +682,24 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "line", ["learning_rate = NaN", "learning_rate = Infinity", "learning_rate = -Infinity",
-                 "learning_rate = 1e999", "clip_low = [-Infinity]"],
+                 "learning_rate = 1e999", "values = [0.0, -Infinity]"],
     )
     def test_non_finite_number_exits_2_naming_line_and_key(self, tmp_path, capsys, line):
         cfg = tmp_path / "t.cfg"
-        cfg.write_text(f'out = "{tmp_path / "o"}"\ndata = "d"\n{line}\n')
-        assert run_cli("train", "--config", cfg) == 2
+        command = write_float_config(cfg, tmp_path / "o", line)
+        assert run_cli(command, "--config", cfg) == 2
         err = capsys.readouterr().err
         key = line.split(" = ")[0]
         assert f"{cfg}:3" in err and f"'{key}'" in err and "finite" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("line", ["learning_rate = 1" + "0" * 400, "clip_low = -1" + "0" * 400])
+    @pytest.mark.parametrize(
+        "line", ["learning_rate = 1" + "0" * 400, "values = [0.0, -1" + "0" * 400 + "]"]
+    )
     def test_integer_too_large_for_a_float_exits_2_naming_key(self, tmp_path, capsys, line):
         cfg = tmp_path / "t.cfg"
-        cfg.write_text(f'out = "{tmp_path / "o"}"\ndata = "d"\n{line}\n')
-        assert run_cli("train", "--config", cfg) == 2
+        command = write_float_config(cfg, tmp_path / "o", line)
+        assert run_cli(command, "--config", cfg) == 2
         err = capsys.readouterr().err
         key = line.split(" = ")[0]
         assert f"config field {key}" in err and "too large for a float" in err

@@ -18,7 +18,8 @@ from isoprobe.kernels import add_noise
 from isoprobe.model import causal_pass, forecast, forward, init_params
 from isoprobe.numerics import RngStream
 from isoprobe.theory import isotropy_partition
-from isoprobe.tokenizer import TokenizerConfig, detokenize, fit_scale, tokenize
+from isoprobe.tokenizer import TokenizerConfig, detokenize, tokenize
+from test_tokenizer import fit_scale
 
 
 def evaluate_point_oracle(

@@ -223,23 +223,22 @@ class TestKernelSynthSample:
         assert series.values.std() == pytest.approx(1.0, rel=1e-10)
         assert series.origin["standardized"] is True
 
-    def test_generation_failure_carries_tree(self, monkeypatch):
+    def test_generation_failure_names_the_factorization(self, monkeypatch):
         def boom(_):
             raise RuntimeError("forced")
 
         monkeypatch.setattr("isoprobe.kernels.cholesky_psd", boom)
-        with pytest.raises(GenerationFailureError) as err:
+        with pytest.raises(GenerationFailureError, match="factorization failed: forced") as err:
             kernelsynth_sample((RBF(1.0),), max_kernels=1, length=8, stream=RngStream(0, 0))
-        assert err.value.kernel_tree == {"kernel": "rbf", "length_scale": 1.0}
+        assert err.value.exit_code == 5
 
-    def test_context_keeps_type_and_attributes_across_pickling(self):
+    def test_context_keeps_type_and_message_across_pickling(self):
         # a worker pool pickles the error raised in a worker
-        exc = GenerationFailureError("forced", kernel_tree={"kernel": "rbf"})
+        exc = GenerationFailureError("forced")
         exc.add_context("dataset nonlinear_1 (seed 3, stream id 6)")
         clone = pickle.loads(pickle.dumps(exc))
         assert type(clone) is GenerationFailureError and clone.exit_code == 5
         assert str(clone) == "dataset nonlinear_1 (seed 3, stream id 6): forced"
-        assert clone.kernel_tree == {"kernel": "rbf"}
 
 
 class TestNoiseAndIO:

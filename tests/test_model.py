@@ -30,11 +30,24 @@ from isoprobe.model import (
     load_checkpoint,
     mean_nll,
     save_checkpoint,
-    softmax,
     train,
 )
 from isoprobe.numerics import RngStream
-from isoprobe.tokenizer import TokenizerConfig, detokenize, fit_scale, tokenize
+from isoprobe.tokenizer import TokenizerConfig, detokenize, tokenize
+from test_tokenizer import fit_scale
+
+
+def softmax(logits):
+    """Numerically stable softmax along the last axis, in one new buffer:
+    the reference for the model's in-place `model.softmax`."""
+    z = np.asarray(logits, dtype=np.float64)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def full_score_matrix(layer):
+    """A layer's D x D score matrix W_Q @ W_K.T, which the model never forms."""
+    return layer.w_q @ layer.w_k.T
 
 
 def random_params(rng, vocab_size, dim, rank, layer_count, scale=0.5):
@@ -79,7 +92,7 @@ def causal_pass_oracle(params, windows):
     """Every layer's output rows through the D x D score matrices."""
     acts = [params.embed[np.asarray(windows)]]
     for layer in params.layers:
-        acts.append(attention_weights_oracle(acts[-1], layer.score_matrix, True) @ acts[-1])
+        acts.append(attention_weights_oracle(acts[-1], full_score_matrix(layer), True) @ acts[-1])
     return acts
 
 
@@ -92,7 +105,7 @@ def grad_oracle(params, windows, context_length, horizon):
     d_layers = [
         (np.zeros_like(l.w_q), np.zeros_like(l.w_k)) for l in params.layers
     ]
-    score_matrices = [l.score_matrix for l in params.layers]
+    score_matrices = [full_score_matrix(l) for l in params.layers]
     pred_rows = np.arange(context_length - 1, context_length + horizon - 1)
     total_loss = 0.0
     for window in windows:
@@ -641,12 +654,12 @@ class TestDecodeBuffers:
         head = 8 * contexts * paths * vocab
         assert peak - cache < 3 * head
 
-    def test_softmax_leaves_its_logits_unchanged(self):
+    def test_softmax_normalizes_its_own_buffer(self):
         logits = np.random.default_rng(6).normal(size=(5, 7))
-        before = logits.copy()
-        probs = softmax(logits)
-        assert logits.tobytes() == before.tobytes()
-        assert not np.shares_memory(probs, logits)
+        want = softmax(logits)
+        probs = model.softmax(logits, "logits")
+        assert np.shares_memory(probs, logits)
+        assert probs.tobytes() == want.tobytes()
 
     def test_forward_keeps_its_logits(self):
         params = random_params(np.random.default_rng(7), 8, 4, 2, 2)
@@ -687,23 +700,6 @@ class TestInvariants:
         permuted = ModelParams(new_embed, params.layers)
         _, relabeled = grad(permuted, perm[wins], 4, 2)
         assert relabeled == pytest.approx(base, abs=1e-12)
-
-
-    def test_no_model_path_forms_the_score_matrix(self, monkeypatch):
-        def refuse(layer):
-            raise AssertionError("the D x D score matrix was formed")
-
-        monkeypatch.setattr(AttentionLayer, "score_matrix", property(refuse))
-        rng = np.random.default_rng(19)
-        params = random_params(rng, 16, 6, 2, 2)
-        wins = rng.integers(0, 16, size=(3, 7))
-        grad(params, wins, 4, 3)
-        trace = forward(wins, params)
-        forecast(
-            params, trace, horizon=3, sample_count=2, stream=RngStream(0, 0),
-            tok_cfg=TokenizerConfig(vocab_size=16), scale=np.ones(3),
-        )
-        assert dump_embeddings(params, wins).record_count == 2 * wins.size
 
 
 class TestDumpAndCheckpoint:

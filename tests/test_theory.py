@@ -12,9 +12,9 @@ from isoprobe.errors import (
     InvalidArgumentError,
     RankDeficiencyError,
 )
-from isoprobe.model import TrainConfig, attention_weights, mean_nll, softmax, train
+from isoprobe.model import TrainConfig, attention_weights, mean_nll, train
 from isoprobe.numerics import RngStream, spectral_norm
-from isoprobe import theory
+from isoprobe import model, theory
 from isoprobe.theory import (
     ApproxSweepRow,
     center_rows,
@@ -30,6 +30,7 @@ from isoprobe.theory import (
     shift_attack,
     optimal_score_matrix_solution,
 )
+from test_model import softmax
 
 
 def shift_attack_oracle(logits, targets, heads, stream):
@@ -263,6 +264,25 @@ class TestShiftAttack:
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidArgumentError):
             check_shift_attack(np.array([[np.inf, 0.0]]), np.array([0]), 1, RngStream(0, 0))
+
+
+class TestSoftmaxShiftCheck:
+    def test_passes_and_leaves_the_logits_unchanged(self):
+        logits = np.random.default_rng(3).normal(size=(80, 512)) * 3.0
+        before = logits.copy()
+        record = theory.check_softmax_shift(logits)
+        assert record["passed"], record
+        assert logits.tobytes() == before.tobytes()
+
+    def test_fails_when_the_head_softmax_is_broken(self, monkeypatch):
+        # a softmax that clips its logits instead of max-shifting them is
+        # not shift invariant; the check must run the model's own softmax
+        real = model.softmax
+        monkeypatch.setattr(
+            model, "softmax", lambda logits, what: real(np.minimum(logits, 50.0), what)
+        )
+        logits = np.random.default_rng(4).normal(size=(8, 32)) * 3.0
+        assert not theory.check_softmax_shift(logits)["passed"]
 
 
 def complex_attention(x, score):

@@ -1,4 +1,4 @@
-"""Tests for scale fitting, tokenization, and the roundtrip bound."""
+"""Tests for context scaling, tokenization, and the roundtrip bound."""
 
 import math
 
@@ -12,30 +12,44 @@ from isoprobe.kernels import RBF, kernelsynth_sample
 from isoprobe.numerics import RngStream
 from isoprobe.tokenizer import (
     TokenizerConfig,
+    _scaled_windows,
     detokenize,
-    fit_scale,
     tokenize,
     tokenize_windows,
 )
 
 
-class TestFitScale:
+def fit_scale(context):
+    """Mean absolute value of one context, 1 for all zeros: the per-window
+    reference for the scales tokenize_windows fits in one array pass."""
+    scale = float(np.mean(np.abs(np.asarray(context, dtype=np.float64))))
+    return scale if scale > 0.0 else 1.0
+
+
+def context_scale(context):
+    """The scale the library fits on one context window."""
+    window = np.asarray(context, dtype=np.float64)[None]
+    return float(_scaled_windows(window, [0], TokenizerConfig(), window.shape[1])[1][0])
+
+
+class TestContextScale:
     def test_alternating_units(self):
-        assert fit_scale([1.0, -1.0, 1.0, -1.0]) == 1.0
+        assert context_scale([1.0, -1.0, 1.0, -1.0]) == 1.0
 
     def test_all_zero_fallback(self):
-        assert fit_scale(np.zeros(10)) == 1.0
+        assert context_scale(np.zeros(10)) == 1.0
 
     def test_half_normal_mean(self):
         # mean |x| of N(0, sigma) is sigma * sqrt(2/pi)
         x = RngStream(1, 0).gaussians(10_000) * 2.0
-        assert fit_scale(x) == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), rel=0.03)
+        assert context_scale(x) == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), rel=0.03)
+        assert context_scale(x) == fit_scale(x)
 
     def test_rejects_empty_and_nonfinite(self):
-        with pytest.raises(InvalidArgumentError):
-            fit_scale([])
+        with pytest.raises(InvalidArgumentError, match="context_length"):
+            tokenize_windows([1.0, 2.0], TokenizerConfig(), 0)
         with pytest.raises(InvalidArgumentError, match="index 2"):
-            fit_scale([1.0, 2.0, np.inf])
+            context_scale([1.0, 2.0, np.inf])
 
 
 class TestTokenize:

@@ -139,42 +139,21 @@ def _pair_dist_sq(left, left_sq, right, right_sq):
     return d2
 
 
-def _kmeans_pp_init(rows, inverse, rows_sq, k, stream):
-    """k-means++ seeding of one init, drawing as it picks: the all-zero
-    fallback of `_kmeans_pp_seeds`."""
-    n = inverse.size
-    picks = [inverse[stream.uniform_choice(n)]]
-    d2 = np.full(rows.shape[0], np.inf)
-    for _ in range(1, k):
-        j = picks[-1]
-        np.minimum(d2, _pair_dist_sq(rows[j : j + 1], rows_sq[j : j + 1], rows, rows_sq)[0], out=d2)
-        full = d2[inverse]
-        total = float(full.sum())
-        if total <= 0.0:
-            idx = stream.uniform_choice(n)
-        else:
-            u = stream.uniform() * total
-            idx = min(int(np.searchsorted(np.cumsum(full), u, side="right")), n - 1)
-        picks.append(inverse[idx])
-    return rows[picks]
-
-
 def _kmeans_pp_seeds(prep, ks, restarts, stream):
     """k-means++ seeding (Arthur and Vassilvitskii 2007) of `restarts`
     inits per k in ks on the full rows prep.rows[prep.inverse], as one
     (restarts, k, D) stack per k.
 
     Every init's draws come first, in k then restart order: one
-    uniform_choice(n), then k - 1 uniform()s.  Then every init with
-    picks left takes its next one at once: one stacked `_pair_dist_sq`
-    of the picked rows, gathered by inverse for the full rows, and each
-    draw u picks the first full row whose distance cumsum exceeds
-    u * total.  Where an init's distances sum to 0, k-means++ draws a
-    uniform pick instead; then the stream is restored and every init
-    runs `_kmeans_pp_init` in turn."""
+    uniform_choice(n), then k - 1 uniform()s, whatever the data.  Then
+    every init with picks left takes its next one at once: one stacked
+    `_pair_dist_sq` of the picked rows, gathered by inverse for the full
+    rows, and each draw u picks the first full row whose distance cumsum
+    exceeds u * total.  An init whose distances sum to 0 picks full row
+    floor(u * n) instead: a uniform pick, as k-means++ takes when every
+    distance is 0."""
     rows, inverse, rows_sq = prep.rows, prep.inverse, prep.sq
     n, most = inverse.size, max(ks)
-    state = stream.generator.bit_generator.state
     sizes = np.repeat(ks, restarts)
     picks, draws = np.empty((sizes.size, most), dtype=np.int64), np.empty((sizes.size, most - 1))
     for i, k in enumerate(sizes):
@@ -183,17 +162,15 @@ def _kmeans_pp_seeds(prep, ks, restarts, stream):
     d2 = np.full((sizes.size, rows.shape[0]), np.inf)
     for step in range(1, most):
         live = sizes > step
-        j = picks[live, step - 1]
+        j, u = picks[live, step - 1], draws[live, step - 1]
         dist = _pair_dist_sq(rows[j, None], rows_sq[j, None], rows, rows_sq)[:, 0]
         d2[live] = np.minimum(dist, d2[live], out=dist)
         full = dist[:, inverse]
         total = full.sum(axis=1)
-        if (total <= 0.0).any():
-            stream.generator.bit_generator.state = state
-            inits = [_kmeans_pp_init(*prep[:3], k, stream) for k in sizes]
-            return [np.stack(inits[i : i + restarts]) for i in range(0, len(inits), restarts)]
         cdf = np.cumsum(full, axis=1, out=full)
-        below = np.count_nonzero(cdf <= (draws[live, step - 1] * total)[:, None], axis=1)
+        below = np.count_nonzero(cdf <= (u * total)[:, None], axis=1)
+        zero = total <= 0.0  # all distances 0: full row floor(u * n)
+        below[zero] = u[zero] * n
         picks[live, step] = inverse[np.minimum(below, n - 1)]
     stacks = picks.reshape(len(ks), restarts, most)
     return [rows[stack[:, :k]] for k, stack in zip(ks, stacks)]
@@ -318,13 +295,14 @@ def kmeans(x, k, stream, *, restarts=_RESTARTS, max_iter=300, tol=1e-8, distinct
     """Best-of-restarts k-means++ with Lloyd iteration.
 
     Every restart's k-means++ init is drawn first, in one
-    `_kmeans_pp_seeds` pass (Lloyd draws nothing); then one Lloyd runs
-    them all on the byte-equal distinct rows weighted by their
-    multiplicity.  Empty clusters are repaired by reseeding to the
-    farthest point; the winner is the restart with the lowest
-    within-cluster sum of squares, the first one on ties.  `distinct` is
-    `_selection_rows(x)`, and `inits` an (R, k, D) stack of seeds, from
-    a caller that clusters the same rows for several k.
+    `_kmeans_pp_seeds` pass (uniform picks where all distances are 0;
+    Lloyd draws nothing); then one Lloyd runs them all on the byte-equal
+    distinct rows weighted by their multiplicity.  Empty clusters are
+    repaired by reseeding to the farthest point; the winner is the
+    restart with the lowest within-cluster sum of squares, the first one
+    on ties.  `distinct` is `_selection_rows(x)`, and `inits` an
+    (R, k, D) stack of seeds, from a caller that clusters the same rows
+    for several k.
     """
     data = as_matrix(x, "data")
     n = data.shape[0]
@@ -417,7 +395,9 @@ def select_cluster_count(x, k_range, stream):
 
     The rows are collapsed to their distinct rows and set up once, for
     every k and the silhouette.  One k-means++ pass seeds every (k,
-    restart) in k order on the stream; then kmeans runs each k's Lloyd
+    restart) in k order on the stream, drawing one uniform_choice(n) and
+    k - 1 uniform()s per init whatever the data (an all-zero step picks
+    uniformly with its own draw); then kmeans runs each k's Lloyd
     from its seeds, and one silhouette pass scores them all.  Ties
     resolve to the smallest k; a winning silhouette below 0.3 sets the
     low_silhouette flag (weak cluster structure)."""

@@ -342,9 +342,12 @@ def load_series(csv_path):
         raise InvalidArgumentError(f"{path} is not a dataset CSV (bad header)")
     values = []
     for lineno, row in enumerate(rows[1:], start=2):
-        try:
-            values.append(float(row.split(",")[1]))
-        except (IndexError, ValueError):
+        try:  # exactly two fields, the first the row's own position
+            index, value = row.split(",")
+            if int(index) != lineno - 2:
+                raise ValueError
+            values.append(float(value))
+        except ValueError:
             raise InvalidArgumentError(
                 f"{path}:{lineno}: expected 'index,value', got {row!r}"
             ) from None

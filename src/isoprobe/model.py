@@ -177,7 +177,8 @@ def softmax(logits, what):
     rows, which would sample as token 0.  After the max-shift every entry
     is NaN or at most 1, and the row maximum is 1, so a row's
     probabilities are all finite exactly when its sum is."""
-    logits -= logits.max(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # the sum check below refuses the NaN
+        logits -= logits.max(axis=-1, keepdims=True)
     probs, total = _normalize(logits)
     if not np.all(np.isfinite(total)):
         raise NumericFailureError(f"{what} are non-finite after stabilization")

@@ -851,12 +851,15 @@ class TestMalformedArtifacts:
             ({"datasets/x.csv": SERIES + "3,abc\n"}, "datasets/x.csv:5"),
             ({"datasets/x.csv": SERIES + "3,nan\n"}, "datasets/x.csv:5"),
             ({"datasets/x.csv": SERIES + "3,-inf\n"}, "datasets/x.csv:5"),
+            ({"datasets/x.csv": SERIES + "3,1.0,junk\n"}, "datasets/x.csv:5"),
+            ({"datasets/x.csv": SERIES + "5,2.0\n"}, "datasets/x.csv:5"),
+            ({"datasets/x.csv": SERIES + "0,3.0\n"}, "datasets/x.csv:5"),
             ({"datasets/x.json": "{oops"}, "datasets/x.json"),
             ({"datasets/x.csv": b"\xff" + SERIES.encode()}, "datasets/x.csv"),
         ],
         ids=["unparsable_manifest", "manifest_without_seed", "row_without_value",
-             "non_numeric_value", "nan_value", "infinite_value", "unparsable_dataset_sidecar",
-             "undecodable_dataset"],
+             "non_numeric_value", "nan_value", "infinite_value", "extra_field", "skipped_index",
+             "repeated_index", "unparsable_dataset_sidecar", "undecodable_dataset"],
     )
     def test_malformed_data_run_exits_2(self, tmp_path, capsys, files, culprit):
         data_dir = forge_run(tmp_path / "d", {"datasets/x.csv": SERIES, **files})

@@ -663,19 +663,20 @@ def lloyd_restart_oracle(rows, inverse, centroids, max_iter, tol):
 def kmeans_pp_init_oracle(x, k, stream):
     """k-means++ seeding with difference-form distances over every full
     row, the reference for the expanded distinct-row seeding pass
-    `_kmeans_pp_seeds` and its one-init fallback `_kmeans_pp_init`."""
+    `_kmeans_pp_seeds`.  A step whose distances sum to 0 picks full row
+    floor(u * n) with its own draw u."""
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[stream.uniform_choice(n)]
     d2 = np.sum((x - centroids[0]) ** 2, axis=1)
     for c in range(1, k):
         total = float(d2.sum())
+        u = stream.uniform()
         if total <= 0.0:
-            idx = stream.uniform_choice(n)
+            idx = int(u * n)
         else:
-            u = stream.uniform() * total
-            idx = int(np.searchsorted(np.cumsum(d2), u, side="right"))
-            idx = min(idx, n - 1)
+            idx = int(np.searchsorted(np.cumsum(d2), u * total, side="right"))
+        idx = min(idx, n - 1)
         centroids[c] = x[idx]
         d2 = np.minimum(d2, np.sum((x - centroids[c]) ** 2, axis=1))
     return centroids
@@ -874,7 +875,7 @@ class TestStackedLloyd:
 
 def underflow_rows():
     # distinct rows whose differences square to 0: the difference form
-    # reads 0 between them, so k-means++ falls back to uniform picks
+    # reads 0 between them, so k-means++ takes uniform picks
     x = np.repeat(np.random.default_rng(43).normal(size=(3, 3)), 4, axis=0)
     x[:, 2] = np.tile([0.0, 1e-170, -1e-170, 3e-171], 3)
     return x
@@ -907,19 +908,6 @@ class TestKmeansPlusPlusInit:
     def test_every_k_in_one_pass_matches_oracle(self, rows, ks):
         assert_same_picks(rows(), list(ks), RngStream(78, 0), RngStream(78, 0))
 
-    @pytest.mark.parametrize("rows", SEEDED_ROWS)
-    def test_only_all_zero_distances_take_the_fallback(self, rows, monkeypatch):
-        # underflow_rows' difference-form distances sum to 0 once the picks
-        # cover its 3 groups; the others hold 4 or more distinct values,
-        # so at k <= 4 they seed in one lockstep pass
-        calls = []
-        real = isotropy._kmeans_pp_init
-        monkeypatch.setattr(
-            isotropy, "_kmeans_pp_init", lambda *args: calls.append(args[3]) or real(*args)
-        )
-        assert_same_picks(rows(), [2, 4], RngStream(79, 0), RngStream(79, 0), restarts=2)
-        assert calls == ([2, 2, 4, 4] if rows is underflow_rows else [])
-
     @pytest.mark.parametrize("rows", [blob_rows, *SEEDED_ROWS])
     def test_selection_matches_per_k_kmeans_loop_bit_for_bit(self, rows):
         # one seeding pass for every k draws and picks what one kmeans
@@ -942,21 +930,35 @@ class TestKmeansPlusPlusInit:
         select_cluster_count(repeated_rows(), range(0, 20), RngStream(81, 0))
         assert calls == list(range(2, 13))
 
-    def test_zero_distances_fall_back_to_uniform_draws(self):
+    def test_zero_distances_pick_the_uniform_row_of_their_own_draw(self):
         # within each of the 3 groups of underflow_rows every difference-
         # form distance is 0, so once the first 3 picks cover the groups,
-        # each later pick is a fallback uniform draw
+        # each later pick is full row floor(u * n) of that step's draw u
         x = underflow_rows()
         distinct = isotropy._selection_rows(x)
         assert distinct.rows.shape[0] == 12
         assert np.all(np.sum((x[:4] - x[0]) ** 2, axis=1) == 0.0)
-        stream, draws = RngStream(75, 0), []
-        real = stream.uniform_choice
-        stream.uniform_choice = lambda n: draws.append(n) or real(n)
-        isotropy._kmeans_pp_seeds(distinct, [12], 1, stream)
-        # the lockstep pass's first pick, whose draw the restore undoes,
-        # then the fallback's own draws
-        assert draws == [12] + [12] * (1 + 12 - 3)
+        stream, draws = RngStream(75, 0), RngStream(75, 0)
+        (seeds,) = isotropy._kmeans_pp_seeds(distinct, [12], 1, stream)
+        first, u = draws.uniform_choice(12), draws.uniforms(11)
+        picks = [np.flatnonzero((x == row).all(axis=1))[0] for row in seeds[0]]
+        assert picks[0] == first
+        assert sorted(x[picks[:3], 0]) == sorted(distinct.rows[[0, 4, 8], 0])
+        assert picks[3:] == [int(v * 12) for v in u[2:]]
+        assert rng_state(stream) == rng_state(draws)
+
+    @pytest.mark.parametrize("rows", [repeated_rows, interleaved_rows, underflow_rows])
+    def test_selection_draws_do_not_depend_on_the_data(self, rows):
+        # per (k, restart), one uniform_choice(n) and k - 1 uniforms, even
+        # where a step's distances all read 0
+        x = rows()
+        stream, draws = RngStream(82, 0), RngStream(82, 0)
+        select_cluster_count(x, range(2, 9), stream)
+        for k in range(2, 9):
+            for _ in range(isotropy._RESTARTS):
+                draws.uniform_choice(x.shape[0])
+                draws.uniforms(k - 1)
+        assert rng_state(stream) == rng_state(draws)
 
     @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
     def test_overflowing_rows_raise_before_any_draw(self, scale):

@@ -4,6 +4,7 @@ import copy
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -660,6 +661,13 @@ class TestDecodeBuffers:
         probs = model.softmax(logits, "logits")
         assert np.shares_memory(probs, logits)
         assert probs.tobytes() == want.tobytes()
+
+    def test_softmax_refuses_an_overflowed_row_without_a_warning(self):
+        # inf - inf in the max-shift reads NaN; only the typed error reports it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFailureError, match="head probabilities"):
+                model.softmax(np.array([[np.inf, 1.0]]), "head probabilities")
 
     def test_forward_keeps_its_logits(self):
         params = random_params(np.random.default_rng(7), 8, 4, 2, 2)

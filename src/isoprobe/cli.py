@@ -54,12 +54,12 @@ from .tokenizer import TokenizerConfig, tokenize_windows
 
 # A stage declares each config key it reads as (type, default) or
 # (type, default, minimum); a key whose default is REQUIRED must be set,
-# and a list[T] key holds elements of type T.
+# and a list[T] key holds elements of type T, its minimum bounding its length.
 REQUIRED = object()
 # the config keys each kind of upstream run adds to a stage that reads it
 UPSTREAM_KEYS = {
     "model": {"model": (str, REQUIRED)},
-    "data": {"data": (str, REQUIRED), "datasets": (list[str], None)},
+    "data": {"data": (str, REQUIRED), "datasets": (list[str], None, 1)},
     "embeddings": {"embeddings": (str, REQUIRED)},
 }
 # the model sidecar fields that embed, verify and eval read, with their types
@@ -200,9 +200,10 @@ def run_stage(stage, config_path, overrides, workers):
         raise ConfigError(f"{stage.name}: unknown config key {', '.join(unknown)}")
     opts = {}
     for key, (kind, default, *minimum) in keys.items():
-        opts[key] = take_config(cfg, key, default, required=default is REQUIRED, kind=kind)
-        if minimum and opts[key] is not None and opts[key] < minimum[0]:
-            raise ConfigError(f"config field {key}: expected >= {minimum[0]}, got {opts[key]}")
+        value = opts[key] = take_config(cfg, key, default, required=default is REQUIRED, kind=kind)
+        size, unit = (len(value), " elements") if isinstance(value, list) else (value, "")
+        if minimum and value is not None and size < minimum[0]:
+            raise ConfigError(f"config field {key}: expected >= {minimum[0]}{unit}, got {size}")
     workers = _worker_count(workers)
     out_dir = Path(opts["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -311,12 +312,13 @@ def _train(run):
 def _embed(run):
     """Dump per-position contextual embeddings over evaluation windows."""
     opt = run.opts
-    if opt["layers"] == []:
-        raise ConfigError("config field layers: expected at least one layer id")
     windows = run.windows(
         run.tok_cfg, run.meta["context_length"], stride=opt["stride"], limit=opt["max_windows"]
     )
-    dump = dump_embeddings(run.params, windows, layer_ids=opt["layers"])
+    try:
+        dump = dump_embeddings(run.params, windows, layer_ids=opt["layers"])
+    except InvalidArgumentError as exc:  # the windows are valid, so a layer id is at fault
+        raise exc.add_context("config field layers")
     dump_path = dump.write(run.out_dir / "embeddings.isoemb")
     click.echo(f"embed: {dump.record_count} records -> {dump_path}")
     return [dump_path]
@@ -334,7 +336,6 @@ def _analyze(run):
             run.dump,
             layer,
             RngStream(run.seed, layer),
-            pair_budget=opt["pair_budget"],
             k_range=range(opt["k_min"], opt["k_max"] + 1),
         )
         layers.append(report.to_dict())
@@ -388,7 +389,7 @@ def _eval(run):
         seeds=tuple(range(run.seed, run.seed + opt["seeds"])),
         horizon=run.meta["horizon"],
         context_length=run.meta["context_length"],
-        **{key: opt[key] for key in ("windows", "sample_count", "pair_budget", "k_max")},
+        **{key: opt[key] for key in ("windows", "sample_count", "k_max")},
     )
     datasets = {name: s.values for name, s in run.series.items()}
     rows = run_sweep(run.params, run.tok_cfg, datasets, sweep_cfg, workers=run.workers)
@@ -416,8 +417,6 @@ _SECTION_FILES = {
 
 def _report(run):
     """Merge run artifacts into one consolidated JSON report."""
-    if not run.opts["runs"]:
-        raise ConfigError("config field runs: expected at least one run directory")
     sections = {}
     for run_dir in map(Path, run.opts["runs"]):
         manifest = RunManifest.read(run_dir)
@@ -469,12 +468,13 @@ STAGES = (
     Stage(
         "embed",
         _embed,
-        {"stride": (int, 4, 1), "max_windows": (int, 64, 1), "layers": (list[int], None)},
+        {"stride": (int, 4, 1), "max_windows": (int, 64, 1), "layers": (list[int], None, 1)},
         inputs=("model", "data"),
     ),
     Stage(
         "analyze",
         _analyze,
+        # pair_budget is read by nothing: kept while the benchmark's paper_shape config sets it
         {"pair_budget": (int, 10000, 1), "k_min": (int, 2, 2), "k_max": (int, 10)},
         inputs=("embeddings",),
     ),
@@ -490,11 +490,10 @@ STAGES = (
         "eval",
         _eval,
         {"variable": (str, REQUIRED), "values": (list[float], REQUIRED), "seeds": (int, 20, 1),
-         "windows": (int, 32, 1), "sample_count": (int, 20, 1), "pair_budget": (int, 10000, 1),
-         "k_max": (int, 10, 2)},
+         "windows": (int, 32, 1), "sample_count": (int, 20, 1), "k_max": (int, 10, 2)},
         inputs=("model", "data"),
     ),
-    Stage("report", _report, {"runs": (list[str], REQUIRED)}, manifest=False),
+    Stage("report", _report, {"runs": (list[str], REQUIRED, 1)}, manifest=False),
 )
 
 

@@ -68,7 +68,6 @@ class SweepConfig:
     windows: int = 32
     sample_count: int = 20
     context_length: int = 16  # fixed context for noise sweeps
-    pair_budget: int = 10000
     k_max: int = 10
 
     def __post_init__(self):
@@ -106,7 +105,6 @@ def evaluate_point(
     stream,
     window_stream,
     anchor_floor=None,
-    pair_budget=10000,
     k_max=10,
 ):
     """Forecast error plus isotropy metrics for one sweep point.
@@ -156,9 +154,7 @@ def evaluate_point(
     matrix = trace.activations[-1].reshape(-1, params.dim)
     k_range = range(2, min(k_max, matrix.shape[0] - 1) + 1)
     selection = select_cluster_count(matrix, k_range, stream)
-    adjusted = adjusted_inter_token_cos(
-        matrix, tokens.ravel(), selection.clustering, pair_budget, stream
-    )
+    adjusted = adjusted_inter_token_cos(matrix, tokens.ravel(), selection.clustering)
     d08 = effective_dimension(matrix, 0.8)
     iso = isotropy_partition(matrix)
     return error, adjusted.value, d08, iso.value
@@ -197,7 +193,6 @@ def _sweep_row_task(task):
             stream=stream,
             window_stream=window_stream,
             anchor_floor=floor,
-            pair_budget=cfg.pair_budget,
             k_max=cfg.k_max,
         )
     except UndefinedMetricError as exc:

@@ -1,10 +1,11 @@
 """Embedding-space isotropy diagnostics.
 
 Effective dimension from the PCA spectrum, expected inter-token cosine
-similarity (globally and after per-cluster mean removal), and k-means
-clustering with silhouette-based selection of the cluster count.  All
-sampling draws from caller-provided RngStreams, so every metric is a
-pure function of (data, seed).
+similarity (globally and after per-cluster mean removal, each in closed
+form), and k-means clustering with silhouette-based selection of the
+cluster count.  Only the k-means++ seeding draws random numbers, from a
+caller-provided RngStream, so every metric is a pure function of
+(data, seed).
 """
 
 from __future__ import annotations
@@ -48,56 +49,40 @@ def _token_rows(vectors, tokens):
     return vectors, tokens
 
 
-def _instances(vectors, tokens):
-    """token id -> that token's nonzero rows in record order; zero rows
-    are dropped, as their cosine is undefined."""
-    nonzero = np.linalg.norm(vectors, axis=1) > 0.0
-    rows, kept = vectors[nonzero], tokens[nonzero]
-    return {int(t): rows[kept == t] for t in np.unique(kept)}
+def _mean_directions(vectors, tokens):
+    """(T, D): each distinct token's mean unit vector over its nonzero
+    rows, in token id order; zero rows are dropped, as their direction
+    is undefined."""
+    norms = np.linalg.norm(vectors, axis=1)
+    nonzero = norms > 0.0
+    kept = tokens[nonzero]
+    order = np.argsort(kept, kind="stable")
+    _, starts, counts = np.unique(kept[order], return_index=True, return_counts=True)
+    unit = (vectors[nonzero] / norms[nonzero, None])[order]
+    return np.add.reduceat(unit, starts, axis=0) / counts[:, None]
 
 
-def _pair_expectation(instances, pair_budget, stream):
-    """Expected cosine over pairs of distinct tokens, one freshly sampled
-    instance per token per pair.  Enumerates every token pair when that
-    is within budget (drawing every instance index at once: i's then j's
-    per pair, none for a one-instance token), otherwise Monte-Carlo
-    samples pair_budget pairs one draw at a time.  The cosines are one
-    row-wise operation either way.  Returns (mean cosine, pair count)."""
-    tokens = sorted(instances)
-    k = len(tokens)
-    sizes = np.array([len(instances[t]) for t in tokens])
-    if k * (k - 1) // 2 <= pair_budget:
-        pairs = np.stack(np.triu_indices(k, 1), axis=1).ravel()
-        highs = sizes[pairs]
-        picks = np.zeros(pairs.size, dtype=np.int64)
-        picks[highs > 1] = stream.generator.integers(0, highs[highs > 1])
-    else:
-        pairs, picks = [], []
-        for _ in range(pair_budget):
-            i = stream.uniform_choice(k)
-            j = stream.uniform_choice(k - 1)
-            if j >= i:
-                j += 1
-            for t in (i, j):
-                pairs.append(t)
-                picks.append(stream.uniform_choice(sizes[t]) if sizes[t] > 1 else 0)
-    flat = np.concatenate([instances[t] for t in tokens])
-    starts = np.cumsum(sizes) - sizes
-    rows = flat[starts[pairs] + np.asarray(picks, dtype=np.int64)]
-    u, v = rows[0::2], rows[1::2]
-    cos = np.einsum("ij,ij->i", u, v) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
-    return float(cos.mean()), len(cos)
+def _pair_expectation(directions):
+    """Expected cosine between instances of two distinct tokens, every
+    token pair and every instance of a token equally likely: the mean
+    over the T (T - 1) / 2 pairs of mu_i . mu_j, for the tokens' mean
+    directions mu, which is (|sum mu|^2 - sum |mu|^2) / (T (T - 1)).
+    Exact, and draws nothing.  Returns (mean cosine, pair count)."""
+    t = directions.shape[0]
+    total = directions.sum(axis=0)
+    value = (total @ total - np.einsum("ij,ij->", directions, directions)) / (t * (t - 1))
+    return float(value), t * (t - 1) // 2
 
 
-def inter_token_cos(vectors, tokens, pair_budget, stream):
+def inter_token_cos(vectors, tokens):
     """Expected cosine similarity (a float) between distinct tokens'
     embedding instances, given one layer's rows and their token ids."""
-    instances = _instances(*_token_rows(vectors, tokens))
-    if len(instances) < 2:
+    directions = _mean_directions(*_token_rows(vectors, tokens))
+    if len(directions) < 2:
         raise InvalidArgumentError(
-            f"{len(instances)} distinct tokens with nonzero vectors; need at least 2"
+            f"{len(directions)} distinct tokens with nonzero vectors; need at least 2"
         )
-    return _pair_expectation(instances, pair_budget, stream)[0]
+    return _pair_expectation(directions)[0]
 
 
 @dataclass
@@ -429,7 +414,7 @@ class AdjustedCosineStat:
     pair_count: int
 
 
-def adjusted_inter_token_cos(vectors, tokens, clustering, pair_budget, stream):
+def adjusted_inter_token_cos(vectors, tokens, clustering):
     """Expected inter-token cosine after subtracting each cluster's mean.
 
     Clusters with fewer than two distinct tokens are skipped (and
@@ -453,11 +438,11 @@ def adjusted_inter_token_cos(vectors, tokens, clustering, pair_budget, stream):
             continue
         centered = vectors[members]
         centered -= centered.mean(axis=0)
-        instances = _instances(centered, tokens[members])
-        if len(instances) < 2:
+        directions = _mean_directions(centered, tokens[members])
+        if len(directions) < 2:
             skipped += 1
             continue
-        value, count = _pair_expectation(instances, pair_budget, stream)
+        value, count = _pair_expectation(directions)
         values.append(value)
         pair_count += count
     if not values:
@@ -503,7 +488,6 @@ def layer_report(
     layer,
     stream,
     *,
-    pair_budget=10000,
     k_range=range(2, 11),
     eps_values=(0.8, 0.9),
 ):
@@ -514,9 +498,9 @@ def layer_report(
         raise InvalidArgumentError(f"layer {layer} has fewer than 2 records")
     res = pca(matrix)
     eff = {f"{eps:g}": _captured_dimension(res, eps) for eps in eps_values}
-    zeta = inter_token_cos(matrix, tokens, pair_budget, stream)
+    zeta = inter_token_cos(matrix, tokens)
     selection = select_cluster_count(matrix, k_range, stream)
-    adjusted = adjusted_inter_token_cos(matrix, tokens, selection.clustering, pair_budget, stream)
+    adjusted = adjusted_inter_token_cos(matrix, tokens, selection.clustering)
     iso = isotropy_partition(matrix)
     return LayerIsotropyReport(
         layer=int(layer),

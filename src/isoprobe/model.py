@@ -258,7 +258,8 @@ def forward(tokens, params):
     row inside a wider one.
     """
     activations, _ = causal_pass(params, tokens)
-    logits = (activations[-1][:, -1:] @ params.embed.T)[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # softmax refuses an overflow
+        logits = (activations[-1][:, -1:] @ params.embed.T)[:, 0]
     return ForwardTrace(activations, logits, softmax(logits.copy(), "head probabilities"))
 
 
@@ -435,7 +436,9 @@ def forecast(params, trace, horizon, sample_count=20, *, stream, tok_cfg, scale)
             )
             row = weights[..., :n] @ context_rows
             row += np.einsum("csj,csjd->csd", weights[..., n:], rows[:, :, : step + 1])
-        probs = softmax(row @ params.embed.T, "head probabilities")
+        with np.errstate(over="ignore", invalid="ignore"):  # softmax refuses an overflow
+            logits = row @ params.embed.T
+        probs = softmax(logits, "head probabilities")
     values = detokenize(trajectories, np.reshape(scale, (-1, 1, 1)), tok_cfg)
     return trajectories, values.mean(axis=1)
 
@@ -456,9 +459,11 @@ def dump_embeddings(params, windows, layer_ids=None):
     """
     if layer_ids is None:
         layer_ids = list(range(1, params.layer_count + 1))
-    for lid in layer_ids:
+    for i, lid in enumerate(layer_ids):
         if not 0 <= lid <= params.layer_count:
             raise InvalidArgumentError(f"layer id {lid} out of range")
+        if lid in layer_ids[:i]:
+            raise InvalidArgumentError(f"layer id {lid} is repeated")
     if len(windows) == 0 or not layer_ids:
         return EmbeddingDump(dim=params.dim)
     ids = np.asarray(windows, dtype=np.int64)

@@ -208,9 +208,7 @@ def test_criterion_7_isotropy_calibration():
         inertia=0.0,
         iterations=0,
     )
-    gauss = adjusted_inter_token_cos(
-        vectors, np.arange(2000) % 100, single, 10000, RngStream(2032, 0)
-    )
+    gauss = adjusted_inter_token_cos(vectors, np.arange(2000) % 100, single)
     gauss_ok = abs(gauss.value) < 0.05
 
     n, dim = 400, 16
@@ -225,9 +223,7 @@ def test_criterion_7_isotropy_calibration():
         inertia=0.0,
         iterations=0,
     )
-    aniso = adjusted_inter_token_cos(
-        aniso_vectors, np.arange(n) % 50, aniso_cluster, 10000, RngStream(2033, 0)
-    )
+    aniso = adjusted_inter_token_cos(aniso_vectors, np.arange(n) % 50, aniso_cluster)
     aniso_ok = abs(aniso.value) > 0.5
 
     rng = np.random.default_rng(2034)

@@ -622,7 +622,7 @@ class TestConfigErrors:
             ("analyze", "pair_budget", 0),
             ("analyze", "k_min", 1),
             ("analyze", "k_max", 3),  # below k_min = 4
-            ("eval", "pair_budget", 0),
+            ("eval", "pair_budget", 0),  # an unknown key: the pair cosines are exact
             ("eval", "windows", 0),
             ("eval", "sample_count", 0),
             ("eval", "seeds", 0),
@@ -647,6 +647,8 @@ class TestConfigErrors:
             ("train", "rank", 65),  # above the default dim 64
             ("embed", "max_windows", 0),
             pytest.param("embed", "layers", [], id="embed-layers-empty"),
+            pytest.param("embed", "layers", [1, 1], id="embed-layers-repeated"),
+            pytest.param("train", "datasets", [], id="train-datasets-empty"),
             ("train", "context_length", 4096),  # longer than every series
             # a key the chosen mode does not read
             ("synth", "count", 3),  # table mode
@@ -678,7 +680,8 @@ class TestConfigErrors:
         cfg = write_config(tmp_path / "c.cfg", out=str(tmp_path / "o"), **{**upstream, key: value})
         assert run_cli(command, "--config", cfg) == 2
         err = capsys.readouterr().err
-        assert f"config field {key}" in err and "Traceback" not in err
+        named = f"config field {key}" in err or f"{command}: unknown config key {key}" in err
+        assert named and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "line", ["learning_rate = NaN", "learning_rate = Infinity", "learning_rate = -Infinity",
@@ -1022,7 +1025,6 @@ class TestForgedModels:
         assert code == 2
         assert f"{model_dir / 'model.isop'}: tensor embed holds nan at (3, 2)" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_head_exits_5_naming_the_sweep_row(self, pipeline, tmp_path, capsys):
         # finite weights whose head logits overflow to inf - inf
         def overflow(params):

@@ -35,7 +35,6 @@ def evaluate_point_oracle(
     stream,
     window_stream,
     anchor_floor=None,
-    pair_budget=10000,
     k_max=10,
 ):
     """evaluate_point one context at a time: fit_scale, tokenize and a
@@ -64,9 +63,7 @@ def evaluate_point_oracle(
     matrix = causal_pass(params, token_windows)[0][-1].reshape(-1, params.dim)
     k_range = range(2, min(k_max, matrix.shape[0] - 1) + 1)
     selection = select_cluster_count(matrix, k_range, stream)
-    adjusted = adjusted_inter_token_cos(
-        matrix, np.ravel(token_windows), selection.clustering, pair_budget, stream
-    )
+    adjusted = adjusted_inter_token_cos(matrix, np.ravel(token_windows), selection.clustering)
     d08 = effective_dimension(matrix, 0.8)
     iso = isotropy_partition(matrix)
     return error, adjusted.value, d08, iso.value
@@ -276,7 +273,6 @@ class TestSweeps:
             sample_count=5,
             stream=stream,
             window_stream=window_stream,
-            pair_budget=cfg.pair_budget,
             k_max=4,
         )
         assert (zero_row.nmse, zero_row.zeta_prime, zero_row.d08, zero_row.iso_i) == (

@@ -90,42 +90,30 @@ class TestEffectiveDimension:
 
 class TestInterTokenCos:
     def test_orthogonal_tokens(self):
-        value = inter_token_cos(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 1], 10000, RngStream(0, 0))
+        value = inter_token_cos(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 1])
         assert value == pytest.approx(0.0, abs=1e-15)
 
     def test_identical_vectors(self):
-        value = inter_token_cos(np.tile([2.0, 1.0], (6, 1)), np.arange(6), 10000, RngStream(0, 0))
+        value = inter_token_cos(np.tile([2.0, 1.0], (6, 1)), np.arange(6))
         assert value == pytest.approx(1.0, rel=1e-12)
 
-    def test_monte_carlo_matches_exhaustive_oracle(self):
+    def test_one_instance_per_token_is_the_gram_mean(self):
         rng = np.random.default_rng(3)
-        n = 60  # 1770 distinct pairs
+        n = 60
         vectors = rng.normal(size=(n, 8))
-        tokens = np.arange(n)
-        # exhaustive oracle over all pairs (single instance per token)
         unit = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
         gram = unit @ unit.T
         exact = (gram.sum() - n) / (n * (n - 1))
-        # below the 1770 pairs the budget's 800 pairs are sampled
-        mc = inter_token_cos(vectors, tokens, pair_budget=800, stream=RngStream(4, 0))
-        pair_vals = gram[np.triu_indices(n, k=1)]
-        se = pair_vals.std() / np.sqrt(800)
-        assert abs(mc - exact) <= 2.0 * se
-        # at or above them every pair is enumerated
-        full = inter_token_cos(vectors, tokens, pair_budget=2000, stream=RngStream(4, 0))
-        assert full == pytest.approx(exact, abs=1e-12)
+        assert inter_token_cos(vectors, np.arange(n)) == pytest.approx(exact, abs=1e-12)
 
     def test_zero_vectors_excluded(self):
-        value = inter_token_cos(
-            np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]), [0, 0, 1], 10000, RngStream(0, 0)
-        )
+        value = inter_token_cos(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]), [0, 0, 1])
         assert value == pytest.approx(0.0, abs=1e-15)
 
-    @pytest.mark.parametrize("pair_budget", [10_000, 50])
-    def test_added_zero_rows_leave_zeta_and_zeta_prime_unchanged(self, pair_budget):
+    def test_added_zero_rows_leave_zeta_and_zeta_prime_unchanged(self):
         # integer rows whose columns sum to 0 in each cluster: both cluster
         # means are exactly 0 with or without the zero rows, so the zero
-        # rows stay zero after centering and every draw is the same
+        # rows stay zero after centering
         rng = np.random.default_rng(41)
         vectors = rng.integers(-5, 6, size=(40, 4)).astype(np.float64)
         vectors[[19, 39]] = 0.0
@@ -140,36 +128,46 @@ class TestInterTokenCos:
         padded_assignment = np.append(assignment, [0, 1])
 
         def both(rows, token_ids, labels):
-            clustering = clustering_of(labels, 2)
-            zeta = inter_token_cos(rows, token_ids, pair_budget, RngStream(42, 0))
-            adjusted = adjusted_inter_token_cos(
-                rows, token_ids, clustering, pair_budget, RngStream(42, 1)
-            )
-            return zeta, adjusted
+            zeta = inter_token_cos(rows, token_ids)
+            return zeta, adjusted_inter_token_cos(rows, token_ids, clustering_of(labels, 2))
 
         zeta, adjusted = both(vectors, tokens, assignment)
         padded_zeta, padded_adjusted = both(padded, padded_tokens, padded_assignment)
         assert padded_zeta == zeta
         assert padded_adjusted == adjusted
 
-    def test_needs_two_tokens(self):
-        with pytest.raises(InvalidArgumentError):
-            inter_token_cos(np.array([[1.0, 0.0]]), [0], 10000, RngStream(0, 0))
+    @pytest.mark.parametrize(
+        "vectors, tokens",
+        [([[1.0, 0.0]], [0]), ([[1.0, 0.0], [0.0, 0.0]], [0, 1]), (np.zeros((3, 2)), [0, 1, 2])],
+        ids=["one-token", "one-nonzero-token", "all-zero"],
+    )
+    def test_needs_two_tokens(self, vectors, tokens):
+        with pytest.raises(InvalidArgumentError, match="need at least 2"):
+            inter_token_cos(np.array(vectors), tokens)
 
     def test_rotation_and_scale_invariance(self):
         rng = np.random.default_rng(5)
         vectors = rng.normal(size=(20, 4))
         tokens = np.arange(20)
-        base = inter_token_cos(vectors, tokens, 10000, RngStream(6, 0))
+        base = inter_token_cos(vectors, tokens)
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        rotated = vectors @ q
-        assert inter_token_cos(rotated, tokens, 10000, RngStream(6, 0)) == pytest.approx(
-            base, abs=1e-12
-        )
+        assert inter_token_cos(vectors @ q, tokens) == pytest.approx(base, abs=1e-12)
         scaled = vectors * rng.uniform(0.1, 10.0, size=(20, 1))
-        assert inter_token_cos(scaled, tokens, 10000, RngStream(6, 0)) == pytest.approx(
-            base, abs=1e-12
+        assert inter_token_cos(scaled, tokens) == pytest.approx(base, abs=1e-12)
+
+    def test_cosines_reject_mismatched_token_count(self):
+        vectors = np.eye(3)
+        clustering = Clustering(
+            k=1,
+            assignment=np.zeros(3, dtype=np.int64),
+            centroids=vectors.mean(axis=0, keepdims=True),
+            inertia=0.0,
+            iterations=0,
         )
+        with pytest.raises(InvalidArgumentError, match="2 token ids for 3"):
+            inter_token_cos(vectors, [0, 1])
+        with pytest.raises(InvalidArgumentError, match="4 token ids for 3"):
+            adjusted_inter_token_cos(vectors, [0, 1, 2, 3], clustering)
 
 
 def instances_oracle(vectors, tokens):
@@ -187,84 +185,121 @@ def instances_oracle(vectors, tokens):
     return clean
 
 
-class TestInstances:
+class TestMeanDirections:
     def test_matches_two_pass_grouping_oracle(self):
         rng = np.random.default_rng(40)
         vectors = rng.normal(size=(30, 3))
         tokens = rng.permutation(np.arange(30) % 7) + 3  # unsorted ids 3..9
         vectors[[2, 11, 17]] = 0.0
         vectors[tokens == 5] = 0.0  # every row of token 5 is zero
-        got = isotropy._instances(vectors, tokens)
+        got = isotropy._mean_directions(vectors, tokens)
         want = instances_oracle(vectors, tokens)
-        assert 5 in tokens and 5 not in got
-        assert list(got) == list(want)
-        for token, rows in want.items():
-            assert got[token].tobytes() == rows.tobytes()
-        # every nonzero row is kept
-        assert sum(len(rows) for rows in got.values()) == np.count_nonzero(vectors.any(axis=1))
-
-    def test_cosines_reject_mismatched_token_count(self):
-        vectors = np.eye(3)
-        clustering = Clustering(
-            k=1,
-            assignment=np.zeros(3, dtype=np.int64),
-            centroids=vectors.mean(axis=0, keepdims=True),
-            inertia=0.0,
-            iterations=0,
-        )
-        with pytest.raises(InvalidArgumentError, match="2 token ids for 3"):
-            inter_token_cos(vectors, [0, 1], 10000, RngStream(0, 0))
-        with pytest.raises(InvalidArgumentError, match="4 token ids for 3"):
-            adjusted_inter_token_cos(vectors, [0, 1, 2, 3], clustering, 10000, RngStream(0, 0))
+        assert 5 in tokens and 5 not in want
+        # one row per token with a nonzero row, in token id order
+        assert got.shape == (len(want), 3)
+        for row, token in zip(got, sorted(want)):
+            rows = want[token]
+            unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+            assert row == pytest.approx(unit.mean(axis=0), abs=1e-15)
 
 
-def pair_expectation_oracle(instances, pair_budget, stream):
-    """Expected pair cosine one pair at a time: i's instance draw, then
-    j's, and no draw for a token with one instance."""
-    tokens = sorted(instances)
-    k = len(tokens)
-    exhaustive = k * (k - 1) // 2 <= pair_budget
+def pair_expectation_oracle(vectors, tokens):
+    """The expected cosine written out: the mean over every pair of
+    distinct tokens of the mean cosine over every pair of their nonzero
+    instances.  Returns (mean cosine, token pair count)."""
+    instances = instances_oracle(vectors, tokens)
+    ids = sorted(instances)
+    means = []
+    for a, i in enumerate(ids):
+        for j in ids[a + 1 :]:
+            cosines = [
+                u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
+                for u in instances[i]
+                for v in instances[j]
+            ]
+            means.append(sum(cosines) / len(cosines))
+    return sum(means) / len(means), len(means)
 
-    def draw(token):
-        vecs = instances[token]
-        return vecs[stream.uniform_choice(len(vecs)) if len(vecs) > 1 else 0]
 
-    def cosine(u, v):
-        return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
-
-    acc, count = 0.0, 0
-    if exhaustive:
-        for i in range(k):
-            for j in range(i + 1, k):
-                acc += cosine(draw(tokens[i]), draw(tokens[j]))
-                count += 1
-    else:
-        for _ in range(pair_budget):
-            i = stream.uniform_choice(k)
-            j = stream.uniform_choice(k - 1)
-            if j >= i:
-                j += 1
-            acc += cosine(draw(tokens[i]), draw(tokens[j]))
-            count += 1
-    return acc / count, count
+def random_token_rows(rng):
+    """2..7 tokens of 1..3 instances each, some rows zero and some
+    tokens with nothing but zero rows, in shuffled record order."""
+    while True:
+        sizes = rng.integers(1, 4, size=rng.integers(2, 8))
+        tokens = rng.permutation(np.repeat(rng.choice(50, size=sizes.size, replace=False), sizes))
+        vectors = rng.normal(size=(tokens.size, int(rng.integers(1, 7))))
+        vectors[rng.random(tokens.size) < 0.15] = 0.0
+        if np.unique(tokens[vectors.any(axis=1)]).size >= 2:
+            return vectors, tokens
 
 
 class TestPairExpectation:
-    @pytest.fixture
-    def instances(self):
+    def test_matches_brute_force_oracle_on_random_cases(self):
         rng = np.random.default_rng(50)
-        sizes = rng.integers(1, 6, size=40)
-        assert (sizes == 1).any()  # some tokens draw nothing
-        return {int(t): rng.normal(size=(int(size), 8)) for t, size in enumerate(sizes)}
+        for _ in range(300):
+            vectors, tokens = random_token_rows(rng)
+            value, count = isotropy._pair_expectation(isotropy._mean_directions(vectors, tokens))
+            want, want_count = pair_expectation_oracle(vectors, tokens)
+            assert count == want_count
+            assert abs(value - want) <= 1e-12
+            assert inter_token_cos(vectors, tokens) == value
 
-    @pytest.mark.parametrize("pair_budget, exhaustive", [(10_000, True), (300, False)])
-    def test_matches_scalar_loop(self, instances, pair_budget, exhaustive):
-        fast_stream, slow_stream = RngStream(51, 0), RngStream(51, 0)
-        value, count = isotropy._pair_expectation(instances, pair_budget, fast_stream)
-        expected, expected_count = pair_expectation_oracle(instances, pair_budget, slow_stream)
-        assert count == expected_count == (40 * 39 // 2 if exhaustive else pair_budget)
-        assert value == pytest.approx(expected, abs=1e-13)
-        assert rng_state(fast_stream) == rng_state(slow_stream)
+    def test_one_instance_tokens_and_zero_rows(self):
+        # tokens 0 and 2 have one instance each, token 1 three, one of
+        # them zero, and token 3 only a zero row
+        vectors = np.array(
+            [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [3.0, 4.0, 0.0],
+             [0.0, 0.0, 5.0], [0.0, 0.0, 0.0]]
+        )
+        tokens = [0, 1, 1, 1, 2, 3]
+        # mu_0 = e1, mu_1 = (0.3, 0.9, 0), mu_2 = e3: pairs 0.3, 0 and 0
+        assert inter_token_cos(vectors, tokens) == pytest.approx(0.1, abs=1e-15)
+        assert pair_expectation_oracle(vectors, tokens) == (pytest.approx(0.1, abs=1e-15), 3)
+
+    def test_two_tokens_is_the_mean_instance_cosine(self):
+        rng = np.random.default_rng(52)
+        vectors = rng.normal(size=(7, 5))
+        tokens = [4, 9, 4, 4, 9, 9, 9]
+        want, count = pair_expectation_oracle(vectors, tokens)
+        assert count == 1
+        assert inter_token_cos(vectors, tokens) == pytest.approx(want, abs=1e-12)
+
+    def test_adjusted_matches_oracle_per_cluster(self):
+        rng = np.random.default_rng(53)
+        for _ in range(50):
+            vectors, tokens = random_token_rows(rng)
+            assignment = rng.integers(0, 3, size=tokens.size)
+            values, counts, skipped = [], 0, 0
+            for c in range(3):
+                members = assignment == c
+                rows = vectors[members]
+                centered = rows - rows.mean(axis=0) if members.any() else rows
+                if len(instances_oracle(centered, tokens[members])) < 2:
+                    skipped += 1
+                    continue
+                value, count = pair_expectation_oracle(centered, tokens[members])
+                values.append(value)
+                counts += count
+            if not values:
+                continue
+            stat = adjusted_inter_token_cos(vectors, tokens, clustering_of(assignment, 3))
+            assert stat.value == pytest.approx(np.mean(values), abs=1e-12)
+            assert (stat.skipped_clusters, stat.pair_count) == (skipped, counts)
+
+    def test_cosines_draw_nothing_from_the_layer_stream(self):
+        # ζ and ζ' are exact: a layer report leaves its stream where the
+        # cluster-count selection alone leaves it
+        rng = np.random.default_rng(54)
+        vectors = rng.normal(size=(60, 4))
+        tokens = rng.integers(0, 12, size=60)
+        stream, selection_stream = RngStream(55, 0), RngStream(55, 0)
+        report = layer_report(make_dump(vectors, tokens), 1, stream, k_range=range(2, 5))
+        selection = select_cluster_count(vectors, range(2, 5), selection_stream)
+        assert rng_state(stream) == rng_state(selection_stream)
+        assert report.zeta_cos == inter_token_cos(vectors, tokens)
+        assert report.zeta_prime_cos == adjusted_inter_token_cos(
+            vectors, tokens, selection.clustering
+        ).value
 
 
 class TestKmeans:
@@ -1132,7 +1167,7 @@ class TestAdjustedInterTokenCos:
             inertia=0.0,
             iterations=0,
         )
-        stat = adjusted_inter_token_cos(vectors, tokens, clustering, 10000, RngStream(29, 0))
+        stat = adjusted_inter_token_cos(vectors, tokens, clustering)
         assert abs(stat.value) < 0.05
 
     def test_shared_offset_anisotropy(self):
@@ -1152,9 +1187,7 @@ class TestAdjustedInterTokenCos:
             inertia=0.0,
             iterations=0,
         )
-        stat = adjusted_inter_token_cos(
-            vectors, np.arange(n) % 50, clustering, 10000, RngStream(31, 0)
-        )
+        stat = adjusted_inter_token_cos(vectors, np.arange(n) % 50, clustering)
         assert abs(stat.value) > 0.5
 
     def test_double_centering_idempotent(self):
@@ -1169,8 +1202,8 @@ class TestAdjustedInterTokenCos:
             inertia=0.0,
             iterations=0,
         )
-        a = adjusted_inter_token_cos(vectors, tokens, clustering, 10000, RngStream(33, 0))
-        b = adjusted_inter_token_cos(centered, tokens, clustering, 10000, RngStream(33, 0))
+        a = adjusted_inter_token_cos(vectors, tokens, clustering)
+        b = adjusted_inter_token_cos(centered, tokens, clustering)
         assert a.value == pytest.approx(b.value, abs=1e-12)
 
     def test_clusters_without_two_tokens_are_skipped(self):
@@ -1183,7 +1216,7 @@ class TestAdjustedInterTokenCos:
             inertia=0.0,
             iterations=0,
         )
-        stat = adjusted_inter_token_cos(vectors, tokens, clustering, 10000, RngStream(0, 0))
+        stat = adjusted_inter_token_cos(vectors, tokens, clustering)
         assert stat.skipped_clusters == 1
 
     def test_all_clusters_skipped_is_undefined(self):
@@ -1196,7 +1229,7 @@ class TestAdjustedInterTokenCos:
             iterations=0,
         )
         with pytest.raises(UndefinedMetricError):
-            adjusted_inter_token_cos(vectors, [3, 3], clustering, 10000, RngStream(0, 0))
+            adjusted_inter_token_cos(vectors, [3, 3], clustering)
 
 
 class TestLayerReport:

@@ -578,7 +578,6 @@ class TestForecast:
             # both consumed sample_count * horizon uniforms
             assert cached.uniform() == oracle.uniform()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_head_logits_are_numeric_failure(self):
         # finite weights whose head logits overflow: inf - inf leaves NaN
         # probabilities, which would sample token 0 on every path
@@ -590,7 +589,6 @@ class TestForecast:
         with pytest.raises(NumericFailureError, match="head probabilities"):
             forward(np.array([[1, 2, 3]]), params)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_at_a_decode_step_is_numeric_failure(self):
         # token 1 is sampled with certainty; once it is in the cache the
         # next head logits overflow
@@ -741,6 +739,17 @@ class TestDumpAndCheckpoint:
         assert dump.context_ids.tolist() == [r[2] for r in records]
         np.testing.assert_allclose(dump.vectors, [r[3] for r in records], rtol=0, atol=1e-12)
         assert dump_embeddings(params, []).record_count == 0
+
+    @pytest.mark.parametrize(
+        "layer_ids, message",
+        [([3], "layer id 3 out of range"), ([2, 0, 2], "layer id 2 is repeated")],
+        ids=["out-of-range", "repeated"],
+    )
+    def test_bad_layer_ids_rejected(self, layer_ids, message):
+        # a repeated id would write every record of that layer twice
+        params = random_params(np.random.default_rng(19), 8, 3, 2, 2)
+        with pytest.raises(InvalidArgumentError, match=message):
+            dump_embeddings(params, [np.array([1, 2, 3])], layer_ids=layer_ids)
 
     def test_last_layer_rows_equal_dump_layer_matrix(self):
         # evaluate_point takes the final layer's rows and token ids from

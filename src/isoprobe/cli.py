@@ -54,7 +54,7 @@ from .tokenizer import TokenizerConfig, tokenize_windows
 
 # A stage declares each config key it reads as (type, default) or
 # (type, default, minimum); a key whose default is REQUIRED must be set,
-# and a list[T] key holds elements of type T, its minimum bounding its length.
+# and a list[T] key holds distinct elements of type T, its minimum bounding its length.
 REQUIRED = object()
 # the config keys each kind of upstream run adds to a stage that reads it
 UPSTREAM_KEYS = {

@@ -181,26 +181,30 @@ def uniform_grid(length):
 
 
 def gram_matrix(kernel, grid):
-    """Covariance matrix of a (composite) kernel on a grid in [0, 1].
-
-    The kernel is evaluated on the upper triangle only, one block of
-    128 rows at a time, and each block is mirrored into the lower
-    triangle.  The mirror is exact: every kernel in the bank is
-    symmetric in IEEE arithmetic (``s - t == -(t - s)``, ``|s - t| ==
-    |t - s|``, sums and products commute), so ``k(s, t)`` and
-    ``k(t, s)`` are the same bits and the result equals the full
-    evaluation, and its symmetrization, bit for bit.
-    """
+    """Covariance matrix of a (composite) kernel on a grid in [0, 1], as
+    its upper triangle and diagonal with 0 below: the part ``cholesky_psd``
+    reads, so nothing is mirrored.  Blocks of 128 rows are evaluated from
+    the diagonal rightward, their entries below it reset to 0.  Every
+    kernel in the bank is symmetric in IEEE arithmetic
+    (``s - t == -(t - s)``, ``|s - t| == |t - s|``, sums and products
+    commute), so the triangle is that of the full evaluation, and of its
+    symmetrization, bit for bit.  A matrix too large to allocate raises
+    GenerationFailureError."""
     g = np.asarray(grid, dtype=np.float64)
     if g.ndim != 1 or g.size < 2:
         raise InvalidArgumentError("grid must be 1-D with >= 2 points")
     if g[0] < 0.0 or g[-1] > 1.0 or np.any(np.diff(g) <= 0.0):
         raise InvalidArgumentError("grid must be strictly increasing within [0, 1]")
-    gram = np.empty((g.size, g.size))
+    try:
+        gram = np.zeros((g.size, g.size))
+    except MemoryError:
+        raise GenerationFailureError(
+            f"cannot allocate the Gram matrix of length {g.size}: {8 * g.size**2} bytes"
+        ) from None
     for i in range(0, g.size, _GRAM_BLOCK):
-        block = kernel(g[i : i + _GRAM_BLOCK, None], g[None, i:])
-        gram[i : i + _GRAM_BLOCK, i:] = block
-        gram[i:, i : i + _GRAM_BLOCK] = block.T
+        rows = gram[i : i + _GRAM_BLOCK, i:]
+        rows[...] = kernel(g[i : i + _GRAM_BLOCK, None], g[None, i:])
+        rows[np.tril_indices(len(rows), -1)] = 0.0
     return gram
 
 
@@ -225,10 +229,10 @@ def sample_gp(kernel, length, stream):
 
     Returns (values, jitter_used).  Diagonal kernels skip the dense
     factorization; both paths consume the stream identically.  A dense
-    kernel's Gram matrix is its mirrored upper triangle, equal bit for
-    bit to the full evaluation (see ``gram_matrix``), and ``cholesky_psd``
-    factors it after a leading-block probe that only skips jitter rungs
-    bound to fail, so the factor and jitter are those of the full ladder.
+    kernel's Gram matrix is the full evaluation's upper triangle, bit for
+    bit (see ``gram_matrix``), which ``cholesky_psd`` reads alone, after a
+    leading-block probe that only skips jitter rungs bound to fail: the
+    factor and jitter are those of the full matrix's ladder.
     """
     grid = uniform_grid(length)
     z = stream.gaussians(length)

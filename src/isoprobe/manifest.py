@@ -207,7 +207,8 @@ def parse_config(path):
 def take_config(config, key, default=None, *, required=False, kind):
     """Fetch a config value with type checking; errors name the field.
     A ``list[T]`` kind also checks and converts each element as a scalar
-    T key is, so a ``list[float]`` reads ``[4, 16]`` as ``[4.0, 16.0]``."""
+    T key is, so a ``list[float]`` reads ``[4, 16]`` as ``[4.0, 16.0]``,
+    and refuses an element that repeats an earlier one."""
     if key not in config:
         if required:
             raise ConfigError(f"missing required config field: {key}")
@@ -215,6 +216,9 @@ def take_config(config, key, default=None, *, required=False, kind):
     value = _typed(key, config[key], get_origin(kind) or kind)
     if get_args(kind):
         value = [_typed(f"{key}[{i}]", item, get_args(kind)[0]) for i, item in enumerate(value)]
+        for i, item in enumerate(value):
+            if item in value[:i]:
+                raise ConfigError(f"config field {key}: element {item!r} is repeated")
     return value
 
 

@@ -36,25 +36,14 @@ def as_matrix(m, name="matrix"):
     return a
 
 
-# Rows per strip of the exact symmetry test: a strip's transposed side
-# is a column block this wide, read a short contiguous run per row.
-_SYMMETRY_STRIP = 128
-
-
-def _exactly_symmetric(a):
-    """Whether a == a.T entry for entry, compared in row strips:
-    a[i:i+b, i:] against a[i:, i:i+b].T, which together compare every
-    entry with its mirror.  A NaN is unequal to itself, so it fails."""
-    return all(
-        np.array_equal(a[i : i + _SYMMETRY_STRIP, i:], a[i:, i : i + _SYMMETRY_STRIP].T)
-        for i in range(0, a.shape[0], _SYMMETRY_STRIP)
-    )
+def _require_square(a, name):
+    if a.shape[0] != a.shape[1]:
+        raise InvalidArgumentError(f"{name} must be square, got {a.shape}")
+    return a
 
 
 def _require_symmetric(a, name):
-    if a.shape[0] != a.shape[1]:
-        raise InvalidArgumentError(f"{name} must be square, got {a.shape}")
-    if _exactly_symmetric(a):
+    if np.array_equal(_require_square(a, name), a.T):
         return a  # 0.5 * (a + a.T) would equal it bit for bit
     asym = float(np.max(np.abs(a - a.T)))
     if asym > 1e-10 * float(np.max(np.abs(a))):
@@ -111,11 +100,11 @@ _PROBE = 64  # order of the leading block factored before the full matrix
 
 
 def _cholesky_lower(a):
-    """LAPACK Cholesky (``potrf``) of an exactly symmetric matrix, after
-    the leading-block probe ``cholesky_psd`` describes; returns None when
-    a pivot is not positive.  Both calls take the transposed view: the
-    same values, since the matrix is symmetric, in the column order numpy
-    copies to LAPACK contiguously, which gives the same factor bytes."""
+    """LAPACK Cholesky (``potrf``) of the symmetric matrix with ``a``'s
+    upper triangle, after the leading-block probe ``cholesky_psd``
+    describes; returns None when a pivot is not positive.  Both calls
+    take the transposed view, whose lower triangle numpy's Cholesky reads,
+    in the column order numpy copies to LAPACK contiguously."""
     try:
         if len(a) > _PROBE:
             np.linalg.cholesky(a[:_PROBE, :_PROBE].T)
@@ -127,26 +116,27 @@ def _cholesky_lower(a):
 def cholesky_psd(m):
     """Lower-triangular factor of a (nearly) PSD symmetric matrix.
 
-    Each attempt is one LAPACK ``potrf`` call of the full matrix,
-    preceded on matrices larger than 64 x 64 by a ``potrf`` probe of the
-    leading 64 x 64 block.  A failed probe fails the attempt without the
-    full call, and the factor of an attempt that runs is the full call's
-    own.  The probe skips only attempts bound to fail: a matrix whose
-    leading principal submatrix is not positive definite is not positive
-    definite either (Sylvester's criterion).  LAPACK may order the
-    probe's operations differently from the full call's leading columns,
-    so the tests hold every rung to a probe-free ladder on the kernel
-    Gram matrices.  The jitter ladder: no jitter first, then 1e-9 *
-    mean(diag) added to the diagonal, growing tenfold per retry, six
-    retries.  A zero pivot fails an attempt like a negative one, so a
-    singular PSD matrix, diagonal or not, factors only with jitter.
-    Returns a CholeskyResult reporting the jitter added.  The rungs
-    rewrite the input's own diagonal and restore it before returning or
-    raising, so the input ends bit for bit unchanged without an n x n
-    copy; only a read-only input is copied.  Raises
+    Only the upper triangle and diagonal are read; entries below need
+    only be finite.  Each attempt is one LAPACK ``potrf`` call of the
+    full matrix, preceded on matrices larger than 64 x 64 by a ``potrf``
+    probe of the leading 64 x 64 block.  A failed probe fails the
+    attempt without the full call, and the factor of an attempt that
+    runs is the full call's own.  The probe skips only attempts bound to
+    fail: a matrix whose leading principal submatrix is not positive
+    definite is not positive definite either (Sylvester's criterion).
+    LAPACK may order the probe's operations differently from the full
+    call's leading columns, so the tests hold every rung to a probe-free
+    ladder on the kernel Gram matrices.  The jitter ladder: no jitter
+    first, then 1e-9 * mean(diag) added to the diagonal, growing tenfold
+    per retry, six retries.  A zero pivot fails an attempt like a
+    negative one, so a singular PSD matrix, diagonal or not, factors
+    only with jitter.  Returns a CholeskyResult reporting the jitter
+    added.  The rungs rewrite the input's own diagonal and restore it
+    before returning or raising, so the input ends bit for bit unchanged
+    without an n x n copy; only a read-only input is copied.  Raises
     NotPositiveSemidefiniteError once the ladder is exhausted.
     """
-    a = _require_symmetric(as_matrix(m), "matrix")
+    a = _require_square(as_matrix(m), "matrix")
     lower = _cholesky_lower(a)
     if lower is not None:
         return CholeskyResult(lower, 0.0)

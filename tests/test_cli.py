@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -226,6 +227,25 @@ class TestSynth:
         err = capsys.readouterr().err
         assert f"dataset {name} (seed 7, stream id {index}): " in err
         assert "forced refusal" in err
+
+    def test_gram_too_large_to_allocate_exits_5_naming_length_and_bytes(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        length = 1_000_000
+        zeros = np.zeros
+
+        def refuse_gram(shape, *args, **kwargs):
+            if shape == (length, length):
+                raise MemoryError("forced: no 8 TB here")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", refuse_gram)
+        cfg = write_config(tmp_path / "s.cfg", out=str(tmp_path / "s"), seed=7, length=length)
+        assert run_cli("synth", "--config", cfg) == 5
+        err = capsys.readouterr().err
+        assert "dataset linear_1 (seed 7, stream id 0): " in err
+        assert f"Gram matrix of length {length}: {8 * length**2} bytes" in err
+        assert "Traceback" not in err
 
     def test_bad_mode_exits_2_with_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "bad.cfg", out=str(tmp_path / "x"), mode="nope")
@@ -537,7 +557,7 @@ class TestDeterminismAndErrors:
         )
         assert run_cli("eval", "--config", cfg) == 2
         err = capsys.readouterr().err
-        assert "sweep value 0.05 is repeated" in err and "Traceback" not in err
+        assert "config field values: element 0.05 is repeated" in err and "Traceback" not in err
         assert not (out / "sweep.csv").exists()
 
     def test_schema_version_conflict_refused(self, pipeline, tmp_path, capsys):
@@ -654,6 +674,9 @@ class TestConfigErrors:
             ("synth", "count", 3),  # table mode
             ("synth", "max_kernels", 3),
             pytest.param("report", "runs", [], id="report-runs-empty"),
+            # a list-valued key holds each element once
+            pytest.param("train", "datasets", ["seasonality_2"] * 2, id="train-datasets-repeated"),
+            pytest.param("report", "runs", ["synth", "synth"], id="report-runs-repeated"),
             # a list-valued key checks its elements' type
             pytest.param("embed", "layers", [1.5], id="embed-layers-float"),
             pytest.param("embed", "layers", ["a"], id="embed-layers-str"),
@@ -677,6 +700,8 @@ class TestConfigErrors:
                      "values": [4, 8], "seeds": 1},
             "report": {},
         }.get(command, {"model": str(dirs["train"]), **data})
+        if key == "runs":  # a stage name stands for its run directory
+            value = [str(dirs[v]) if v in dirs else v for v in value]
         cfg = write_config(tmp_path / "c.cfg", out=str(tmp_path / "o"), **{**upstream, key: value})
         assert run_cli(command, "--config", cfg) == 2
         err = capsys.readouterr().err

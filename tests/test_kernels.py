@@ -34,6 +34,13 @@ from isoprobe.numerics import RngStream, cholesky_psd
 CHI2_99_DF4 = 13.2767
 
 
+def full_gram(kernel, grid):
+    """The symmetrized full evaluation of a kernel on a grid: the full
+    symmetric matrix whose upper triangle ``gram_matrix`` returns."""
+    full = kernel(grid[:, None], grid[None, :])
+    return 0.5 * (full + full.T)
+
+
 class TestKernelEval:
     def test_rbf_zero_distance(self):
         assert RBF(1.0)(0.3, 0.3) == 1.0
@@ -92,15 +99,14 @@ class TestGramMatrix:
         with pytest.raises(InvalidArgumentError):
             gram_matrix(k, [0.0, 1.5])
 
-    def test_mirror_equals_symmetrized_full_evaluation(self):
+    def test_upper_triangle_equals_symmetrized_full_evaluation(self):
         stream = RngStream(12, 0)
         kernels = [CompositeKernel.leaf(spec) for _, spec in table_dataset_specs()]
         kernels += [sample_kernel_tree(default_bank(), 5, stream) for _ in range(20)]
         for length in (2, 3, 127, 128, 129, 256, 1024):
             grid = uniform_grid(length)
             for kernel in kernels:
-                full = kernel(grid[:, None], grid[None, :])
-                want = 0.5 * (full + full.T)
+                want = np.triu(full_gram(kernel, grid))
                 assert gram_matrix(kernel, grid).tobytes() == want.tobytes()
 
     def test_table_datasets_factor_each_dense_gram_once(self, monkeypatch):
@@ -124,9 +130,14 @@ class TestGramMatrix:
         grid = uniform_grid(32)
         for _ in range(20):
             tree = sample_kernel_tree(bank, 5, stream)
-            gram = gram_matrix(tree, grid)
-            np.testing.assert_allclose(gram, gram.T, atol=1e-12)
-            cholesky_psd(gram)  # must not raise
+            full = tree(grid[:, None], grid[None, :])
+            assert full.tobytes() == full.T.tobytes()
+            gram, symmetric = gram_matrix(tree, grid), full_gram(tree, grid)
+            assert gram.tobytes() == np.triu(symmetric).tobytes()
+            want = cholesky_psd(symmetric)
+            got = cholesky_psd(gram)  # must not raise
+            assert got.jitter == want.jitter
+            assert got.lower.tobytes() == want.lower.tobytes()
 
 
 class TestCompositeKernel:

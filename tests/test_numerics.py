@@ -15,7 +15,6 @@ from isoprobe.errors import (
 from isoprobe.kernels import (
     CompositeKernel,
     default_bank,
-    gram_matrix,
     sample_kernel_tree,
     table_dataset_specs,
     uniform_grid,
@@ -28,6 +27,8 @@ from isoprobe.numerics import (
     spectral_norm,
     sym_eigendecompose,
 )
+
+from test_kernels import full_gram
 
 
 def qr_iteration_eigenvalues(a, iterations=5000):
@@ -146,28 +147,16 @@ class TestSymEigendecompose:
             sym_eigendecompose([[1.0, 2.0], [0.5, 1.0]])
 
 
-STRIP = numerics._SYMMETRY_STRIP
-STRIPPED_ORDER = 2 * STRIP + 44  # two full strips and a short last one
-
-
-class TestSymmetryStrips:
+class TestExactSymmetry:
     @pytest.mark.parametrize(
-        "row, col",
-        [
-            (3, STRIP // 2),  # first strip
-            (STRIPPED_ORDER - 1, STRIPPED_ORDER - 30),  # last strip
-            (STRIP - 1, STRIP),  # across a strip boundary, above the diagonal
-            (STRIP, STRIP - 1),  # and its mirror below it
-            (2 * STRIP + 10, 5),  # far below the diagonal
-        ],
+        "row, col", [(3, 64), (299, 270), (127, 128), (128, 127), (266, 5)]
     )
-    def test_one_flipped_entry_is_caught_in_any_strip(self, row, col):
-        g = np.random.default_rng(80).normal(size=(STRIPPED_ORDER, STRIPPED_ORDER))
+    def test_one_flipped_entry_is_caught_anywhere(self, row, col):
+        g = np.random.default_rng(80).normal(size=(300, 300))
         a = g + g.T
         assert numerics._require_symmetric(a, "matrix") is a
         flipped = a.copy()
         flipped[row, col] += 1.0
-        assert not numerics._exactly_symmetric(flipped)
         with pytest.raises(InvalidArgumentError, match="asymmetric"):
             numerics._require_symmetric(flipped, "matrix")
         # within the 1e-10 tolerance: a symmetrized copy comes back
@@ -175,20 +164,24 @@ class TestSymmetryStrips:
         nudged[row, col] += 1e-12 * np.max(np.abs(a))
         out = numerics._require_symmetric(nudged, "matrix")
         assert out.tobytes() == (0.5 * (nudged + nudged.T)).tobytes()
-        assert numerics._exactly_symmetric(out)
+        assert np.array_equal(out, out.T)
 
     def test_nan_is_not_symmetric(self):
-        a = np.eye(STRIPPED_ORDER)
-        a[STRIP + 3, STRIP + 3] = np.nan
-        assert not numerics._exactly_symmetric(a)
-        assert numerics._exactly_symmetric(np.zeros((0, 0)))
+        a = np.eye(300)
+        a[131, 131] = np.nan
+        assert numerics._require_symmetric(a, "matrix") is not a
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            sym_eigendecompose(a)
+        empty = np.zeros((0, 0))
+        assert numerics._require_symmetric(empty, "matrix") is empty
 
 
 def cholesky_oracle(a):
     """Column Cholesky; returns None when a pivot is non-positive.
 
     The pure-Python factorization that LAPACK's ``potrf`` replaced in
-    ``cholesky_psd``, kept unchanged as the reference."""
+    ``cholesky_psd``, kept unchanged as the reference.  It reads the
+    lower triangle, so it takes a full symmetric matrix."""
     n = a.shape[0]
     if n == 0:
         return np.zeros((0, 0))
@@ -223,19 +216,20 @@ def oracle_jitter(a):
 
 
 def dense_grams(length=256, trees=20):
-    """Gram matrices of the non-diagonal table kernels and of the first
-    ``trees`` non-diagonal random KernelSynth trees."""
+    """Full symmetric Gram matrices of the non-diagonal table kernels and
+    of the first ``trees`` non-diagonal random KernelSynth trees."""
     table = (CompositeKernel.leaf(spec) for _, spec in table_dataset_specs())
     sampled = (sample_kernel_tree(default_bank(), 5, RngStream(s, 0)) for s in itertools.count())
     dense = (k for k in itertools.chain(table, sampled) if not k.is_diagonal)
-    return [gram_matrix(k, uniform_grid(length)) for k in itertools.islice(dense, 8 + trees)]
+    return [full_gram(k, uniform_grid(length)) for k in itertools.islice(dense, 8 + trees)]
 
 
 def potrf_ladder_oracle(a):
     """The ladder ``cholesky_psd`` ran before its leading-block probe, kept
     unchanged as the reference: one full-matrix ``np.linalg.cholesky``
-    per rung.  Returns (lower, jitter), or (None, None) once the ladder
-    is exhausted."""
+    per rung, which reads the lower triangle of a full symmetric matrix.
+    Returns (lower, jitter), or (None, None) once the ladder is
+    exhausted."""
 
     def attempt(m):
         try:
@@ -260,7 +254,7 @@ def potrf_ladder_oracle(a):
 
 def dense_table_grams(length):
     return [
-        gram_matrix(k, uniform_grid(length))
+        full_gram(k, uniform_grid(length))
         for k in (CompositeKernel.leaf(spec) for _, spec in table_dataset_specs())
         if not k.is_diagonal
     ]
@@ -268,15 +262,17 @@ def dense_table_grams(length):
 
 class TestLeadingBlockProbe:
     """``cholesky_psd`` against the full-matrix ladder it replaced: the
-    probe may skip attempts, never change a factor or a rung."""
+    probe may skip attempts, never change a factor or a rung, and the
+    upper triangle alone gives the full matrix's factor."""
 
     @staticmethod
     def assert_matches_ladder(a):
         lower, jitter = potrf_ladder_oracle(a)
-        res = cholesky_psd(a)
-        assert res.jitter == jitter
-        assert res.lower.shape == lower.shape
-        assert res.lower.tobytes() == lower.tobytes()
+        for m in (a, np.triu(a)):
+            res = cholesky_psd(m)
+            assert res.jitter == jitter
+            assert res.lower.shape == lower.shape
+            assert res.lower.tobytes() == lower.tobytes()
         return res
 
     def test_kernel_grams(self):
@@ -395,15 +391,20 @@ class TestCholeskyPsd:
         res = cholesky_psd(np.zeros((0, 0)))
         assert res.lower.shape == (0, 0) and res.jitter == 0.0
 
+    def test_entries_below_the_diagonal_are_not_read(self):
+        gram = dense_grams(length=32, trees=0)[0]
+        want = cholesky_psd(gram)
+        junk = np.triu(gram) + np.tril(np.random.default_rng(3).normal(size=gram.shape), -1)
+        for a in (junk, np.triu(gram)):
+            res = cholesky_psd(a)
+            assert res.jitter == want.jitter
+            assert res.lower.tobytes() == want.lower.tobytes()
+
     def test_nearly_symmetric_input_is_symmetrized(self):
         gram = dense_grams(length=32, trees=0)[0]
         a = gram.copy()
         a[1, 0] += 1e-11 * np.max(np.abs(a))  # within the 1e-10 tolerance
         sym = 0.5 * (a + a.T)
-        res = cholesky_psd(a)
-        want = cholesky_psd(sym)
-        assert res.jitter == want.jitter
-        assert np.array_equal(res.lower, want.lower)
         assert not np.array_equal(sym, a)
         eig = sym_eigendecompose(a)
         assert np.array_equal(eig.eigenvalues, sym_eigendecompose(sym).eigenvalues)

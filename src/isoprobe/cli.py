@@ -417,8 +417,12 @@ _SECTION_FILES = {
 
 def _report(run):
     """Merge run artifacts into one consolidated JSON report."""
-    sections = {}
-    for run_dir in map(Path, run.opts["runs"]):
+    sections, seen = {}, set()
+    for entry in run.opts["runs"]:
+        run_dir = Path(entry)
+        if run_dir.resolve() in seen:  # another spelling of an earlier run
+            raise ConfigError(f"config field runs: element {entry!r} is repeated")
+        seen.add(run_dir.resolve())
         manifest = RunManifest.read(run_dir)
         if manifest.schema_version != SCHEMA_VERSION:
             raise MergeRefusedError(

@@ -26,24 +26,20 @@ from .errors import (
 _MASK64 = (1 << 64) - 1
 
 
-def as_matrix(m, name="matrix"):
-    """Coerce to a finite 2-D float64 array, raising on bad input."""
+def as_matrix(m, name="matrix", square=False):
+    """Coerce to a finite 2-D float64 array, square if ``square``, raising on bad input."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:
         raise InvalidArgumentError(f"{name} must be 2-D, got shape {a.shape}")
     if a.size and not np.all(np.isfinite(a)):
         raise InvalidArgumentError(f"{name} contains non-finite entries")
-    return a
-
-
-def _require_square(a, name):
-    if a.shape[0] != a.shape[1]:
+    if square and a.shape[0] != a.shape[1]:
         raise InvalidArgumentError(f"{name} must be square, got {a.shape}")
     return a
 
 
 def _require_symmetric(a, name):
-    if np.array_equal(_require_square(a, name), a.T):
+    if np.array_equal(a, a.T):
         return a  # 0.5 * (a + a.T) would equal it bit for bit
     asym = float(np.max(np.abs(a - a.T)))
     if asym > 1e-10 * float(np.max(np.abs(a))):
@@ -75,7 +71,7 @@ def sym_eigendecompose(m):
     Raises InvalidArgumentError for non-square or asymmetric input and
     NumericFailureError if LAPACK reports no convergence.
     """
-    a = _require_symmetric(as_matrix(m), "matrix")
+    a = _require_symmetric(as_matrix(m, square=True), "matrix")
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -136,7 +132,7 @@ def cholesky_psd(m):
     without an n x n copy; only a read-only input is copied.  Raises
     NotPositiveSemidefiniteError once the ladder is exhausted.
     """
-    a = _require_square(as_matrix(m), "matrix")
+    a = as_matrix(m, square=True)
     lower = _cholesky_lower(a)
     if lower is not None:
         return CholeskyResult(lower, 0.0)

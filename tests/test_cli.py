@@ -676,7 +676,8 @@ class TestConfigErrors:
             pytest.param("report", "runs", [], id="report-runs-empty"),
             # a list-valued key holds each element once
             pytest.param("train", "datasets", ["seasonality_2"] * 2, id="train-datasets-repeated"),
-            pytest.param("report", "runs", ["synth", "synth"], id="report-runs-repeated"),
+            pytest.param("report", "runs", ["{synth}", "{synth}"], id="report-runs-repeated"),
+            pytest.param("report", "runs", ["{synth}", "{synth}/"], id="report-runs-alias"),
             # a list-valued key checks its elements' type
             pytest.param("embed", "layers", [1.5], id="embed-layers-float"),
             pytest.param("embed", "layers", ["a"], id="embed-layers-str"),
@@ -700,8 +701,8 @@ class TestConfigErrors:
                      "values": [4, 8], "seeds": 1},
             "report": {},
         }.get(command, {"model": str(dirs["train"]), **data})
-        if key == "runs":  # a stage name stands for its run directory
-            value = [str(dirs[v]) if v in dirs else v for v in value]
+        if key == "runs":  # {stage} stands for that stage's run directory
+            value = [v.format_map(dirs) if isinstance(v, str) else v for v in value]
         cfg = write_config(tmp_path / "c.cfg", out=str(tmp_path / "o"), **{**upstream, key: value})
         assert run_cli(command, "--config", cfg) == 2
         err = capsys.readouterr().err

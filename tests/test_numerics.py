@@ -325,16 +325,18 @@ class TestLeadingBlockProbe:
 
 
 class TestInPlaceLadder:
-    """The jitter rungs borrow the input's diagonal: the input ends bit for
-    bit unchanged, and the ladder holds no n x n copy of it."""
+    """The jitter rungs borrow the input's diagonal: the input, a full
+    symmetric matrix or the upper triangle ``gram_matrix`` returns, ends
+    bit for bit unchanged, and the ladder holds no n x n copy of it."""
 
     def test_input_unchanged_after_jittered_success(self):
         grams = dense_table_grams(1024)
         assert len(grams) == 8
         for gram in grams:
-            before = gram.tobytes()
-            assert cholesky_psd(gram).jitter > 0.0
-            assert gram.tobytes() == before
+            for a in (gram, np.triu(gram)):
+                before = a.tobytes()
+                assert cholesky_psd(a).jitter > 0.0
+                assert a.tobytes() == before
 
     def test_input_unchanged_after_exhausted_ladder(self):
         a = np.diag([1.0, -1.0])
@@ -343,9 +345,12 @@ class TestInPlaceLadder:
             cholesky_psd(a)
         assert a.tobytes() == before
 
+    @pytest.mark.parametrize("triangle", [False, True], ids=["full", "triangle"])
     @pytest.mark.parametrize("layout", ["read_only", "fortran"])
-    def test_other_layouts_match_a_writable_copy(self, layout):
+    def test_other_layouts_match_a_writable_copy(self, layout, triangle):
         gram = dense_table_grams(256)[0]
+        if triangle:
+            gram = np.triu(gram)
         want = cholesky_psd(gram.copy())
         assert want.jitter > 0.0
         if layout == "read_only":
@@ -358,10 +363,13 @@ class TestInPlaceLadder:
         assert res.lower.tobytes() == want.lower.tobytes()
         assert a.tobytes() == gram.tobytes()
 
-    def test_ladder_allocates_only_the_factor(self):
+    @pytest.mark.parametrize("triangle", [False, True], ids=["full", "triangle"])
+    def test_ladder_allocates_only_the_factor(self, triangle):
         # numpy's LAPACK work buffer is malloc'd outside tracemalloc, so
         # the factor is the only n x n allocation it can see
         gram = dense_table_grams(1024)[0]
+        if triangle:
+            gram = np.triu(gram)
         tracemalloc.start()
         try:
             assert cholesky_psd(gram).jitter > 0.0
@@ -377,13 +385,16 @@ class TestCholeskyPsd:
         assert len(grams) == 28
         for gram in grams:
             before = gram.copy()
-            res = cholesky_psd(gram)
-            assert gram.tobytes() == before.tobytes()
-            assert res.jitter == oracle_jitter(gram)
-            assert np.array_equal(res.lower, np.tril(res.lower))
-            target = gram + res.jitter * np.eye(len(gram))
-            err = np.linalg.norm(res.lower @ res.lower.T - target)
-            assert err <= 1e-12 * np.linalg.norm(gram)
+            jitter = oracle_jitter(gram)
+            for a in (gram, np.triu(gram)):  # the column oracle reads the full matrix
+                a_before = a.tobytes()
+                res = cholesky_psd(a)
+                assert a.tobytes() == a_before
+                assert res.jitter == jitter
+                assert np.array_equal(res.lower, np.tril(res.lower))
+                target = gram + res.jitter * np.eye(len(gram))
+                err = np.linalg.norm(res.lower @ res.lower.T - target)
+                assert err <= 1e-12 * np.linalg.norm(gram)
             sym_eigendecompose(gram)
             assert gram.tobytes() == before.tobytes()
 

@@ -1,18 +1,18 @@
 """Time the paper-scale pipeline, one stage at a time.
 
-    python3 tools/time_pipeline.py --work /tmp/paper_scale [--seed 0]
+    python3 tools/time_pipeline.py --work /tmp/paper_scale
 
 Runs synth, train, embed, analyze, verify, a noise eval (sigma 0 and
-0.05) and a context-length eval (4 and 16) at the CLI defaults (vocab
-512, dim 64, rank 16, 5000 steps, all 10 datasets, 20 sweep seeds), each
-stage in a fresh ``python -m isoprobe.cli`` process with ``--workers 1``
-and every BLAS and OpenMP thread pool pinned to 1.  The package is
-imported from the ``src/`` of the checkout this file sits in.  Configs,
-outputs and each stage's log go under ``--work``, which must not exist
-yet.  The last line of standard output is one JSON object: per stage its
-wall time (the process from start to exit, interpreter start-up
-included) and exit code, plus the total.  The exit code is 1 if any
-stage failed.
+0.05) and a context-length eval (4 and 16) at the CLI defaults (seed 0,
+vocab 512, dim 64, rank 16, 5000 steps, all 10 datasets, 20 sweep
+seeds), each stage in a fresh ``python -m isoprobe.cli`` process with
+``--workers 1`` and every BLAS and OpenMP thread pool pinned to 1.  The
+package is imported from the ``src/`` of the checkout this file sits in.
+Configs, outputs and each stage's log go under ``--work``, which must
+not exist yet.  The last line of standard output is one JSON object: per
+stage its wall time (the process from start to exit, interpreter
+start-up included) and exit code, plus the total.  The exit code is 1 if
+any stage failed.
 """
 
 import argparse
@@ -47,17 +47,15 @@ def stage_configs(work):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--work", type=Path, required=True, help="new directory for all outputs")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     work = args.work.resolve()
     work.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(SRC), **{var: "1" for var in THREAD_VARS})
-    env.pop("ISOPROBE_WORKERS", None)
     stages = {}
     for name, command, config in stage_configs(work):
         cfg = work / f"{name}.cfg"
-        config = {"out": str(work / name), "seed": args.seed, **config}
+        config = {"out": str(work / name), **config}
         cfg.write_text("".join(f"{key} = {json.dumps(value)}\n" for key, value in config.items()))
         argv = [sys.executable, "-m", "isoprobe.cli", command, "--config", str(cfg),
                 "--workers", "1"]
@@ -68,7 +66,7 @@ def main(argv=None):
         stages[name] = {"wall_s": round(wall, 3), "exit_code": code}
         print(f"{name}: {wall:.2f} s, exit {code}", file=sys.stderr)
     total = round(sum(stage["wall_s"] for stage in stages.values()), 3)
-    print(json.dumps({"seed": args.seed, "src": str(SRC), "stages": stages, "total_s": total}))
+    print(json.dumps({"src": str(SRC), "stages": stages, "total_s": total}))
     return 1 if any(stage["exit_code"] for stage in stages.values()) else 0
 
 
